@@ -15,7 +15,12 @@ keyed by its version counter), so chunks whose target sets are disjoint get
 no edge even on shuffled or renumbered meshes.  A dat accessed through
 several map slots with the same access mode contributes one *union*
 interval set per chunk rather than one summary per slot -- same edges,
-fewer overlapping records to test against.  ``interval_sets=False``
+fewer overlapping records to test against.  Every union and overlap test
+goes through an :class:`~repro.op2.intervals.IntervalAlgebra` (the owning
+session's, shared with the sharded engine's halo directory), so a
+time-stepping chain -- which repeats the same tests on the same summary
+objects every step -- answers them from a dictionary after the first step.
+``interval_sets=False``
 falls back to the single conservative ``[min, max]`` hull per chunk -- the
 original representation, kept as the comparison baseline for the
 renumbered-mesh benchmarks; its edges are always a superset of the
@@ -36,7 +41,7 @@ from typing import Optional, Sequence
 
 from repro.op2.access import AccessMode
 from repro.op2.args import OpArg
-from repro.op2.intervals import IntervalSet
+from repro.op2.intervals import IntervalAlgebra, IntervalSet
 from repro.op2.par_loop import ParLoop
 
 __all__ = ["AccessRecord", "DependencyTracker"]
@@ -60,10 +65,6 @@ class AccessRecord:
     def hi(self) -> int:
         """Largest element touched."""
         return self.intervals.hi
-
-    def overlaps(self, summary: IntervalSet) -> bool:
-        """True if ``summary`` intersects this record's accesses."""
-        return self.intervals.overlaps(summary)
 
 
 @dataclass
@@ -114,6 +115,10 @@ class DependencyTracker:
         not (yet) written.  The simulator leaves both off: increments commute
         mathematically, and successive writer layers cover the dats they
         rewrite, so the modelled makespans keep the paper's relaxed DAG.
+    algebra:
+        The memoised interval algebra every union and overlap test goes
+        through -- the owning session's when built by the pipeline; a
+        private one when omitted.
     """
 
     def __init__(
@@ -122,19 +127,13 @@ class DependencyTracker:
         chunk_granularity: bool = True,
         interval_sets: bool = True,
         strict_commit_order: bool = False,
+        algebra: Optional[IntervalAlgebra] = None,
     ) -> None:
         self.chunk_granularity = chunk_granularity
         self.interval_sets = interval_sets
         self.strict_commit_order = strict_commit_order
+        self.algebra = algebra if algebra is not None else IntervalAlgebra()
         self._history: dict[int, _DatHistory] = {}
-        #: memo of the last chunk's merged access groups: record_chunk always
-        #: follows chunk_dependencies for the same chunk, so the (cheap but
-        #: not free) per-dat union of multi-slot summaries runs once per chunk.
-        #: Holds a strong reference to the loop and compares identity -- an
-        #: id()-based key could alias a dead loop's recycled id.
-        self._group_memo: Optional[
-            tuple[ParLoop, int, int, list[tuple[int, AccessMode, IntervalSet]]]
-        ] = None
 
     def _history_for(self, dat_id: int) -> _DatHistory:
         return self._history.setdefault(dat_id, _DatHistory())
@@ -147,10 +146,14 @@ class DependencyTracker:
         ``[min, max]`` mode.
         """
         if arg.is_direct:
-            return IntervalSet.from_range(start, stop - 1)
+            return self.algebra.from_range(start, stop - 1)
         assert arg.map is not None
         summary = arg.map.chunk_summary(arg.map_index, start, stop)  # type: ignore[union-attr]
-        return summary if self.interval_sets else summary.hull()
+        if self.interval_sets:
+            return summary
+        # interned by its endpoints: ``summary.hull()`` would be a new object
+        # per call, and the memo is keyed on operand identity
+        return self.algebra.from_range(summary.lo, summary.hi)
 
     @property
     def mode(self) -> str:
@@ -166,9 +169,9 @@ class DependencyTracker:
 
         The pipeline attaches these to its ``analyze``-stage artifact so
         observers (prefetchers, tests) can see exactly the interval sets the
-        dependency edges were derived from.  Thanks to the memo this is a
-        dictionary hit when called right after :meth:`chunk_dependencies` /
-        :meth:`record_chunk` for the same chunk.
+        dependency edges were derived from.  The unions are memoised by the
+        algebra, so asking again for a chunk already analysed costs one
+        dictionary hit per argument.
         """
         return self._access_groups(loop, start, stop)
 
@@ -186,9 +189,6 @@ class DependencyTracker:
         per dat behind instead of several overlapping ones.  Groups keep the
         first-appearance order of the underlying arguments.
         """
-        memo = self._group_memo
-        if memo is not None and memo[0] is loop and memo[1:3] == (start, stop):
-            return memo[3]
         groups: dict[tuple[int, AccessMode], IntervalSet] = {}
         order: list[tuple[int, AccessMode]] = []
         for arg in loop.args:
@@ -202,10 +202,8 @@ class DependencyTracker:
                 groups[key] = summary
                 order.append(key)
             else:
-                groups[key] = merged.union(summary)
-        result = [(dat_id, access, groups[dat_id, access]) for dat_id, access in order]
-        self._group_memo = (loop, start, stop, result)
-        return result
+                groups[key] = self.algebra.union(merged, summary)
+        return [(dat_id, access, groups[dat_id, access]) for dat_id, access in order]
 
     # -- querying dependencies ----------------------------------------------------
     def chunk_dependencies(
@@ -274,7 +272,8 @@ class DependencyTracker:
         self, records: Sequence[AccessRecord], summary: IntervalSet
     ) -> list[AccessRecord]:
         if self.chunk_granularity:
-            return [record for record in records if record.overlaps(summary)]
+            overlaps = self.algebra.overlaps
+            return [record for record in records if overlaps(record.intervals, summary)]
         return list(records)
 
     # -- recording a scheduled chunk -------------------------------------------------
@@ -291,9 +290,7 @@ class DependencyTracker:
         transitively through already-recorded edges).  Increment chunks
         extend the current accumulation layer instead.
 
-        Must be called *after* :meth:`chunk_dependencies` for the same chunk
-        (the merged per-dat groups are memoised from that call, so the second
-        computation is a dictionary hit, not a re-scan).
+        Must be called *after* :meth:`chunk_dependencies` for the same chunk.
         """
         for dat_id, access, summary in self._access_groups(loop, start, stop):
             history = self._history_for(dat_id)

@@ -486,7 +486,8 @@ class LoopPipeline:
         )
         #: per-loop book-keeping records, in program order
         self.records: list[LoopRecord] = []
-        #: simulated task id -> (compute task id, merge task id), engine mode only
+        #: simulated task id -> (compute task id, merge task id) of the chunks
+        #: submitted since the last drain, engine mode only
         self.pool_chunk_ids: dict[int, tuple[int, int]] = {}
         self.loop_count = 0
         self.wall_seconds = 0.0
@@ -668,7 +669,7 @@ class LoopPipeline:
             engine = self._ensure_engine()
         if schedule.reduction.drain_before:
             assert engine is not None
-            engine.wait_all()
+            self._drain(engine)
 
         if schedule.submission == "eager":
             if engine is not None and capabilities.partitioned_dats:
@@ -713,10 +714,10 @@ class LoopPipeline:
             self.pool_chunk_ids[spec.sim_id] = (compute_id, merge_id)
             last_merge_id = merge_id
             if spec.barrier_after:
-                engine.wait_all()
+                self._drain(engine)
         loop._mark_outputs_modified()
         if schedule.reduction.drain_after:
-            engine.wait_all()
+            self._drain(engine)
         if not self.policy.returns_future:
             return None
         return self._deferred_future(loop.output_dat(), last_merge_id)
@@ -798,6 +799,16 @@ class LoopPipeline:
         return future
 
     # -- engine lifecycle --------------------------------------------------------
+    def _drain(self, engine: ExecutionEngine) -> None:
+        """Wait for everything submitted, then forget the completed ids.
+
+        Every recorded chunk has completed, and ``_submit`` skips dependencies
+        it has no id for, so a long time-stepping context holds the ids of
+        the chunks between two drains, not of every step it ever ran.
+        """
+        engine.wait_all()
+        self.pool_chunk_ids.clear()
+
     def _ensure_engine(self) -> ExecutionEngine:
         if self.session is not None:
             engine = self.session.engine(self.run_config)
@@ -810,8 +821,9 @@ class LoopPipeline:
             return engine
         if self._executor is None or self._executor.is_shutdown:
             if self._executor is not None:
-                # Fresh engine after finish(): earlier chunks all completed,
-                # so edges to them are already satisfied -- drop the stale ids.
+                # Fresh engine after abort() (finish() already forgot them):
+                # earlier chunks completed or were cancelled, so edges to them
+                # are moot -- drop the stale ids.
                 self.pool_chunk_ids.clear()
             self._executor = make_engine(self.run_config)
         return self._executor
@@ -860,13 +872,14 @@ class LoopPipeline:
         """
         if self._executor is not None and not self._executor.is_shutdown:
             if self.session is not None:
-                self._executor.wait_all()
+                self._drain(self._executor)
                 if self.capabilities.partitioned_dats:
                     # The application reads dats on the parent after the
                     # chain: land every worker-fresh run in the home views.
                     self._executor.sync_parent_dats()
             else:
                 self._executor.shutdown(wait=True)
+                self.pool_chunk_ids.clear()
         self._stop_clock()
         if self.task_graph is None or len(self.task_graph) == 0:
             return
@@ -949,10 +962,12 @@ def build_dataflow_pipeline(
     # (program-order increment accumulation, reader ordering against
     # displaced writer layers) that keep results deterministic and
     # serial-matching.
+    owner = session if session is not None else Session.current()
     tracker = DependencyTracker(
         chunk_granularity=optimization.interleaving,
         interval_sets=run_config.interval_sets,
         strict_commit_order=capabilities.strict_commit_order,
+        algebra=owner.interval_algebra,
     )
     planner = ChunkPlanner(
         cost_model, run_config.num_threads, policy=run_config.chunking

@@ -164,12 +164,16 @@ def _make_compiled(config: RunConfig) -> ExecutionEngine:
 
 def _make_sharded(config: RunConfig) -> ExecutionEngine:
     from repro.runtime.sharding import ShardedChunkEngine
+    from repro.session import Session
 
+    # The halo directory shares the session's interval algebra with the
+    # dependency tracker: both ask about the same summary objects.
     return ShardedChunkEngine(
         config.num_threads,
         name="hpx-chunk-shards",
         trace=True,
         prefer_vectorized=config.prefer_vectorized,
+        algebra=Session.current().interval_algebra,
     )
 
 

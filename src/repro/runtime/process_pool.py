@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.engines.base import EngineCapabilities
 from repro.errors import OP2BackendError, SchedulerError
+from repro.op2.intervals import copy_runs
 from repro.runtime.pool_executor import PoolExecutor
 
 __all__ = ["ProcessPool", "ProcessChunkEngine"]
@@ -182,18 +183,16 @@ class _WorkerState:
         """Copy halo runs from peer-shard segments into this worker's dats.
 
         Each entry is ``(dat_id, src_shard, starts, stops)`` with inclusive
-        runs.  The parent's dependency gating guarantees the source runs are
-        committed and that no concurrent fetch targets overlapping runs, so a
-        plain row-slice copy per run is race-free.
+        runs as ``int64`` arrays.  The parent's dependency gating guarantees
+        the source runs are committed and that no concurrent fetch targets
+        overlapping runs, so an unsynchronised row copy is race-free.
         """
         if not entries:
             return
         with self.peer_lock:
             for dat_id, src_shard, starts, stops in entries:
                 dst = self.dats[dat_id].data
-                src = self._peer_view(dat_id, src_shard)
-                for lo, hi in zip(starts, stops):
-                    dst[lo : hi + 1] = src[lo : hi + 1]
+                copy_runs(dst, self._peer_view(dat_id, src_shard), starts, stops)
 
     def register_loop(self, key: str, spec: dict) -> None:
         from repro.op2.access import OP_ID, AccessMode

@@ -43,7 +43,7 @@ from typing import Any, Callable, Iterable, Optional
 import numpy as np
 
 from repro.engines.base import EngineCapabilities
-from repro.op2.intervals import IntervalSet
+from repro.op2.intervals import IntervalAlgebra, IntervalSet, copy_runs
 from repro.runtime.process_pool import ProcessChunkEngine, ProcessPool
 
 __all__ = ["ShardPartition", "HaloDirectory", "ShardedChunkEngine"]
@@ -112,11 +112,18 @@ class HaloDirectory:
     them valid); the rest is sourced per fresh entry.  ``record_write``
     moves freshness to the writing shard and invalidates every other shard's
     overlapping runs.
+
+    All set algebra goes through ``algebra`` (the owning session's, shared
+    with the dependency tracker; a private one when omitted).  The directory
+    of a time-stepping chain returns to the same *values* every step; the
+    algebra interns results, so it returns to the same *objects*, and from
+    the second step on planning a chunk's halo is dictionary hits only.
     """
 
-    def __init__(self, num_shards: int) -> None:
+    def __init__(self, num_shards: int, algebra: Optional[IntervalAlgebra] = None) -> None:
         self.num_shards = num_shards
         self.home = num_shards
+        self.algebra = algebra if algebra is not None else IntervalAlgebra()
         self._fresh: dict[int, list[_FreshEntry]] = {}
         self._valid: dict[int, dict[int, list[_ValidEntry]]] = {}
 
@@ -128,7 +135,7 @@ class HaloDirectory:
         reconciliation.
         """
         if size > 0:
-            full = IntervalSet.from_range(0, size - 1)
+            full = self.algebra.from_range(0, size - 1)
             self._fresh[dat_id] = [_FreshEntry(full, self.home, None)]
             self._valid[dat_id] = {self.home: [_ValidEntry(full, None)]}
         else:
@@ -154,21 +161,21 @@ class HaloDirectory:
         locally -- the caller marks them valid with the fetching task's id
         once it is known.
         """
+        algebra = self.algebra
         deps: set[int] = set()
         missing: Optional[IntervalSet] = needed
         for entry in self._valid.get(dat_id, {}).get(shard, []):
             if missing is None:
                 break
-            overlap = entry.runs.intersection(missing)
-            if overlap is None:
+            if not algebra.overlaps(entry.runs, missing):
                 continue
             if entry.ready is not None:
                 deps.add(entry.ready)
-            missing = missing.difference(entry.runs)
+            missing = algebra.difference(missing, entry.runs)
         fetches: list[tuple[int, IntervalSet]] = []
         if missing is not None:
             for entry in self._fresh.get(dat_id, []):
-                part = entry.runs.intersection(missing)
+                part = algebra.intersection(entry.runs, missing)
                 if part is None:
                     continue
                 if entry.holder == shard:
@@ -197,9 +204,10 @@ class HaloDirectory:
         self, dat_id: int, shard: int, runs: IntervalSet, merge_id: Optional[int]
     ) -> None:
         """``shard`` commits ``runs`` at ``merge_id``: freshness moves there."""
+        difference = self.algebra.difference
         fresh = []
         for entry in self._fresh.get(dat_id, []):
-            remainder = entry.runs.difference(runs)
+            remainder = difference(entry.runs, runs)
             if remainder is not None:
                 fresh.append(_FreshEntry(remainder, entry.holder, entry.ready))
         fresh.append(_FreshEntry(runs, shard, merge_id))
@@ -211,7 +219,7 @@ class HaloDirectory:
             valid[other] = [
                 _ValidEntry(remainder, entry.ready)
                 for entry in entries
-                if (remainder := entry.runs.difference(runs)) is not None
+                if (remainder := difference(entry.runs, runs)) is not None
             ]
         valid.setdefault(shard, []).append(_ValidEntry(runs, merge_id))
 
@@ -230,7 +238,7 @@ class HaloDirectory:
             return
         full = entries[0].runs
         for entry in entries[1:]:
-            full = full.union(entry.runs)
+            full = self.algebra.union(full, entry.runs)
         self._fresh[dat_id] = [_FreshEntry(full, self.home, None)]
         valid = self._valid.setdefault(dat_id, {})
         valid[self.home] = [_ValidEntry(full, None)]
@@ -245,7 +253,7 @@ class HaloDirectory:
             for entry in entries:
                 held = by_holder.get(entry.holder)
                 by_holder[entry.holder] = (
-                    entry.runs if held is None else held.union(entry.runs)
+                    entry.runs if held is None else self.algebra.union(held, entry.runs)
                 )
             self._fresh[dat_id] = [
                 _FreshEntry(runs, holder, None) for holder, runs in by_holder.items()
@@ -259,7 +267,9 @@ class HaloDirectory:
                 continue
             merged: Optional[IntervalSet] = None
             for entry in entries:
-                merged = entry.runs if merged is None else merged.union(entry.runs)
+                merged = (
+                    entry.runs if merged is None else self.algebra.union(merged, entry.runs)
+                )
             valid[shard] = [] if merged is None else [_ValidEntry(merged, None)]
 
     def dat_ids(self) -> list[int]:
@@ -269,12 +279,9 @@ class HaloDirectory:
 
 def _wire_entries(
     dat_id: int, fetches: list[tuple[int, IntervalSet]]
-) -> list[tuple[int, int, list[int], list[int]]]:
+) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
     """Fetch plan -> picklable RPC halo entries (inclusive run endpoints)."""
-    return [
-        (dat_id, src, runs.starts.tolist(), runs.stops.tolist())
-        for src, runs in fetches
-    ]
+    return [(dat_id, src, runs.starts, runs.stops) for src, runs in fetches]
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +291,11 @@ class ShardedChunkEngine(ProcessChunkEngine):
     """Parent-side driver of ``engine="sharded"``.
 
     Extends :class:`ProcessChunkEngine` with per-shard dat segments, chunk
-    pinning by set partition, interval-exact halo exchange planned off the
-    RPC path, and deferred (batched) declaration delivery.  The parent's view
-    of a dat is only current after :meth:`sync_parent_dats`; contexts call it
-    at drain points via the ``partitioned_dats`` capability.
+    pinning by set partition, interval-exact halo exchange planned at
+    submission (memoised through ``algebra``, so a repeated step plans from
+    dictionary hits), and deferred (batched) declaration delivery.  The
+    parent's view of a dat is only current after :meth:`sync_parent_dats`;
+    contexts call it at drain points via the ``partitioned_dats`` capability.
     """
 
     capabilities = EngineCapabilities(
@@ -306,6 +314,7 @@ class ShardedChunkEngine(ProcessChunkEngine):
         trace: bool = False,
         start_method: Optional[str] = None,
         prefer_vectorized: bool = True,
+        algebra: Optional[IntervalAlgebra] = None,
     ) -> None:
         from repro.op2.shm import ShardedArena
 
@@ -318,7 +327,7 @@ class ShardedChunkEngine(ProcessChunkEngine):
         self._loop_keys: dict[tuple, str] = {}
         self._active: Optional[tuple[Any, str, list, Callable[[list], None]]] = None
         self.partition = ShardPartition(num_workers)
-        self.directory = HaloDirectory(num_workers)
+        self.directory = HaloDirectory(num_workers, algebra)
         #: dat_id -> live OpDat (sync targets, byte accounting)
         self._dats: dict[int, Any] = {}
         #: dat_id -> arena adoption epoch the directory state belongs to
@@ -397,7 +406,7 @@ class ShardedChunkEngine(ProcessChunkEngine):
     def _arg_summary(self, arg: Any, start: int, stop: int) -> IntervalSet:
         if arg.is_indirect:
             return arg.map.chunk_summary(arg.map_index, start, stop)
-        return IntervalSet.from_range(start, stop - 1)
+        return self.directory.algebra.from_range(start, stop - 1)
 
     def submit_loop_chunk(
         self,
@@ -423,6 +432,7 @@ class ShardedChunkEngine(ProcessChunkEngine):
         # Per-dat access footprints of this chunk, split by *when* the halo
         # must land: READ/RW gathers happen at compute time, increment bases
         # at merge time, WRITE-only footprints fetch nothing.
+        union = self.directory.algebra.union
         compute_needs: dict[int, IntervalSet] = {}
         merge_needs: dict[int, IntervalSet] = {}
         writes: dict[int, IntervalSet] = {}
@@ -434,13 +444,13 @@ class ShardedChunkEngine(ProcessChunkEngine):
             access = arg.access
             if access in (AccessMode.READ, AccessMode.RW):
                 held = compute_needs.get(dat_id)
-                compute_needs[dat_id] = summary if held is None else held.union(summary)
+                compute_needs[dat_id] = summary if held is None else union(held, summary)
             if access.is_reduction:
                 held = merge_needs.get(dat_id)
-                merge_needs[dat_id] = summary if held is None else held.union(summary)
+                merge_needs[dat_id] = summary if held is None else union(held, summary)
             if access.writes:
                 held = writes.get(dat_id)
-                writes[dat_id] = summary if held is None else held.union(summary)
+                writes[dat_id] = summary if held is None else union(held, summary)
 
         compute_deps: set[int] = set(deps)
         merge_deps: set[int] = set()
@@ -544,8 +554,7 @@ class ShardedChunkEngine(ProcessChunkEngine):
                 home = self.arena.shard_view(dat_id, self.arena.home_shard)
                 for holder, runs in remote:
                     source = self.arena.shard_view(dat_id, holder)
-                    for lo, hi in zip(runs.starts, runs.stops):
-                        home[lo : hi + 1] = source[lo : hi + 1]
+                    copy_runs(home, source, runs.starts, runs.stops)
             self.directory.parent_synced(dat_id)
 
     def shutdown(self, wait: bool = True) -> None:

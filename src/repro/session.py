@@ -10,6 +10,10 @@ ownership explicit.  It owns
   against;
 * a **plan cache** -- the colouring/blocking plans of
   :func:`~repro.op2.plan.op_plan_get`, guarded by a lock;
+* an **interval algebra** -- the interned, memoised
+  :class:`~repro.op2.intervals.IntervalSet` operations the dependency
+  tracker and the sharded engine's halo directory share, so a time-stepping
+  chain pays for each set-algebra answer once (dropped at :meth:`close`);
 * **shared-memory arena registrations** -- every
   :class:`~repro.op2.shm.SharedMemoryArena` the session's engines adopt dats
   into, released at :meth:`close`;
@@ -220,6 +224,10 @@ class Session:
         self._kernels: dict[str, "Kernel"] = {}
         self.plan_cache = PlanCache()
         self.artifact_cache = KernelArtifactCache()
+        # imported here: repro.op2's package import reaches back to this module
+        from repro.op2.intervals import IntervalAlgebra
+
+        self.interval_algebra = IntervalAlgebra()
         self._engine_pool = engine_pool
         self._engines: dict[tuple, "ExecutionEngine"] = {}
         self._arenas: list["SharedMemoryArena"] = []
@@ -442,7 +450,10 @@ class Session:
                 engine = self._engine_pool.lease(config, tenant=self.tenant)
                 self._engines[key] = engine
                 return engine
-            engine = make_engine(config)
+            # Factories resolve session-owned state (the sharded engine's
+            # interval algebra) against the current session: make that this one.
+            with self.use():
+                engine = make_engine(config)
             self._engines[key] = engine
             # Engines without a shared address space hold their dats in a
             # shared-memory arena; own it so close() releases the segments
@@ -461,10 +472,11 @@ class Session:
     def stats(self) -> dict[str, Any]:
         """A JSON-friendly snapshot of the session's runtime state.
 
-        Reports the plan-cache and kernel-artifact-cache hit/miss/size
-        counters, the pool keys of live engines (``[engine, num_threads,
-        prefer_vectorized]`` triples) and the number of tracked shared-memory
-        arenas -- what the service runtime surfaces per tenant, and what
+        Reports the plan-cache, kernel-artifact-cache and interval-algebra
+        (``interval_cache``: hits, misses, memo entries, interned sets and
+        their bytes) counters, the pool keys of live engines (``[engine,
+        num_threads, prefer_vectorized]`` triples) and the number of tracked
+        shared-memory arenas -- what the service runtime surfaces per tenant, and what
         :meth:`~repro.core.pipeline.LoopPipeline.build_report` embeds under
         ``details["session"]``.
         """
@@ -479,6 +491,7 @@ class Session:
             "closed": closed,
             "plan_cache": self.plan_cache.stats(),
             "artifact_cache": self.artifact_cache.stats(),
+            "interval_cache": self.interval_algebra.stats(),
             "engines": [list(key) for key in engine_keys],
             "arenas": arena_count,
         }
@@ -520,6 +533,7 @@ class Session:
                 arenas = list(self._arenas)
                 self._arenas.clear()
                 self.artifact_cache.clear()
+                self.interval_algebra.clear()
         if engines is None:  # someone closed (or is closing) already
             if closing_elsewhere:
                 self._close_done.wait()

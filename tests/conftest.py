@@ -31,6 +31,34 @@ def _clean_state():
     reset_default_scheduler()
 
 
+class _ChunkIdLog(dict):
+    """A ``pool_chunk_ids`` that also remembers what the pipeline forgets."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seen: dict[int, tuple[int, int]] = {}
+
+    def __setitem__(self, sim_id: int, pool_ids: tuple[int, int]) -> None:
+        super().__setitem__(sim_id, pool_ids)
+        self.seen[sim_id] = pool_ids
+
+
+@pytest.fixture
+def log_chunk_ids():
+    """Install a whole-run ``sim id -> (compute id, merge id)`` log on a context.
+
+    The pipeline drops the ids of completed chunks at every drain; the
+    DAG-enforcement tests check every edge of the run, so they log the ids
+    as they are recorded: after ``install(context)`` the whole run's mapping
+    is ``context.pipeline.pool_chunk_ids.seen``.
+    """
+
+    def install(context) -> None:
+        context.pipeline.pool_chunk_ids = _ChunkIdLog()
+
+    return install
+
+
 @pytest.fixture
 def small_machine() -> Machine:
     """A 4-core / 8-thread machine that keeps simulations fast."""

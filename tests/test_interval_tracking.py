@@ -2,8 +2,9 @@
 
 Covers the exact chunk access summaries (``repro.op2.intervals``), their
 cache on :class:`~repro.op2.map.OpMap`, the interval-set vs ``[min, max]``
-tracker modes, the version-evicting plan cache, and the mesh renumbering
-utilities that stress all of it.
+tracker modes, the version-evicting plan cache, the mesh renumbering
+utilities that stress all of it, and the count-based gate that a steady
+time step asks the session's interval algebra nothing new.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ from repro.op2 import (
     op_plan_get,
 )
 from repro.op2.access import AccessMode
+from repro.op2.backends.hpx import hpx_context
 from repro.op2.backends.serial import serial_context
 from repro.op2.context import active_context
 from repro.op2.par_loop import ParLoop
 from repro.op2.plan import clear_plan_cache, plan_cache_size
+from repro.session import Session
 
 
 # ---------------------------------------------------------------------------
@@ -434,3 +437,90 @@ class TestMeshRenumbering:
         assert np.allclose(renumbered.q[cell_perm], reference.q, rtol=1e-10, atol=1e-12)
         assert np.allclose(renumbered.rms_history, reference.rms_history, rtol=1e-10)
         assert shuffled.num_cells == base.num_cells
+
+
+# ---------------------------------------------------------------------------
+# Steady state: every set operation of a repeated step is a memo hit
+# ---------------------------------------------------------------------------
+class TestSteadyStepsAreMemoHits:
+    """Counts, not timings: from the third step on a time-stepping chain
+    misses the session's interval algebra zero times, plans the same halo,
+    and only a renumbered map makes it miss again -- once."""
+
+    STEPS = 4
+
+    @staticmethod
+    def _mesh():
+        return renumber_mesh(generate_mesh(24, 16), method="shuffle", seed=3)
+
+    @staticmethod
+    def _renumber_edges(mesh):
+        # a consistent edge renumbering: both edge maps, same permutation
+        perm = np.random.default_rng(1).permutation(mesh.pedge.values.shape[0])
+        mesh.pedge.set_values(mesh.pedge.values[perm])
+        mesh.pecell.set_values(mesh.pecell.values[perm])
+
+    def _chain(self, context, session=None):
+        """2 x STEPS steps with an edge renumbering in the middle; returns the
+        final ``q`` and the per-step miss / halo-traffic deltas."""
+        clear_plan_cache()
+        mesh = self._mesh()
+        misses, halo = [], []
+
+        def counters():
+            if session is None:
+                return 0, {}
+            engine_stats = getattr(context.executor, "halo_stats", None)
+            return (
+                session.stats()["interval_cache"]["misses"],
+                dict(engine_stats()) if engine_stats is not None else {},
+            )
+
+        with active_context(context):
+            for step in range(2 * self.STEPS):
+                if step == self.STEPS:
+                    self._renumber_edges(mesh)
+                missed, traffic = counters()
+                run_airfoil(mesh, niter=1, rk_steps=2)
+                missed_after, traffic_after = counters()
+                misses.append(missed_after - missed)
+                halo.append({k: traffic_after[k] - traffic.get(k, 0) for k in traffic_after})
+        return mesh.p_q.data.copy(), misses, halo
+
+    def test_misses_vanish_halo_repeats_and_renumbering_misses_once(self):
+        reference, _, _ = self._chain(serial_context())
+        final = {}
+        for engine in ("processes", "sharded"):
+            with Session(name=f"steady-{engine}") as session:
+                context = hpx_context(engine=engine, num_threads=3, session=session)
+                final[engine], misses, halo = self._chain(context, session)
+                stats = session.stats()["interval_cache"]
+            before, after = misses[: self.STEPS], misses[self.STEPS :]
+            assert before[0] > 0, engine
+            assert before[2:] == [0] * (self.STEPS - 2), (engine, misses)
+            # the renumbered maps hand out new summary objects: misses
+            # reappear, and are gone again two steps later
+            assert after[0] > 0, (engine, misses)
+            assert after[2:] == [0] * (self.STEPS - 2), (engine, misses)
+            assert stats["hits"] > 10 * stats["misses"], engine
+            assert 0 < stats["interned"] <= stats["entries"], engine
+            assert stats["bytes"] > 0, engine
+            # the halo plan of a steady step is the plan of step 2
+            assert halo[2 : self.STEPS] == [halo[1]] * (self.STEPS - 2), engine
+            assert halo[self.STEPS + 2 :] == [halo[self.STEPS + 1]] * (self.STEPS - 2), engine
+            if engine == "sharded":
+                assert halo[1]["halo_fetches"] > 0
+            # multi-stream increments round differently from serial on every
+            # engine (as before this change); the engines agree bit for bit
+            assert np.allclose(final[engine], reference, rtol=1e-12, atol=0.0), engine
+        assert np.array_equal(final["sharded"], final["processes"])
+
+    def test_session_close_drops_the_tables(self):
+        session = Session(name="steady-close")
+        algebra = session.interval_algebra
+        algebra.union(IntervalSet.from_range(0, 3), IntervalSet.from_range(9, 12))
+        assert session.stats()["interval_cache"]["entries"] == 1
+        session.close()
+        stats = algebra.stats()
+        assert stats["entries"] == stats["interned"] == stats["bytes"] == 0
+        assert stats["misses"] == 1  # counters survive for diagnostics

@@ -253,6 +253,30 @@ class TestPipelineHooks:
                 assert all(s.submission == "eager" for s in schedules)
                 assert all(not s.tasks for s in schedules)
 
+    @pytest.mark.parametrize("owner", ["session", "private"])
+    def test_chunk_ids_are_forgotten_at_every_drain(self, owner):
+        """A long chain holds the ids of the chunks since the last drain, not
+        of every step: each Jacobi iteration ends in a reduction drain."""
+        session = Session(name="drain-ids") if owner == "session" else None
+        try:
+            context = hpx_context(num_threads=2, engine="threads", session=session)
+            held: list[int] = []
+            context.pipeline.add_observer(
+                lambda e: held.append(len(context.pipeline.pool_chunk_ids)),
+                stages=("submit",),
+            )
+            clear_plan_cache()
+            problem = build_ring_problem(num_nodes=200)
+            with active_context(context):
+                run_jacobi(problem, iterations=12)
+            per_iteration = len(held) // 12
+            assert max(held) > 0
+            assert held[:per_iteration] * 12 == held, "no growth from step to step"
+            assert context.pipeline.pool_chunk_ids == {}
+        finally:
+            if session is not None:
+                session.close()
+
     def test_forkjoin_schedule_barriers_per_color(self):
         """The OpenMP policy closes every colour with a barrier."""
         context = openmp_context(num_threads=2, engine="threads")

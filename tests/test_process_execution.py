@@ -30,10 +30,12 @@ from repro.op2.plan import clear_plan_cache
 from repro.runtime.process_pool import ProcessPool
 
 
-def _run_airfoil(factory, **kwargs):
+def _run_airfoil(factory, prepare=None, **kwargs):
     clear_plan_cache()
     mesh = generate_mesh(30, 20)
     context = factory(**kwargs)
+    if prepare is not None:
+        prepare(context)
     with active_context(context):
         result = run_airfoil(mesh, niter=2, rk_steps=2)
     return result, context
@@ -116,15 +118,17 @@ class TestHPXProcesses:
             processed.u_sum_history, reference.u_sum_history, rtol=1e-12
         )
 
-    def test_dag_edges_enforced_at_runtime(self):
+    def test_dag_edges_enforced_at_runtime(self, log_chunk_ids):
         """For every DAG edge the producer's merge RPC stub must have
         finished before the consumer's compute RPC stub started."""
-        _, context = _run_airfoil(hpx_context, num_threads=4, engine="processes")
+        _, context = _run_airfoil(
+            hpx_context, prepare=log_chunk_ids, num_threads=4, engine="processes"
+        )
         trace = context.executor.trace_events
         assert trace, "process run must produce a gate-pool trace"
         start_at = {tid: n for n, (kind, tid) in enumerate(trace) if kind == "start"}
         done_at = {tid: n for n, (kind, tid) in enumerate(trace) if kind == "done"}
-        pool_ids = context.pipeline.pool_chunk_ids
+        pool_ids = context.pipeline.pool_chunk_ids.seen
         checked = 0
         for task in context.task_graph.tasks:
             if task.task_id not in pool_ids:

@@ -15,7 +15,12 @@ Three layers, bottom up:
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +28,7 @@ from repro.apps.jacobi import build_ring_problem, run_jacobi
 from repro.op2 import op_decl_dat, op_decl_map, op_decl_set
 from repro.op2.backends.hpx import hpx_context
 from repro.op2.context import active_context
-from repro.op2.intervals import IntervalSet
+from repro.op2.intervals import IntervalAlgebra, IntervalSet, copy_runs
 from repro.op2.plan import clear_plan_cache
 from repro.op2.shm import ShardedArena, attach_dat, detach_all
 from repro.runtime.sharding import HaloDirectory, ShardPartition
@@ -92,6 +97,188 @@ class TestIntervalOps:
             assert _elements(a.difference(b)) == ea - eb
         if a is not None:
             assert _elements(a.clip(10, 40)) == {x for x in ea if 10 <= x <= 40}
+
+
+# ---------------------------------------------------------------------------
+# The memoised algebra: interned results, identity-keyed memo, bounded table
+# ---------------------------------------------------------------------------
+class _TinyAlgebra(IntervalAlgebra):
+    """Evicts every few misses, so sequences cross evictions mid-way."""
+
+    MAX_ENTRIES = 3
+
+
+def _check_against_sets(algebra: IntervalAlgebra, a: IntervalSet, b: IntervalSet) -> None:
+    """memoised == pure == brute-force set, for all four operations."""
+    ea, eb = _elements(a), _elements(b)
+    for name, expected in (
+        ("union", ea | eb),
+        ("intersection", ea & eb),
+        ("difference", ea - eb),
+    ):
+        pure = getattr(a, name)(b)
+        memoised = getattr(algebra, name)(a, b)
+        assert _elements(pure) == expected, name
+        assert _elements(memoised) == expected, name
+        assert memoised == pure, name
+    assert a.overlaps(b) == algebra.overlaps(a, b) == bool(ea & eb)
+
+
+_nonempty_sets = st.lists(
+    st.integers(0, 63), min_size=1, max_size=24, unique=True
+).map(lambda xs: _from_elements(set(xs)))
+
+
+class TestIntervalAlgebra:
+    @given(pairs=st.lists(st.tuples(_nonempty_sets, _nonempty_sets), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_memoised_equals_pure_equals_brute_force(self, pairs):
+        for algebra in (IntervalAlgebra(), _TinyAlgebra()):
+            for _ in range(2):  # the second pass hits, or re-misses after an eviction
+                for a, b in pairs:
+                    _check_against_sets(algebra, a, b)
+                    assert algebra.stats()["entries"] <= algebra.MAX_ENTRIES
+        assert algebra.stats()["misses"] > algebra.MAX_ENTRIES  # it did evict
+
+    def test_a_repeated_question_is_a_hit(self):
+        algebra = IntervalAlgebra()
+        a = IntervalSet.from_targets([0, 1, 5, 9])
+        b = IntervalSet.from_targets([1, 2, 9, 10])
+        first = algebra.intersection(a, b)
+        before = algebra.stats()
+        assert algebra.intersection(a, b) is first
+        after = algebra.stats()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        # identity, not value, keys the memo: an equal operand misses once...
+        assert algebra.intersection(IntervalSet.from_targets([0, 1, 5, 9]), b) is first
+        assert algebra.stats()["misses"] == after["misses"] + 1
+
+    def test_equal_values_intern_to_one_object(self):
+        algebra = IntervalAlgebra()
+        left = algebra.union(IntervalSet.from_range(0, 4), IntervalSet.from_range(5, 9))
+        right = algebra.difference(IntervalSet.from_range(0, 20), IntervalSet.from_range(10, 20))
+        assert left is right is algebra.from_range(0, 9)
+        # ... and a result that *is* an interned operand is not counted twice
+        assert algebra.difference(left, IntervalSet.from_range(50, 60)) is left
+        stats = algebra.stats()
+        assert stats["interned"] == 1 and stats["bytes"] == left.nbytes
+        algebra.clear()
+        assert algebra.stats()["entries"] == algebra.stats()["interned"] == 0
+
+    def test_arrays_reject_writes(self):
+        a = IntervalSet.from_targets([0, 1, 5, 6, 7, 12])
+        b = IntervalSet.from_targets([1, 6, 30])
+        results = [a, a.union(b), a.intersection(b), a.difference(b), a.clip(1, 6), *a.split([0, 6, 13])]
+        results.append(IntervalAlgebra().union(a, b))
+        for runs in results:
+            for array in (runs.starts, runs.stops):
+                with pytest.raises(ValueError):
+                    array[0] = 99
+
+    def test_count_and_hash_follow_the_value(self):
+        a = IntervalSet.from_targets([3, 4, 5, 9])
+        assert a.count == 4 and a.count == 4
+        assert hash(a) == hash(IntervalSet.from_targets([9, 5, 4, 3]))
+        assert hash(a) != hash(IntervalSet.from_targets([3, 4, 5, 10]))
+
+    def test_four_threads_on_one_table_only_see_correct_results(self):
+        """Racing misses may compute twice or publish twice; never wrongly."""
+        rng = np.random.default_rng(7)
+        sets = [
+            IntervalSet.from_targets(rng.integers(0, 96, size=rng.integers(1, 20)))
+            for _ in range(12)
+        ]
+        cases = [(a, b, _elements(a), _elements(b)) for a in sets for b in sets]
+        algebra = _TinyAlgebra()  # evictions race with lock-free readers too
+        failures: list[str] = []
+        deadline = time.monotonic() + 20.0
+
+        def hammer(seed: int) -> None:
+            order = np.random.default_rng(seed).permutation(len(cases))
+            for _ in range(3):
+                for index in order:
+                    a, b, ea, eb = cases[index]
+                    if time.monotonic() > deadline:
+                        failures.append("ran out of time")
+                        return
+                    got = (
+                        _elements(algebra.union(a, b)) == ea | eb
+                        and _elements(algebra.intersection(a, b)) == ea & eb
+                        and _elements(algebra.difference(a, b)) == ea - eb
+                        and algebra.overlaps(a, b) == bool(ea & eb)
+                    )
+                    if not got:
+                        failures.append(f"wrong result for case {index}")
+                        return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        stats = algebra.stats()
+        assert stats["entries"] <= algebra.MAX_ENTRIES and stats["misses"] > 0
+
+
+# ---------------------------------------------------------------------------
+# copy_runs: one gather/scatter, or slices when the runs are long
+# ---------------------------------------------------------------------------
+def _copy_runs_reference(dst, src, starts, stops):
+    for lo, hi in zip(starts, stops):
+        dst[lo : hi + 1] = src[lo : hi + 1]
+
+
+class TestCopyRuns:
+    @given(
+        pieces=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(1, 4)), min_size=0, max_size=30
+        ),
+        stretch=st.sampled_from([1, 60]),
+        dim=st.sampled_from([None, 1, 4]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_run_slice_loop(self, pieces, stretch, dim):
+        # ``pieces`` are (gap before the run, run length); ``stretch`` puts the
+        # list in the fragmented (gather/scatter) or the long-run (slices) regime.
+        starts, stops, cursor = [], [], 0
+        for gap, length in pieces:
+            cursor += gap + 1
+            starts.append(cursor)
+            cursor += length * stretch - 1
+            stops.append(cursor)
+        starts = np.asarray(starts, dtype=np.int64)
+        stops = np.asarray(stops, dtype=np.int64)
+        shape = (cursor + 3,) if dim is None else (cursor + 3, dim)
+        src = np.random.default_rng(0).random(shape)
+        got = np.zeros(shape)
+        expected = np.zeros(shape)
+        copy_runs(got, src, starts, stops)
+        _copy_runs_reference(expected, src, starts, stops)
+        assert np.array_equal(got, expected)
+
+    def test_both_regimes_are_exercised(self):
+        # mean run of 2 rows x 32 bytes gathers; 200 rows x 32 bytes slices
+        from repro.op2 import intervals
+
+        for length, long_runs in ((2, False), (200, True)):
+            starts = np.arange(0, 5 * 300, 300, dtype=np.int64)
+            stops = starts + length - 1
+            mean_bytes = length * 4 * 8
+            assert (mean_bytes >= intervals._LONG_RUN_BYTES) is long_runs
+            src = np.random.default_rng(1).random((1500, 4))
+            got = np.zeros_like(src)
+            expected = np.zeros_like(src)
+            copy_runs(got, src, starts, stops)
+            _copy_runs_reference(expected, src, starts, stops)
+            assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,12 @@ from repro.op2.plan import clear_plan_cache
 from repro.runtime.future import HandleFuture
 
 
-def _run_airfoil(factory, **kwargs):
+def _run_airfoil(factory, prepare=None, **kwargs):
     clear_plan_cache()
     mesh = generate_mesh(30, 20)
     context = factory(**kwargs)
+    if prepare is not None:
+        prepare(context)
     with active_context(context):
         result = run_airfoil(mesh, niter=2, rk_steps=2)
     return result, context
@@ -97,7 +99,7 @@ class TestHPXThreads:
         assert threaded.u_max_history == reference.u_max_history
         assert np.allclose(threaded.u_sum_history, reference.u_sum_history, rtol=1e-12)
 
-    def test_dag_edges_enforced_at_runtime(self):
+    def test_dag_edges_enforced_at_runtime(self, log_chunk_ids):
         """No chunk ever starts before its producer chunks completed.
 
         Uses the pool's event trace: for every dependency edge of the
@@ -105,12 +107,14 @@ class TestHPXThreads:
         before the consumer's compute task started (e.g. an INC consumer
         chunk never runs before the chunks that accumulated its inputs).
         """
-        _, context = _run_airfoil(hpx_context, num_threads=4, engine="threads")
+        _, context = _run_airfoil(
+            hpx_context, prepare=log_chunk_ids, num_threads=4, engine="threads"
+        )
         trace = context.executor.trace_events
         assert trace, "threaded run must produce a pool trace"
         start_at = {tid: n for n, (kind, tid) in enumerate(trace) if kind == "start"}
         done_at = {tid: n for n, (kind, tid) in enumerate(trace) if kind == "done"}
-        pool_ids = context.pipeline.pool_chunk_ids
+        pool_ids = context.pipeline.pool_chunk_ids.seen
         checked = 0
         for task in context.task_graph.tasks:
             if task.task_id not in pool_ids:
