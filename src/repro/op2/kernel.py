@@ -13,8 +13,9 @@ C version kernels live in header files (``save_soln.h`` etc.); here a
 
 ``vectorized``
     Operates on a whole *block* of elements at once using NumPy, receiving
-    2-D gathered arrays instead of per-element views (and performing OP_INC
-    scatters through ``numpy.add.at`` equivalents handled by the backend).
+    2-D gathered arrays instead of per-element views (OP_INC arguments are
+    zero buffers which :mod:`repro.op2.datapath` scatter-adds afterwards in
+    row order, bit-identical to ``numpy.add.at``).
     Backends prefer this form -- looping over hundreds of thousands of
     elements in Python would swamp the experiments -- but it is optional.
 

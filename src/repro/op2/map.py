@@ -10,11 +10,13 @@ how OP2 catches malformed meshes early.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+import threading
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import OP2DeclarationError, OP2MappingError
+from repro.op2.datapath import occurrence_ranks
 from repro.op2.intervals import IntervalSet
 from repro.op2.set import OpSet
 
@@ -22,9 +24,12 @@ __all__ = ["OpMap", "op_decl_map"]
 
 _map_ids = itertools.count()
 
-#: cap on cached per-chunk target summaries per map (chunk boundaries are
-#: stable across time-step iterations, so real workloads stay far below this)
+#: cap on cached per-chunk entries (target summaries, scatter schedules) per
+#: map (chunk boundaries are stable across time-step iterations, so real
+#: workloads stay far below this)
 _SUMMARY_CACHE_LIMIT = 16384
+
+_MISSING = object()
 
 
 class OpMap:
@@ -39,6 +44,9 @@ class OpMap:
         "name",
         "_version",
         "_chunk_summaries",
+        "_scatter_ranks",
+        "_scatter_ranks_bytes",
+        "_scatter_ranks_lock",
     )
 
     def __init__(
@@ -59,8 +67,21 @@ class OpMap:
         self.dim = dim
         self.name = name or f"map_{self.map_id}"
         self._version = 0
-        self._chunk_summaries: dict[tuple[int, int, int, int], IntervalSet] = {}
+        self._reset_caches()
         self.values = self._validated(values)
+
+    def _reset_caches(self) -> None:
+        """(Re)create every per-map cache; the one place they are declared.
+
+        Used by ``__init__``, :meth:`set_values` and the worker-side rebuild
+        in :mod:`repro.op2.shm`, so a new cache cannot be forgotten by any.
+        """
+        #: (version, slot, start, stop) -> targets touched by that chunk-slot
+        self._chunk_summaries: dict[tuple[int, int, int, int], IntervalSet] = {}
+        #: (version, slot, start, stop) -> occurrence ranks, ``None`` = no duplicates
+        self._scatter_ranks: dict[tuple[int, int, int, int], Optional[np.ndarray]] = {}
+        self._scatter_ranks_bytes = 0
+        self._scatter_ranks_lock = threading.Lock()
 
     def _validated(self, values: Sequence[int] | np.ndarray) -> np.ndarray:
         array = np.asarray(values, dtype=np.int64)
@@ -123,10 +144,37 @@ class OpMap:
             self._chunk_summaries[key] = summary
         return summary
 
+    def scatter_ranks(self, map_index: int, start: int, stop: int) -> Optional[np.ndarray]:
+        """The scatter schedule of slot ``map_index`` over ``[start, stop)``.
+
+        ``None`` when the chunk-slot hits no target twice; otherwise the
+        :func:`~repro.op2.datapath.occurrence_ranks` of its targets (at most
+        one byte per row unless a target is hit more than 256 times).  Built
+        once per (chunk, slot) per connectivity and dropped with it; the
+        stored arrays of one map stay within one byte per map entry -- a
+        schedule that would exceed that evicts the others first.
+        """
+        key = (self._version, map_index, start, stop)
+        ranks = self._scatter_ranks.get(key, _MISSING)
+        if ranks is _MISSING:
+            ranks = occurrence_ranks(self.values[start:stop, map_index])
+            cost = 0 if ranks is None else ranks.nbytes
+            with self._scatter_ranks_lock:  # compute threads share the map
+                if key not in self._scatter_ranks:
+                    if (
+                        self._scatter_ranks_bytes + cost > self.values.size
+                        or len(self._scatter_ranks) >= _SUMMARY_CACHE_LIMIT
+                    ):
+                        self._scatter_ranks.clear()
+                        self._scatter_ranks_bytes = 0
+                    self._scatter_ranks[key] = ranks
+                    self._scatter_ranks_bytes += cost
+        return ranks  # type: ignore[return-value]
+
     def set_values(self, values: Sequence[int] | np.ndarray) -> None:
         """Replace the connectivity (validated); bumps the version so cached
-        execution plans and chunk summaries computed from the old
-        connectivity are recomputed.
+        execution plans, chunk summaries and scatter schedules computed from
+        the old connectivity are recomputed.
 
         Deferred engines gather through the *live* ``values`` array when a
         chunk executes, so replacing it must be ordered after every loop
@@ -137,7 +185,7 @@ class OpMap:
 
         drain_active_context()
         self.values = self._validated(values)
-        self._chunk_summaries.clear()
+        self._reset_caches()
         self.bump_version()
 
     def targets(self, element: int) -> np.ndarray:

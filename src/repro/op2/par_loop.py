@@ -19,15 +19,12 @@ from repro.errors import OP2AccessError, OP2Error
 from repro.op2.access import AccessMode
 from repro.op2.args import OpArg
 from repro.op2.dat import OpDat
+from repro.op2.datapath import BlockStage
 from repro.op2.kernel import Kernel
 from repro.op2.set import OpSet
 from repro.sim.cost import KernelProfile
 
 __all__ = ["ParLoop", "op_par_loop"]
-
-#: duplicate-scatter-target answers per (map_id, map_version, slot, start, stop)
-_scatter_conflict_cache: dict[tuple, bool] = {}
-_SCATTER_CACHE_LIMIT = 65536
 
 
 class ParLoop:
@@ -151,27 +148,20 @@ class ParLoop:
     def _scatter_conflicts(self, start: int, stop: int) -> bool:
         """True when an indirect WRITE/RW argument hits the same target twice.
 
-        The vectorised scatter-back (``dat.data[targets] = buffer``) resolves
-        duplicate targets as *last assignment wins on the gathered values*,
-        whereas the elemental path lets later iterations observe earlier
-        writes.  Blocks with duplicate WRITE/RW targets therefore fall back to
-        the elemental path so both paths stay identical.  The answer only
-        depends on the map slice, so it is cached per (map, version, slot,
-        range) -- time-stepping loops re-ask for the same blocks every
+        The vectorised scatter-back (a row assignment of the gathered
+        buffer) resolves duplicate targets as *last assignment wins on the
+        gathered values*, whereas the elemental path lets later iterations
+        observe earlier writes.  Blocks with duplicate WRITE/RW targets
+        therefore fall back to the elemental path so both paths stay
+        identical.  The answer is whether the map holds a scatter schedule
+        for the chunk-slot (:meth:`OpMap.scatter_ranks`, built once per
+        connectivity) -- time-stepping loops re-ask for the same blocks every
         iteration.
         """
         for arg in self.args:
             if arg.is_indirect and arg.access in (AccessMode.WRITE, AccessMode.RW):
                 assert arg.map is not None
-                key = (arg.map.map_id, arg.map.version, arg.map_index, start, stop)  # type: ignore[union-attr]
-                cached = _scatter_conflict_cache.get(key)
-                if cached is None:
-                    targets = arg.map.values[start:stop, arg.map_index]  # type: ignore[union-attr]
-                    cached = bool(np.unique(targets).size != targets.size)
-                    if len(_scatter_conflict_cache) >= _SCATTER_CACHE_LIMIT:
-                        _scatter_conflict_cache.clear()
-                    _scatter_conflict_cache[key] = cached
-                if cached:
+                if arg.map.scatter_ranks(arg.map_index, start, stop) is not None:  # type: ignore[union-attr]
                     return True
         return False
 
@@ -208,7 +198,9 @@ class ParLoop:
           straight through);
         * indirect dat, READ: a gathered ``(n, dim)`` copy;
         * indirect dat, INC: a zero-filled ``(n, dim)`` buffer the kernel adds
-          increments into (scatter-added afterwards with ``np.add.at``);
+          increments into, scatter-added afterwards in row order -- the
+          additions ``np.add.at`` would perform, bit for bit, run as
+          conflict-free rounds (see :mod:`repro.op2.datapath`);
         * indirect dat, WRITE/RW: a gathered copy written back afterwards;
         * global READ/WRITE/RW: the live global array, so WRITE assigns and RW
           observes the previous value exactly like the elemental path;
@@ -220,56 +212,25 @@ class ParLoop:
         while the threaded engines defer it so merges happen in deterministic
         chunk order (see :meth:`prepare_block`).
         """
-        n = stop - start
+        stage = BlockStage(start, stop)
         views: list[np.ndarray] = []
-        writebacks: list[tuple[OpArg, np.ndarray, np.ndarray]] = []
-        reductions: list[tuple[OpArg, np.ndarray]] = []
         for arg in self.args:
             if arg.is_global:
                 assert arg.gbl_data is not None
-                if arg.access.is_reduction:
-                    neutral = self._reduction_neutral(arg)
-                    views.append(neutral)
-                    reductions.append((arg, neutral))
-                else:  # READ / WRITE / RW observe (and mutate) the live value
-                    views.append(arg.gbl_data)
-                continue
-            assert arg.dat is not None
-            if arg.is_direct:
+                # READ / WRITE / RW observe (and mutate) the live value
+                views.append(
+                    stage.reduction(arg) if arg.access.is_reduction else arg.gbl_data
+                )
+            elif arg.is_direct:
+                assert arg.dat is not None
                 views.append(arg.dat.data[start:stop])
-                continue
-            assert arg.map is not None
-            targets = arg.map.values[start:stop, arg.map_index]  # type: ignore[union-attr]
-            if arg.access is AccessMode.READ:
-                views.append(arg.dat.data[targets])
-            elif arg.access is AccessMode.INC:
-                buffer = np.zeros((n, arg.dim), dtype=arg.dat.dtype)
-                views.append(buffer)
-                writebacks.append((arg, targets, buffer))
-            else:  # WRITE / RW on an indirect dat
-                buffer = arg.dat.data[targets].copy()
-                views.append(buffer)
-                writebacks.append((arg, targets, buffer))
+            elif arg.access is AccessMode.READ:
+                views.append(stage.gathered(arg))
+            else:  # INC / WRITE / RW on an indirect dat
+                views.append(stage.private(arg))
 
         self.kernel.vectorized(np.arange(start, stop), *views)  # type: ignore[misc]
-
-        def merge() -> None:
-            for arg, targets, buffer in writebacks:
-                assert arg.dat is not None
-                if arg.access is AccessMode.INC:
-                    np.add.at(arg.dat.data, targets, buffer)
-                else:
-                    arg.dat.data[targets] = buffer
-            for arg, buffer in reductions:
-                assert arg.gbl_data is not None
-                if arg.access is AccessMode.INC:
-                    arg.gbl_data += buffer
-                elif arg.access is AccessMode.MIN:
-                    np.minimum(arg.gbl_data, buffer, out=arg.gbl_data)
-                elif arg.access is AccessMode.MAX:
-                    np.maximum(arg.gbl_data, buffer, out=arg.gbl_data)
-
-        return merge
+        return stage.committer()
 
     # deferred execution (threaded engines) ---------------------------------------------
     def prepare_block(
@@ -301,15 +262,6 @@ class ParLoop:
                 start, stop, prefer_vectorized=prefer_vectorized
             )
         return self._prepare_vectorized(start, stop)
-
-    @staticmethod
-    def _reduction_neutral(arg: OpArg) -> np.ndarray:
-        assert arg.gbl_data is not None
-        if arg.access is AccessMode.MIN:
-            return np.full_like(arg.gbl_data, np.inf)
-        if arg.access is AccessMode.MAX:
-            return np.full_like(arg.gbl_data, -np.inf)
-        return np.zeros_like(arg.gbl_data)
 
     def execute_all(self, *, prefer_vectorized: bool = True) -> None:
         """Execute the full iteration range (used by the serial backend)."""

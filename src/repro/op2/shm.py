@@ -369,7 +369,7 @@ def attach_map(
     opmap.values = view
     opmap.name = spec["name"]
     opmap._version = spec["version"]
-    opmap._chunk_summaries = {}
+    opmap._reset_caches()
     return opmap
 
 

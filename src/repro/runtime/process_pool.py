@@ -363,8 +363,9 @@ def _worker_main(conn: Any, merge_conn: Any) -> None:
 
     Two service threads share the worker state: the main thread handles
     declarations, loop registration and chunk *computes*; a second thread
-    handles *merges* on a dedicated channel.  A merge commit (scatter +
-    reduction fold, often a sizeable ``np.add.at``) therefore never queues
+    handles *merges* on a dedicated channel.  A merge commit (the
+    :class:`~repro.op2.datapath.BlockStage` scatter rounds + reduction fold,
+    a sizeable share of a chunk) therefore never queues
     behind a long compute running on the same worker -- without the split,
     the chunk-ordered merge chain would inherit every compute it happens to
     be pinned behind, serialising the whole DAG.

@@ -17,8 +17,9 @@ Flat-argument convention, one group per ``op_arg`` (position ``j``):
   column, the kernel sees ``a{j}_data[a{j}_col[r]]`` where ``r`` is the
   block-local row counter;
 * indirect INC: a zero-filled ``(n, dim)`` private buffer, row ``a{j}[r]``,
-  scatter-added afterwards with ``np.add.at`` (identical to the vectorised
-  path, hence bit-identical commit order);
+  scatter-added afterwards in row order by the same
+  :class:`repro.op2.datapath.BlockStage` commit as the vectorised path
+  (hence bit-identical to it, and to ``np.add.at``);
 * indirect WRITE/RW: a pre-gathered ``(n, dim)`` buffer, row ``a{j}[r]``,
   scattered back afterwards;
 * global READ: the live global array;
@@ -39,6 +40,7 @@ import numpy as np
 
 from repro.errors import TranslatorLoweringError
 from repro.op2.access import AccessMode
+from repro.op2.datapath import BlockStage
 from repro.translator.analysis import KernelAccessAnalysis, analyse_kernel
 from repro.translator.ir import KernelIR
 
@@ -264,60 +266,29 @@ def make_slab_prepare(
 ) -> Callable[[], None]:
     """Run the slab over ``[start, stop)``; return the merge closure.
 
-    The staging and the returned merge mirror
-    :meth:`ParLoop._prepare_vectorized` exactly -- private buffers for
-    indirect INC/WRITE/RW and global reductions, committed in deterministic
-    chunk order by the caller -- so slab execution composes with the same
+    The staging and the returned commit are
+    :class:`repro.op2.datapath.BlockStage`'s, shared with
+    :meth:`ParLoop._prepare_vectorized` -- private buffers for indirect
+    INC/WRITE/RW and global reductions, committed in deterministic chunk
+    order by the caller -- so slab execution composes with the same
     scheduling machinery as the interpreted paths.
     """
-    from repro.op2.par_loop import ParLoop
-
-    n = stop - start
+    stage = BlockStage(start, stop)
     flat: list[np.ndarray] = []
-    writebacks: list[tuple[Any, np.ndarray, np.ndarray]] = []
-    reductions: list[tuple[Any, np.ndarray]] = []
     for arg in loop.args:
         if arg.is_global:
             assert arg.gbl_data is not None
-            if arg.access.is_reduction:
-                neutral = ParLoop._reduction_neutral(arg)
-                flat.append(neutral)
-                reductions.append((arg, neutral))
-            else:  # READ; WRITE/RW never reaches a slab
-                flat.append(arg.gbl_data)
-            continue
-        assert arg.dat is not None
-        if arg.is_direct:
+            # READ sees the live value; WRITE/RW never reaches a slab
+            flat.append(stage.reduction(arg) if arg.access.is_reduction else arg.gbl_data)
+        elif arg.is_direct:
+            assert arg.dat is not None
             flat.append(arg.dat.data)
-            continue
-        assert arg.map is not None
-        targets = arg.map.values[start:stop, arg.map_index]  # type: ignore[union-attr]
-        if arg.access is AccessMode.READ:
+        elif arg.access is AccessMode.READ:
+            assert arg.dat is not None
             flat.append(arg.dat.data)
-            flat.append(targets)
-        elif arg.access is AccessMode.INC:
-            buffer = np.zeros((n, arg.dim), dtype=arg.dat.dtype)
-            flat.append(buffer)
-            writebacks.append((arg, targets, buffer))
-        else:  # WRITE / RW
-            buffer = arg.dat.data[targets].copy()
-            flat.append(buffer)
-            writebacks.append((arg, targets, buffer))
+            flat.append(stage.index(arg))
+        else:  # INC / WRITE / RW
+            flat.append(stage.private(arg))
 
     artifact.slab(start, stop, *flat)
-
-    def merge() -> None:
-        for arg, targets, buffer in writebacks:
-            if arg.access is AccessMode.INC:
-                np.add.at(arg.dat.data, targets, buffer)
-            else:
-                arg.dat.data[targets] = buffer
-        for arg, buffer in reductions:
-            if arg.access is AccessMode.INC:
-                arg.gbl_data += buffer
-            elif arg.access is AccessMode.MIN:
-                np.minimum(arg.gbl_data, buffer, out=arg.gbl_data)
-            elif arg.access is AccessMode.MAX:
-                np.maximum(arg.gbl_data, buffer, out=arg.gbl_data)
-
-    return merge
+    return stage.committer()

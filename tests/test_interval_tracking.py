@@ -9,6 +9,10 @@ time step asks the session's interval algebra nothing new.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +21,8 @@ from hypothesis import strategies as st
 from repro.apps.airfoil import generate_mesh, renumber_mesh, reverse_cuthill_mckee, run_airfoil
 from repro.core import DependencyTracker
 from repro.errors import MeshError, OP2Error, OP2MappingError
+from repro.op2 import datapath
+from repro.op2 import map as map_module
 from repro.op2 import (
     OP_READ,
     OP_WRITE,
@@ -524,3 +530,92 @@ class TestSteadyStepsAreMemoHits:
         stats = algebra.stats()
         assert stats["entries"] == stats["interned"] == stats["bytes"] == 0
         assert stats["misses"] == 1  # counters survive for diagnostics
+
+
+class TestSteadyStepsBuildNoScatterSchedules:
+    """Counts, not timings: a map's scatter schedules (occurrence ranks of a
+    chunk-slot's targets) are built the first time a process meets the
+    chunk-slot and never again until ``set_values`` replaces the connectivity
+    -- then exactly once more.  ``sharded`` pins chunks to workers, so all its
+    builds fall into the first step; ``processes`` hands a chunk to whichever
+    worker is idle, so a worker may meet a chunk-slot a step or two later, but
+    no process ever builds the same one twice.  Every schedule applied is
+    checked against the index it is applied to, so one computed for the old
+    connectivity cannot go unnoticed."""
+
+    STEPS = 4
+    WORKERS = 3
+
+    def _chain(self, context, drain_builds):
+        # large enough that res_calc's scatter buffers exceed the small-block
+        # crossover; the edge renumbering scatters duplicates into every chunk
+        clear_plan_cache()
+        mesh = generate_mesh(120, 80)
+        per_step = []
+        with active_context(context):
+            for step in range(2 * self.STEPS):
+                if step == self.STEPS:
+                    TestSteadyStepsAreMemoHits._renumber_edges(mesh)
+                run_airfoil(mesh, niter=1, rk_steps=2)
+                per_step.append(drain_builds())
+        return mesh.p_q.data.copy(), per_step
+
+    def test_no_process_builds_a_schedule_twice_and_renumbering_rebuilds_once(
+        self, monkeypatch
+    ):
+        # fork-inherited, so worker-side builds and applications count too
+        fork = multiprocessing.get_context("fork")
+        built = fork.SimpleQueue()
+        applied = fork.Value("i", 0)
+        build_ranks = datapath.occurrence_ranks
+        apply_rounds = datapath._scatter_add_rounds
+
+        def logging_build(index):
+            built.put((os.getpid(), zlib.crc32(index.tobytes())))
+            return build_ranks(index)
+
+        def checked_rounds(data, index, buffer, ranks):
+            expected = build_ranks(index)
+            assert (ranks is None) == (expected is None)
+            assert ranks is None or np.array_equal(ranks, expected)
+            if ranks is not None:
+                with applied.get_lock():
+                    applied.value += 1
+            apply_rounds(data, index, buffer, ranks)
+
+        def drain_builds():
+            records = []
+            while not built.empty():
+                records.append(built.get())
+            return records
+
+        monkeypatch.setattr(map_module, "occurrence_ranks", logging_build)
+        monkeypatch.setattr(datapath, "_scatter_add_rounds", checked_rounds)
+
+        reference, serial = self._chain(serial_context(), drain_builds)
+        # whole-range blocks: the two ``pecell`` slots, once per connectivity
+        assert [len(step) for step in serial] == [2, 0, 0, 0, 2, 0, 0, 0]
+        for engine in ("processes", "sharded"):
+            applied.value = 0
+            with Session(name=f"schedules-{engine}") as session:
+                context = hpx_context(
+                    engine=engine, num_threads=self.WORKERS, session=session
+                )
+                final, per_step = self._chain(context, drain_builds)
+            before = [r for step in per_step[: self.STEPS] for r in step]
+            after = [r for step in per_step[self.STEPS :] for r in step]
+            for records in (before, after):
+                chunk_slots = {digest for _pid, digest in records}
+                assert chunk_slots, engine
+                assert len(records) == len(set(records)), (engine, "rebuilt", per_step)
+                assert len(records) <= self.WORKERS * len(chunk_slots), engine
+            # the renumbered maps share no schedule with the old connectivity
+            assert not {d for _p, d in before} & {d for _p, d in after}, engine
+            assert per_step[self.STEPS], (engine, "renumbering must rebuild")
+            if engine == "sharded":  # pinned chunks: step one only
+                counts = [len(step) for step in per_step]
+                assert counts[1 : self.STEPS] == [0] * (self.STEPS - 1), counts
+                assert counts[self.STEPS + 1 :] == [0] * (self.STEPS - 1), counts
+                assert counts[self.STEPS] == counts[0], counts
+            assert applied.value > 0, engine  # multi-round schedules were in use
+            assert np.allclose(final, reference, rtol=1e-12, atol=0.0), engine

@@ -227,6 +227,16 @@ class TestServiceRuntime:
             assert np.array_equal(result.u, reference.u)
             assert result.u_max_history == reference.u_max_history
 
+    def test_sharded_service_serves_a_request_equal_to_serial(self):
+        # The lease must delegate ``sync_parent_dats``: contexts call it at
+        # every drain of an engine with ``partitioned_dats``.
+        config = ServiceConfig(engine="sharded", num_threads=2, dispatchers=1)
+        with ServiceRuntime(config) as runtime:
+            result = runtime.submit_sync("alice", _jacobi, timeout=60.0)
+        reference = _serial_jacobi()
+        assert np.array_equal(result.u, reference.u)
+        assert result.u_max_history == reference.u_max_history
+
     def test_request_exception_propagates(self):
         with ServiceRuntime(ServiceConfig(num_threads=2, dispatchers=1)) as runtime:
 
