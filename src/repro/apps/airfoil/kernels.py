@@ -9,10 +9,11 @@ Every kernel is provided in two equivalent forms (see
 :class:`repro.op2.kernel.Kernel`):
 
 * the *elemental* form, a direct transcription of the C kernel operating on
-  one element's views -- used by the serial backend and the correctness
-  tests; and
-* the *vectorised* form, operating on whole blocks with NumPy -- used by the
-  parallel backends so that runs over large meshes stay fast in CPython.
+  one element's views -- the source the translator lowers and the oracle of
+  the correctness tests; and
+* the *vectorised* form, operating on blocks of rows with NumPy -- what every
+  backend, serial included, runs (one cache-sized sub-block of a chunk at a
+  time) so that runs over large meshes stay fast in CPython.
 
 The ``cycles_per_element`` hints were set from the arithmetic-operation
 counts of each kernel (adds/multiplies/divides/sqrts), which is what the

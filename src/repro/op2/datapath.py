@@ -6,8 +6,16 @@ a :class:`BlockStage` hands out the block's map columns, gathered copies and
 private scatter buffers, and :meth:`BlockStage.committer` returns the closure
 that commits them (in deterministic chunk order on the deferred engines).
 
-Two NumPy idioms are deliberately confined here (``tests/test_chunk_data_path.py``
+Three things are deliberately confined here (``tests/test_chunk_data_path.py``
 greps ``src/`` for strays):
+
+* **Sub-blocks.**  The NumPy block form of a kernel is a chain of whole-array
+  temporaries, so a chunk's compute phase runs in sub-blocks of
+  :data:`COMPUTE_BLOCK_ROWS` rows (:meth:`BlockStage.sub_blocks`): gathered
+  READ copies and the kernel's temporaries are block-sized and stay in L2 --
+  what the paper's prefetching iterator does for a chunk's working set.  The
+  private INC/WRITE/RW buffers and the commit stay whole-chunk, so no dat
+  changes by a bit whatever the block size.
 
 * **Gathers** are ``np.take(data, index, axis=0)``, a row-copy loop, instead
   of ``data[index]``, which goes through NumPy's general fancy-indexing
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 import operator
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -48,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - args imports map, which imports this mod
     from repro.op2.args import OpArg
 
 __all__ = [
+    "COMPUTE_BLOCK_ROWS",
     "SCATTER_ROUNDS_MIN_SIZE",
     "BlockStage",
     "gather_rows",
@@ -69,6 +78,14 @@ SCATTER_ROUNDS_MIN_SIZE = 8192
 #: the rows they update; 8192 rows x 4 doubles (256 KB) keep it in L2 -- a
 #: whole 120k-row Airfoil chunk at once measured 1.1-2.3x slower.
 _ROUND_BLOCK_ROWS = 8192
+
+#: Rows per sub-block of a chunk's compute phase (gather -> block form ->
+#: private buffers).  Measured on the 2-core reference box, Airfoil 400x300,
+#: ten rotating rounds, median step in ms on serial/threads/processes/sharded:
+#: whole chunk 164/112/119/137, 4096 rows 105/179/79/91, 8192 101/121/80/94,
+#: 16384 95/85/76/88, 32768 102/86/79/91.  Below 16384 ``threads`` loses to
+#: whole chunks: its two workers queue for the GIL between ever shorter ufuncs.
+COMPUTE_BLOCK_ROWS = 16384
 
 
 def gather_rows(data: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -160,14 +177,13 @@ def reduction_neutral(arg: OpArg) -> np.ndarray:
     return np.zeros_like(arg.gbl_data)
 
 
-def _fold_reduction(arg: OpArg, buffer: np.ndarray) -> None:
-    assert arg.gbl_data is not None
-    if arg.access is AccessMode.INC:
-        arg.gbl_data += buffer
-    elif arg.access is AccessMode.MIN:
-        np.minimum(arg.gbl_data, buffer, out=arg.gbl_data)
+def _fold_reduction(access: AccessMode, target: np.ndarray, buffer: np.ndarray) -> None:
+    if access is AccessMode.INC:
+        target += buffer
+    elif access is AccessMode.MIN:
+        np.minimum(target, buffer, out=target)
     else:
-        np.maximum(arg.gbl_data, buffer, out=arg.gbl_data)
+        np.maximum(target, buffer, out=target)
 
 
 def _commit(commits: list[Callable[[], None]]) -> None:
@@ -178,30 +194,55 @@ def _commit(commits: list[Callable[[], None]]) -> None:
 class BlockStage:
     """Private staging of the indirect and global arguments of one block.
 
-    The caller asks, per argument and in argument order, for what its kernel
-    form consumes -- :meth:`index`, :meth:`gathered`, :meth:`private`,
-    :meth:`reduction` -- runs the kernel, and hands :meth:`committer`'s
-    closure to whoever orders the commits.  The closure keeps the scatter
-    buffers alive, nothing else of the stage.
+    The caller declares, per argument and in argument order, what its kernel
+    form consumes, runs the kernel, and hands :meth:`committer`'s closure to
+    whoever orders the commits.  The closure keeps the scatter buffers alive,
+    nothing else of the stage.
+
+    Two kinds of caller.  The compiled slab takes whole-chunk pieces --
+    :meth:`index`, and the buffers :meth:`private` and :meth:`reduction`
+    return -- and walks them element by element.  The NumPy block form runs
+    once per :meth:`sub_blocks` item over views of the same whole-chunk
+    buffers (plus :meth:`direct`, :meth:`gathered` and :meth:`live`
+    arguments), so only the staging, never a kernel temporary, scales with
+    the chunk.  Either way the commit is the whole chunk's, argument by
+    argument in row order.
     """
 
     def __init__(self, start: int, stop: int) -> None:
         self.start = start
         self.stop = stop
         self._commits: list[Callable[[], None]] = []
+        #: per declared argument: the view of global rows ``[lo, hi)``
+        self._views: list[Callable[[int, int], np.ndarray]] = []
+        #: (position in ``_views``, access, chunk buffer) per global reduction
+        self._reductions: list[tuple[int, AccessMode, np.ndarray]] = []
 
     def index(self, arg: OpArg) -> np.ndarray:
         """The block's targets of an indirect argument: a view of the map column."""
         assert arg.map is not None
         return arg.map.values[self.start : self.stop, arg.map_index]  # type: ignore[union-attr]
 
-    def gathered(self, arg: OpArg) -> np.ndarray:
-        """Indirect READ: a gathered ``(n, dim)`` copy."""
+    def live(self, arg: OpArg) -> None:
+        """Global READ/WRITE/RW: every sub-block sees the live global array."""
+        array = arg.gbl_data
+        assert array is not None
+        self._views.append(lambda lo, hi: array)
+
+    def direct(self, arg: OpArg) -> None:
+        """Direct dat, any access: the ``dat.data[lo:hi]`` view."""
         assert arg.dat is not None
-        return gather_rows(arg.dat.data, self.index(arg))
+        data = arg.dat.data
+        self._views.append(lambda lo, hi: data[lo:hi])
+
+    def gathered(self, arg: OpArg) -> None:
+        """Indirect READ: a gathered ``(rows, dim)`` copy, made per sub-block."""
+        assert arg.dat is not None and arg.map is not None
+        data, column = arg.dat.data, arg.map.values[:, arg.map_index]  # type: ignore[union-attr]
+        self._views.append(lambda lo, hi: gather_rows(data, column[lo:hi]))
 
     def private(self, arg: OpArg) -> np.ndarray:
-        """Indirect INC/WRITE/RW: the buffer the kernel works on.
+        """Indirect INC/WRITE/RW: the whole-chunk buffer the kernel works on.
 
         INC gets zeros, scatter-added at commit; WRITE/RW get the gathered
         rows, assigned back at commit (callers only vectorise blocks whose
@@ -218,13 +259,42 @@ class BlockStage:
         else:
             buffer = gather_rows(data, index)
             self._commits.append(partial(operator.setitem, data, index, buffer))
+        start = self.start
+        self._views.append(lambda lo, hi: buffer[lo - start : hi - start])
         return buffer
 
     def reduction(self, arg: OpArg) -> np.ndarray:
-        """Global INC/MIN/MAX: a neutral buffer folded into the global at commit."""
+        """Global INC/MIN/MAX: a neutral buffer folded into the global at commit.
+
+        A sub-block works on a neutral buffer of its own, folded into the
+        chunk's in row order, so a block form may assign its partial result
+        (``gmin[0] = x.min()``) as well as accumulate into it.  A sub-block
+        that is the whole chunk works on the chunk's buffer itself.
+        """
+        assert arg.gbl_data is not None
         buffer = reduction_neutral(arg)
-        self._commits.append(partial(_fold_reduction, arg, buffer))
+        self._commits.append(partial(_fold_reduction, arg.access, arg.gbl_data, buffer))
+        self._reductions.append((len(self._views), arg.access, buffer))
+        chunk = (self.start, self.stop)
+        self._views.append(
+            lambda lo, hi: buffer if (lo, hi) == chunk else reduction_neutral(arg)
+        )
         return buffer
+
+    def sub_blocks(self) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+        """``(_idx, views)`` per sub-block of :data:`COMPUTE_BLOCK_ROWS` rows.
+
+        ``_idx`` is the sub-block's global iteration range, ``views`` one
+        entry per declared argument.  The consumer runs the block form on
+        them before asking for the next item.
+        """
+        for lo in range(self.start, self.stop, COMPUTE_BLOCK_ROWS):
+            hi = min(lo + COMPUTE_BLOCK_ROWS, self.stop)
+            views = [view(lo, hi) for view in self._views]
+            yield np.arange(lo, hi), views
+            for position, access, buffer in self._reductions:
+                if views[position] is not buffer:
+                    _fold_reduction(access, buffer, views[position])
 
     def committer(self) -> Callable[[], None]:
         """The closure applying every staged effect, in argument order."""

@@ -9,15 +9,20 @@ C version kernels live in header files (``save_soln.h`` etc.); here a
     one-to-one to the loop's ``op_arg`` list: direct dat arguments receive a
     1-D view of length ``dim``, indirect arguments the mapped element's view,
     and global arguments the global array.  This form is the readable
-    reference used by the serial backend and by correctness tests.
+    reference: the source the translator lowers, the fallback for blocks the
+    block form cannot take (duplicate WRITE/RW targets) and the oracle of the
+    correctness tests.
 
 ``vectorized``
     Operates on a whole *block* of elements at once using NumPy, receiving
     2-D gathered arrays instead of per-element views (OP_INC arguments are
     zero buffers which :mod:`repro.op2.datapath` scatter-adds afterwards in
-    row order, bit-identical to ``numpy.add.at``).
-    Backends prefer this form -- looping over hundreds of thousands of
-    elements in Python would swamp the experiments -- but it is optional.
+    row order, bit-identical to ``numpy.add.at``).  It is called once per
+    cache-sized sub-block of a chunk and must treat rows independently; see
+    :meth:`ParLoop._prepare_vectorized` for the argument convention.
+    Every backend, serial included, prefers this form -- looping over
+    hundreds of thousands of elements in Python would swamp the experiments
+    -- but it is optional.
 
 ``cycles_per_element`` is the arithmetic-cost hint consumed by the machine
 model's :class:`~repro.sim.cost.KernelProfile`.

@@ -192,44 +192,53 @@ class ParLoop:
     def _prepare_vectorized(self, start: int, stop: int) -> Callable[[], None]:
         """Run the block form into private buffers; return the merge closure.
 
-        Convention for the block form's arguments (one per ``op_arg``):
+        The block form is called once per sub-block of the chunk -- row ranges
+        ``[lo, hi)`` of :data:`repro.op2.datapath.COMPUTE_BLOCK_ROWS` rows, in
+        row order -- so it must treat rows independently.  Its first argument,
+        ``_idx``, is the sub-block's global iteration range
+        ``arange(lo, hi)``; then one view per ``op_arg``:
 
-        * direct dat, any access: the ``dat.data[start:stop]`` view (writes go
+        * direct dat, any access: the ``dat.data[lo:hi]`` view (writes go
           straight through);
-        * indirect dat, READ: a gathered ``(n, dim)`` copy;
-        * indirect dat, INC: a zero-filled ``(n, dim)`` buffer the kernel adds
-          increments into, scatter-added afterwards in row order -- the
-          additions ``np.add.at`` would perform, bit for bit, run as
-          conflict-free rounds (see :mod:`repro.op2.datapath`);
-        * indirect dat, WRITE/RW: a gathered copy written back afterwards;
+        * indirect dat, READ: a gathered ``(hi - lo, dim)`` copy, made for the
+          sub-block;
+        * indirect dat, INC: rows ``[lo, hi)`` of the chunk's zero-filled
+          private buffer the kernel adds increments into, scatter-added
+          afterwards in row order -- the additions ``np.add.at`` would
+          perform, bit for bit, run as conflict-free rounds (see
+          :mod:`repro.op2.datapath`);
+        * indirect dat, WRITE/RW: rows ``[lo, hi)`` of the chunk's gathered
+          copy, written back afterwards;
         * global READ/WRITE/RW: the live global array, so WRITE assigns and RW
           observes the previous value exactly like the elemental path;
-        * global INC/MIN/MAX: a zero/neutral buffer combined into the global
-          afterwards.
+        * global INC/MIN/MAX: a zero/neutral buffer of the sub-block's own,
+          folded into the chunk's in row order and from there into the global
+          afterwards (so INC sums are grouped by sub-block and chunk: equal to
+          the elemental path's to rounding, MIN/MAX exactly).
 
-        The returned closure applies the indirect scatters and the global
-        reductions; calling it immediately reproduces plain block execution,
-        while the threaded engines defer it so merges happen in deterministic
-        chunk order (see :meth:`prepare_block`).
+        The returned closure applies the whole chunk's indirect scatters and
+        global reductions; calling it immediately reproduces plain block
+        execution, while the threaded engines defer it so merges happen in
+        deterministic chunk order (see :meth:`prepare_block`).
         """
         stage = BlockStage(start, stop)
-        views: list[np.ndarray] = []
         for arg in self.args:
             if arg.is_global:
-                assert arg.gbl_data is not None
-                # READ / WRITE / RW observe (and mutate) the live value
-                views.append(
-                    stage.reduction(arg) if arg.access.is_reduction else arg.gbl_data
-                )
+                if arg.access.is_reduction:
+                    stage.reduction(arg)
+                else:  # READ / WRITE / RW observe (and mutate) the live value
+                    stage.live(arg)
             elif arg.is_direct:
-                assert arg.dat is not None
-                views.append(arg.dat.data[start:stop])
+                stage.direct(arg)
             elif arg.access is AccessMode.READ:
-                views.append(stage.gathered(arg))
+                stage.gathered(arg)
             else:  # INC / WRITE / RW on an indirect dat
-                views.append(stage.private(arg))
+                stage.private(arg)
 
-        self.kernel.vectorized(np.arange(start, stop), *views)  # type: ignore[misc]
+        block_form = self.kernel.vectorized
+        assert block_form is not None
+        for idx, views in stage.sub_blocks():
+            block_form(idx, *views)
         return stage.committer()
 
     # deferred execution (threaded engines) ---------------------------------------------

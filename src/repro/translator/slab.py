@@ -272,6 +272,10 @@ def make_slab_prepare(
     INC/WRITE/RW and global reductions, committed in deterministic chunk
     order by the caller -- so slab execution composes with the same
     scheduling machinery as the interpreted paths.
+
+    Deliberately not sub-blocked (:meth:`BlockStage.sub_blocks`): the slab
+    reads indirect rows element by element inside its loop, so it has no
+    gathered copies and no whole-chunk temporaries to keep cache-resident.
     """
     stage = BlockStage(start, stop)
     flat: list[np.ndarray] = []

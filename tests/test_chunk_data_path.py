@@ -1,6 +1,6 @@
 """The chunk data path (:mod:`repro.op2.datapath`): bit-identity and confinement.
 
-Four groups:
+Five groups:
 
 * **Helpers** (Hypothesis) -- the scatter-add commit is ``np.array_equal`` to
   ``np.add.at`` on non-integer floats with heavy duplicates, on both sides of
@@ -12,9 +12,15 @@ Four groups:
 * **End-to-end oracle** -- Airfoil steps are bit-identical to a run whose data
   path is patched back to fancy indexing + ``np.add.at``, i.e. to the commit
   before the rounds existed.
-* **Guard** -- ``np.add.at`` and fancy row gathers of dat data appear nowhere
-  in ``src/`` outside the data-path module, so ``ParLoop`` and the slab cannot
-  drift apart again.
+* **Sub-blocks** -- the compute phase's block size changes no bit of any dat:
+  Airfoil steps at block sizes around every boundary case equal the unblocked
+  run, and a Hypothesis property does the same over loop shapes (direct,
+  indirect READ+INC, WRITE/RW, global reductions that accumulate or assign, a
+  kernel reading ``_idx``, empty ranges, one-row tails).
+* **Guard** -- ``np.add.at``, ``np.take`` and fancy row gathers of dat data
+  appear nowhere in ``src/`` outside the data-path module, and the sub-block
+  loop with its row constant lives in one function of it, so ``ParLoop`` and
+  the slab cannot drift apart again.
 """
 
 from __future__ import annotations
@@ -28,11 +34,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.airfoil import generate_mesh, renumber_mesh, run_airfoil
-from repro.op2 import datapath, op_decl_map, op_decl_set
+from repro.op2 import (
+    OP_ID,
+    OP_INC,
+    OP_MAX,
+    OP_MIN,
+    OP_READ,
+    OP_RW,
+    OP_WRITE,
+    datapath,
+    op_arg_dat,
+    op_arg_gbl,
+    op_decl_dat,
+    op_decl_map,
+    op_decl_set,
+)
 from repro.op2.backends.hpx import hpx_context
 from repro.op2.backends.serial import serial_context
 from repro.op2.context import active_context
@@ -42,6 +62,8 @@ from repro.op2.datapath import (
     occurrence_ranks,
     stage_scatter_add,
 )
+from repro.op2.kernel import Kernel
+from repro.op2.par_loop import ParLoop
 from repro.op2.plan import clear_plan_cache
 from repro.session import Session
 
@@ -313,11 +335,186 @@ class TestBitIdenticalToTheLegacyDataPath:
 
 
 # ---------------------------------------------------------------------------
+# sub-blocks: the block size of the compute phase changes no bit
+# ---------------------------------------------------------------------------
+#: one sub-block per chunk whatever its size: the compute phase before sub-blocks
+UNBLOCKED = sys.maxsize
+
+
+def _airfoil_dats(engine, method, shape, steps=3):
+    """``q``/``res``/``adt``/``qold`` after ``steps`` Airfoil steps on a fresh mesh."""
+    clear_plan_cache()
+    mesh = generate_mesh(*shape)
+    if method is not None:
+        mesh = renumber_mesh(mesh, method=method, seed=5)
+    if engine == "serial":
+        with active_context(serial_context()):
+            for _ in range(steps):
+                run_airfoil(mesh, niter=1, rk_steps=2)
+    else:
+        # a fresh session per run: its workers fork after any monkeypatching
+        with Session(name=f"sub-blocks-{engine}") as session:
+            context = hpx_context(engine=engine, num_threads=2, session=session)
+            with active_context(context):
+                for _ in range(steps):
+                    run_airfoil(mesh, niter=1, rk_steps=2)
+    return [dat.data.copy() for dat in (mesh.p_q, mesh.p_res, mesh.p_adt, mesh.p_qold)]
+
+
+class TestSubBlockSizeChangesNoBit:
+    """Three Airfoil steps per block size, ``np.array_equal`` to the unblocked run.
+
+    ``n`` is the cell count: ``serial`` runs the direct loops as one ``n``-row
+    block, so ``n - 1`` leaves a one-row tail, ``n`` one exact block and
+    ``n + 1`` one block with room; ``n // 8`` cuts the engines' smaller chunks
+    too.  One- and seven-row blocks call the block form once per (few) rows --
+    15 s per run on 120x80 -- and therefore run on a 24x16 mesh.
+    """
+
+    @pytest.mark.parametrize("method", [None, "shuffle"])
+    @pytest.mark.parametrize("engine", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("shape", [(120, 80), (24, 16)], ids=["120x80", "24x16-tiny-blocks"])
+    def test_airfoil_dats_equal_the_unblocked_run(self, engine, method, shape, monkeypatch):
+        n = shape[0] * shape[1]
+        default = datapath.COMPUTE_BLOCK_ROWS
+        sizes = (n // 8, n - 1, n, n + 1, default) if shape == (120, 80) else (1, 7)
+        monkeypatch.setattr(datapath, "COMPUTE_BLOCK_ROWS", UNBLOCKED)
+        unblocked = _airfoil_dats(engine, method, shape)
+        assert all(np.isfinite(dat).all() for dat in unblocked)
+        for rows in sizes:
+            monkeypatch.setattr(datapath, "COMPUTE_BLOCK_ROWS", rows)
+            blocked = _airfoil_dats(engine, method, shape)
+            for name, ours, theirs in zip(("q", "res", "adt", "qold"), blocked, unblocked):
+                assert np.array_equal(ours, theirs), (name, rows)
+
+
+_REDUCE = {OP_INC: np.sum, OP_MIN: np.min, OP_MAX: np.max}
+_COMBINE = {OP_INC: np.add, OP_MIN: np.minimum, OP_MAX: np.maximum}
+
+
+def _shape_block_form(shape, gmode, assign):
+    """A block form for one loop shape; every one writes ``_idx`` into ``eout``."""
+
+    def block_form(_idx, ein, eout, *rest):
+        rest = list(rest)
+        eout[:, 0] = ein[:, 0] * 0.5 + _idx
+        value = ein[:, 1]
+        if shape == "read_inc":
+            source, increments = rest.pop(0), rest.pop(0)
+            value = source[:, 0] * value - source[:, 1]
+            increments[:, 0] += value
+            increments[:, 1] -= value * 0.3
+        elif shape == "write":
+            target = rest.pop(0)
+            target[:, 0] = value * 1.7
+            target[:, 1] = _idx
+        elif shape == "rw":
+            target = rest.pop(0)
+            target[:, 0] = target[:, 0] * 0.5 + value
+            value = target[:, 1] + value
+        if gmode is not None:
+            (gbl,) = rest
+            partial_result = _REDUCE[gmode](value)
+            # a block form may assign its partial result to the (neutral)
+            # buffer it is given instead of accumulating into it
+            gbl[0] = partial_result if assign else _COMBINE[gmode](gbl[0], partial_result)
+
+    return block_form
+
+
+def _elemental_must_not_run(*_views):
+    raise AssertionError("every block of these loop shapes takes the block form")
+
+
+class TestSubBlocksOverLoopShapes:
+    """Chunks computed first, committed in order afterwards -- the engines'
+    discipline -- at a drawn block size against one block per chunk."""
+
+    def _run(self, rows, n_edges, cuts, shape, gmode, assign, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n_nodes = n_edges + 3
+        edges = op_decl_set(n_edges, "edges")
+        nodes = op_decl_set(n_nodes, "nodes")
+        columns = np.stack(
+            [
+                rng.integers(0, n_nodes, size=n_edges),  # READ: duplicates welcome
+                rng.integers(0, max(n_nodes // 2, 1), size=n_edges),  # INC: heavy duplicates
+                rng.permutation(n_nodes)[:n_edges],  # WRITE/RW: distinct targets
+            ],
+            axis=1,
+        )
+        e2n = op_decl_map(edges, nodes, 3, columns, "e2n")
+        ein = op_decl_dat(edges, 2, "double", rng.standard_normal((n_edges, 2)), "ein")
+        eout = op_decl_dat(edges, 1, "double", np.zeros((n_edges, 1)), "eout")
+        source = op_decl_dat(nodes, 2, "double", rng.standard_normal((n_nodes, 2)), "src")
+        target = op_decl_dat(nodes, 2, "double", rng.standard_normal((n_nodes, 2)), "tgt")
+        gbl = np.array([0.25])
+        args = [
+            op_arg_dat(ein, -1, OP_ID, 2, "double", OP_READ),
+            op_arg_dat(eout, -1, OP_ID, 1, "double", OP_WRITE),
+        ]
+        if shape == "read_inc":
+            args.append(op_arg_dat(source, 0, e2n, 2, "double", OP_READ))
+            args.append(op_arg_dat(target, 1, e2n, 2, "double", OP_INC))
+        elif shape != "direct":
+            args.append(
+                op_arg_dat(target, 2, e2n, 2, "double", OP_WRITE if shape == "write" else OP_RW)
+            )
+        if gmode is not None:
+            args.append(op_arg_gbl(gbl, 1, "double", gmode))
+        kernel = Kernel(
+            name=f"shape-{shape}",
+            elemental=_elemental_must_not_run,
+            vectorized=_shape_block_form(shape, gmode, assign),
+        )
+        loop = ParLoop(kernel, kernel.name, edges, args)
+        bounds = [0, *sorted(cuts), n_edges]
+        monkeypatch.setattr(datapath, "COMPUTE_BLOCK_ROWS", rows)
+        commits = [loop.prepare_block(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        for commit in commits:
+            commit()
+        expected_eout = ein.data[:, 0] * 0.5 + np.arange(n_edges)
+        return eout.data.copy(), target.data.copy(), gbl.copy(), expected_eout
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_edges=st.integers(0, 40),
+        rows=st.integers(1, 45),
+        cut_fractions=st.lists(st.floats(0.0, 1.0), max_size=3),
+        shape=st.sampled_from(["direct", "read_inc", "write", "rw"]),
+        gmode=st.sampled_from([None, OP_INC, OP_MIN, OP_MAX]),
+        assign=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one-row tail blocks, an empty iteration set, an empty chunk between two cuts
+    @example(n_edges=9, rows=4, cut_fractions=[], shape="read_inc", gmode=OP_MIN, assign=True, seed=1)
+    @example(n_edges=11, rows=5, cut_fractions=[], shape="rw", gmode=OP_INC, assign=True, seed=2)
+    @example(n_edges=0, rows=3, cut_fractions=[], shape="write", gmode=OP_MAX, assign=False, seed=3)
+    @example(n_edges=8, rows=3, cut_fractions=[0.5, 0.5], shape="direct", gmode=OP_INC, assign=False, seed=4)
+    def test_block_size_changes_no_dat_and_no_min_max(
+        self, n_edges, rows, cut_fractions, shape, gmode, assign, seed
+    ):
+        cuts = [int(fraction * n_edges) for fraction in cut_fractions]
+        with pytest.MonkeyPatch.context() as patch:
+            blocked = self._run(rows, n_edges, cuts, shape, gmode, assign, seed, patch)
+            unblocked = self._run(UNBLOCKED, n_edges, cuts, shape, gmode, assign, seed, patch)
+        assert np.array_equal(blocked[0], unblocked[0]), "direct output"
+        assert np.array_equal(blocked[1], unblocked[1]), "indirect target"
+        if gmode is OP_INC:  # grouped by sub-block: equal to rounding
+            assert np.allclose(blocked[2], unblocked[2], rtol=1e-12, atol=1e-12)
+        else:
+            assert np.array_equal(blocked[2], unblocked[2]), "global"
+        # ``_idx`` is the sub-block's *global* iteration range
+        assert np.array_equal(blocked[0][:, 0], blocked[3])
+
+
+# ---------------------------------------------------------------------------
 # guard: one implementation
 # ---------------------------------------------------------------------------
 class TestTheDataPathLivesInOneModule:
     FORBIDDEN = {
         "np.add.at call": re.compile(r"add\.at\("),
+        "np.take gather": re.compile(r"\btake\("),
         "fancy row gather/scatter of dat data": re.compile(
             r"\.data\[\s*(targets|indices|index|idx|column|col)\b"
         ),
@@ -352,3 +549,39 @@ class TestTheDataPathLivesInOneModule:
             )
         ]
         assert users == ["stage_scatter_add"]
+
+    def test_the_sub_block_loop_and_its_row_constant_live_in_one_function(self):
+        constant = "COMPUTE_BLOCK_ROWS"
+
+        def mentions(node):
+            return any(
+                (isinstance(n, ast.Name) and n.id == constant)
+                or (isinstance(n, ast.Attribute) and n.attr == constant)
+                for n in ast.walk(node)
+            )
+
+        for path in sorted(SRC.rglob("*.py")):
+            text = path.read_text()
+            if constant not in text:
+                continue
+            tree = ast.parse(text)
+            if path.name != "datapath.py":
+                assert not mentions(tree), f"{path.relative_to(SRC)} reads the block rows"
+                continue
+            users = [
+                function.name
+                for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef) and mentions(function)
+            ]
+            assert users == ["sub_blocks"]
+            (sub_blocks,) = [
+                f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "sub_blocks"
+            ]
+            loops = [n for n in ast.walk(sub_blocks) if isinstance(n, ast.For) and mentions(n.iter)]
+            assert len(loops) == 1, "one loop steps through a chunk by the block rows"
+        callers = [
+            str(path.relative_to(SRC))
+            for path in sorted(SRC.rglob("*.py"))
+            if re.search(r"\.sub_blocks\(", path.read_text())
+        ]
+        assert callers == ["op2/par_loop.py"], "the slab is deliberately not sub-blocked"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -19,11 +20,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.airfoil import generate_mesh, renumber_mesh, reverse_cuthill_mckee, run_airfoil
+from repro.apps.airfoil.kernels import RES_CALC
 from repro.core import DependencyTracker
 from repro.errors import MeshError, OP2Error, OP2MappingError
 from repro.op2 import datapath
 from repro.op2 import map as map_module
 from repro.op2 import (
+    OP_INC,
     OP_READ,
     OP_WRITE,
     IntervalSet,
@@ -619,3 +622,50 @@ class TestSteadyStepsBuildNoScatterSchedules:
                 assert counts[self.STEPS] == counts[0], counts
             assert applied.value > 0, engine  # multi-round schedules were in use
             assert np.allclose(final, reference, rtol=1e-12, atol=0.0), engine
+
+
+class TestComputePhaseAllocatesBlocksNotChunks:
+    """Bytes, not timings: while a chunk's compute phase runs, what is live
+    beyond the whole-chunk INC staging (which the commit needs) is a constant
+    number of *sub-block*-sized arrays -- gathered READ copies and the block
+    form's temporaries -- whatever the chunk's size.  One block per chunk, as
+    before sub-blocks, holds 26.5 MB beyond the staging here against the
+    8.4 MB allowed (4.2 MB used)."""
+
+    #: float64 row vectors of one sub-block a ``res_calc`` block form may hold
+    #: at once: 14 gathered columns, ~30 temporaries, the stacked flux, ``_idx``
+    BLOCK_VECTORS = 64
+
+    def test_res_calc_chunk_peak_is_staging_plus_block_sized_arrays(self):
+        clear_plan_cache()
+        mesh = generate_mesh(260, 200).declare()
+        rows = mesh.num_edges
+        assert rows >= 100_000 and rows > 4 * datapath.COMPUTE_BLOCK_ROWS
+        loop = ParLoop(
+            RES_CALC,
+            "res_calc",
+            mesh.edges,
+            [
+                op_arg_dat(mesh.p_x, 0, mesh.pedge, 2, "double", OP_READ),
+                op_arg_dat(mesh.p_x, 1, mesh.pedge, 2, "double", OP_READ),
+                op_arg_dat(mesh.p_q, 0, mesh.pecell, 4, "double", OP_READ),
+                op_arg_dat(mesh.p_q, 1, mesh.pecell, 4, "double", OP_READ),
+                op_arg_dat(mesh.p_adt, 0, mesh.pecell, 1, "double", OP_READ),
+                op_arg_dat(mesh.p_adt, 1, mesh.pecell, 1, "double", OP_READ),
+                op_arg_dat(mesh.p_res, 0, mesh.pecell, 4, "double", OP_INC),
+                op_arg_dat(mesh.p_res, 1, mesh.pecell, 4, "double", OP_INC),
+            ],
+        )
+        loop.prepare_block(0, rows)  # the map builds its scatter schedules once
+        staging = 2 * rows * 4 * 8  # the two whole-chunk INC buffers
+        tracemalloc.start()
+        try:
+            commit = loop.prepare_block(0, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert staging <= peak
+        block_bytes = self.BLOCK_VECTORS * datapath.COMPUTE_BLOCK_ROWS * 8
+        assert peak - staging <= block_bytes, (peak, staging)
+        commit()
+        assert np.isfinite(mesh.p_res.data).all() and mesh.p_res.data.any()
