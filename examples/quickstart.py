@@ -68,10 +68,15 @@ def run_on(context, label):
             op_arg_dat(accum, 1, pedge, 1, "double", OP_INC),
         )
     report = ctx.report()
-    print(
-        f"{label:>8s}: accum[1..3] = {accum.data[1:4, 0]}  "
-        f"simulated runtime = {report.makespan_seconds * 1e6:.2f} us"
-    )
+    # A deferring context keeps a loop this small off its engine altogether
+    # (the grain gate, details["grain"]): nothing was chunked, so there is no
+    # task graph to model.
+    gate = report.details.get("grain")
+    if gate is not None and gate["deferred_loops"] == 0:
+        runtime = "ran inline (below the grain threshold, no tasks)"
+    else:
+        runtime = f"simulated runtime = {report.makespan_seconds * 1e6:.2f} us"
+    print(f"{label:>8s}: accum[1..3] = {accum.data[1:4, 0]}  {runtime}")
     return accum.data.copy()
 
 

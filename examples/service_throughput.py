@@ -8,16 +8,20 @@ Two measurements over the :mod:`repro.service` layer, persisted to
   warm engine shared by every tenant, fair chunk interleaving); the
   *per-session* baseline gives each tenant its own :class:`Session` with a
   private engine pool, the pre-service layering.  Shared-pool warm reuse
-  pays one engine spin-up instead of N and keeps the worker count flat, so
-  its RPS must be at least the per-session baseline's.
+  pays one engine spin-up instead of N and keeps the worker count flat --
+  and since the grain gate (:mod:`repro.core.grain`) a chain this small
+  pays none at all: its loops measure far below the threshold, so each
+  request runs inline on its dispatcher thread and neither variant creates
+  an engine.  The example prints which engines the pool ended up holding.
 
 * **Fairness under a long-chain competitor** -- one tenant keeps a long
-  Airfoil chain in flight while small Jacobi tenants keep submitting.  The
-  chunked dataflow execution makes the long chain preemptible at chunk
-  granularity, and the weighted-round-robin ready queue interleaves the
-  tenants, so the small tenants' p99 latency stays bounded (reported
-  against their isolated p99) instead of growing with the competitor's
-  chain length.
+  Airfoil chain in flight (a 400x300 mesh: its ``res_calc`` crosses the
+  grain threshold after two measured executions, so the chain moves onto
+  the workers in its second time step) while small Jacobi tenants keep
+  submitting.  The light requests finish inline on their dispatcher threads
+  without queueing behind the heavy chain's chunks, so their p99 latency
+  stays bounded (reported against their isolated p99) instead of growing
+  with the competitor's chain length.
 
 Every request's numbers are asserted bit-identical to the serial backend.
 
@@ -53,8 +57,8 @@ NUM_THREADS = 2
 DISPATCHERS = 4
 
 FAIRNESS_LIGHT_REQUESTS = 10
-HEAVY_MESH = (48, 32)
-HEAVY_NITER = 12
+HEAVY_MESH = (400, 300)
+HEAVY_NITER = 4
 
 
 def _jacobi_chain():
@@ -89,8 +93,14 @@ def measure_shared(reference: np.ndarray) -> dict:
             assert np.array_equal(future.result(120.0).u, reference), "shared diverged"
         engines = runtime.stats()["pool"]["engines"]
     seconds = time.perf_counter() - started
-    assert engines == [["threads", NUM_THREADS, True]], engines
-    return {"seconds": seconds, "requests": len(futures), "rps": len(futures) / seconds}
+    # One shared engine at most -- none when every chain stayed inline.
+    assert engines in ([], [["threads", NUM_THREADS, True]]), engines
+    return {
+        "seconds": seconds,
+        "requests": len(futures),
+        "rps": len(futures) / seconds,
+        "pool_engines": engines,
+    }
 
 
 def measure_per_session(reference: np.ndarray) -> dict:
@@ -197,6 +207,11 @@ def main() -> None:
     speedup = shared["rps"] / per_session["rps"]
     print(f"  per-session pools: {per_session['rps']:8.1f} req/s")
     print(f"  shared warm pool:  {shared['rps']:8.1f} req/s  ({speedup:.2f}x)")
+    print(
+        "  engines in the shared pool: "
+        + (str(shared["pool_engines"]) if shared["pool_engines"]
+           else "none (every chain ran inline, below the grain threshold)")
+    )
 
     print("\nFairness: light Jacobi tenants vs a long Airfoil chain")
     fairness = measure_fairness(reference)

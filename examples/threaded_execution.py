@@ -8,6 +8,13 @@ both numbers -- the simulated makespan of the machine model *and* the
 measured wall-clock time -- next to a correctness check against the serial
 backend.
 
+The mesh is 400x300 because a deferring context only hands loops to its
+engine once one of them measures at or above the grain threshold
+(:mod:`repro.core.grain`): the serial reference run first supplies the
+measurements, ``res_calc`` crosses the threshold at this size, and the hpx
+rows flip to deferred execution at their first ``res_calc``.  On a 120x80
+mesh the same contexts would run every loop inline and report zero chunks.
+
 Run with::
 
     PYTHONPATH=src python examples/threaded_execution.py
@@ -27,7 +34,7 @@ from repro.op2.plan import clear_plan_cache
 
 def run(factory, label, **kwargs):
     clear_plan_cache()
-    mesh = generate_mesh(120, 80)
+    mesh = generate_mesh(400, 300)
     context = factory(**kwargs)
     with active_context(context):
         result = run_airfoil(mesh, niter=2, rk_steps=2)
@@ -57,22 +64,27 @@ def main() -> None:
         print(f"{label:44s} {report.wall_seconds * 1e3:10.2f} {sim:18.4f} {diff:18.2e}")
 
     _, _, hpx_report = runs[2]
+    gate = hpx_report.details["grain"]
     print(
-        f"\nhpx threads: {hpx_report.details['total_chunks']} chunks, "
+        f"\nhpx threads: {gate['inline_loops']} loops inline, then "
+        f"{gate['deferred_loops']} deferred (flipped at {gate['flip_loop']}): "
+        f"{hpx_report.details['total_chunks']} chunks, "
         f"{hpx_report.details['total_dependencies']} dependency edges "
         f"({hpx_report.details['dependency_mode']} summaries) enforced at runtime"
     )
 
     # Renumbered meshes are where the exact interval-set summaries earn their
     # keep: shuffled cell/node ids defeat a single [min, max] interval, which
-    # then serializes chunks whose true target sets are disjoint.
+    # then serializes chunks whose true target sets are disjoint.  The edge
+    # counts are the tracker's, so the sweep runs on the ``simulate`` engine:
+    # a 120x80 mesh on a real engine stays inline and produces no edges.
     from repro.bench.harness import AirfoilWorkload, ExperimentConfig, run_renumbered_sweep
 
     sweep = run_renumbered_sweep(
         ExperimentConfig(
             backend="hpx",
             num_threads=8,
-            engine="threads",
+            engine="simulate",
             workload=AirfoilWorkload(nx=120, ny=80, niter=1, rk_steps=2),
         ),
         renumberings=("shuffle",),

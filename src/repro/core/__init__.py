@@ -20,7 +20,9 @@ All four combine in the shared loop-lowering pipeline
 (:mod:`repro.core.pipeline`, stage artifacts in :mod:`repro.core.stages`):
 every backend context lowers loops through the same plan → analyze →
 schedule → submit stages, parameterised only by a schedule policy and the
-configured engine's capabilities.  :mod:`repro.core.executor` wraps the
+configured engine's capabilities -- behind the grain gate
+(:mod:`repro.core.grain`), which keeps a loop chain too small to pay for
+tasks inline and off the engines.  :mod:`repro.core.executor` wraps the
 dataflow policy as the ``hpx`` OP2 backend; :mod:`repro.core.optimizer`
 holds the knobs that switch each technique on or off (used by the ablation
 benchmarks).

@@ -24,6 +24,11 @@ Stages and artifacts (see :mod:`repro.core.stages`)::
     ParLoop --lower--> LoweredLoop --analyze--> AnalyzedLoop
             --schedule--> ChunkSchedule --submit--> SharedFuture | None
 
+In front of the stages sits the *grain gate* (:mod:`repro.core.grain`): a
+deferring dataflow context runs its loops inline -- serial reference path,
+no stages, no engine -- until the first loop whose measured inline time is
+worth tasks, and takes the staged path from that loop on.
+
 Hook points
 -----------
 Each stage is observable: :meth:`LoopPipeline.add_observer` registers a
@@ -41,6 +46,7 @@ import time
 import warnings
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
+from repro.core import grain
 from repro.core.interleaving import DependencyTracker
 from repro.core.optimizer import OptimizationConfig
 from repro.core.persistent_chunking import ChunkPlanner
@@ -95,9 +101,31 @@ __all__ = [
 ]
 
 
+#: clock of the grain gate's loop-cost samples: CPU time of the executing
+#: thread.  A wall clock also counts waiting for the GIL or for a core, and a
+#: dispatcher thread next to a busy tenant measured a 0.5 ms loop at 26 ms
+#: twice in a row -- a wrong "heavy" that sticks, since a deferred loop is
+#: never measured inline again.
+_cpu_clock = time.thread_time
+
 #: kernel fingerprints whose lowering failure has already been warned about
 #: (process-wide: the fallback is per kernel *content*, not per pipeline)
 _lowering_warned: set[str] = set()
+
+
+def _global_buffer_ids(loop: ParLoop) -> tuple[int, ...]:
+    """Identity of the memory behind each global argument of ``loop``.
+
+    Two views of one array share their ultimate ``.base``, so they clash.
+    """
+    ids = []
+    for arg in loop.args:
+        if arg.is_global:
+            buffer: Any = arg.gbl_data
+            while getattr(buffer, "base", None) is not None:
+                buffer = buffer.base
+            ids.append(id(buffer))
+    return tuple(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +154,11 @@ class SchedulePolicy:
     single_worker: bool = False
     #: whether modelled chunk costs include task-spawn overhead
     spawn_overhead: bool = True
+    #: whether deferral waits for the grain gate (loops start inline)
+    grain_gated: bool = False
+    #: whether :meth:`execute_eager` is the whole-set serial reference run
+    #: (its wall time is then a sample of the loop's inline cost)
+    eager_is_whole_set: bool = True
 
     def validate_capabilities(
         self, engine_name: str, capabilities: EngineCapabilities
@@ -215,6 +248,7 @@ class DataflowSchedulePolicy(SchedulePolicy):
 
     name = "dataflow"
     returns_future = True
+    grain_gated = True
 
     def __init__(
         self,
@@ -312,6 +346,7 @@ class ColorForkJoinSchedulePolicy(SchedulePolicy):
 
     name = "color-fork-join"
     spawn_overhead = False
+    eager_is_whole_set = False
 
     def __init__(
         self,
@@ -495,6 +530,16 @@ class LoopPipeline:
         self._executor: Optional[ExecutionEngine] = None
         self._schedule_result: Optional[ScheduleResult] = None
         self._observers: list[tuple[StageObserver, Optional[frozenset[str]]]] = []
+        #: grain gate of a deferring context (``None``: every loop is staged)
+        self.grain: Optional[grain.GrainGate] = (
+            grain.GrainGate()
+            if policy.grain_gated and policy.defers and self.capabilities.deferred
+            else None
+        )
+        #: ids of the global buffers loops submitted since the last drain use
+        #: (globals are invisible to the tracker; a reduction into one of
+        #: them must wait for those loops)
+        self._globals_in_flight: set[int] = set()
 
     # -- hook points -------------------------------------------------------------
     def add_observer(
@@ -550,6 +595,16 @@ class LoopPipeline:
         if self._wall_start is None:
             self._wall_start = time.perf_counter()
         phase = self.loop_count
+        if self.grain is not None and self.grain.admit_inline(
+            loop, phase, self._owner_session().loop_costs, self.prefer_vectorized
+        ):
+            result = self._run_inline(loop, phase)
+        else:
+            result = self._run_staged(loop, phase)
+        self.loop_count += 1
+        return result
+
+    def _run_staged(self, loop: ParLoop, phase: int) -> Optional[SharedFuture[OpDat]]:
         lowered = self._staged("lower", loop, phase, lambda: self.policy.lower(loop, phase, self))
         analyzed = self._staged("analyze", loop, phase, lambda: self._analyze(lowered))
         schedule = self._staged("schedule", loop, phase, lambda: self._schedule(analyzed))
@@ -562,11 +617,57 @@ class LoopPipeline:
                 chunk_sizes=lowered.chunk_sizes,
                 task_ids=analyzed.task_ids,
                 dependency_count=analyzed.dependency_count,
+                submission=schedule.submission,
             )
         )
-        self.loop_count += 1
         self._schedule_result = None  # invalidate any previous simulation
         return result
+
+    # -- the grain gate's inline path ----------------------------------------------
+    def _owner_session(self) -> Session:
+        return self.session if self.session is not None else Session.current()
+
+    def _run_sampled(self, loop: ParLoop, execute: Callable[[], None]) -> None:
+        """Run a whole-set inline execution, timing it while the session's
+        cost table still wants samples of this loop (a settled loop pays one
+        dictionary lookup, not two clock reads and a locked update)."""
+        costs = self._owner_session().loop_costs
+        key = grain.cost_key(loop, self.prefer_vectorized)
+        if not costs.wants(key):
+            execute()
+            return
+        started = _cpu_clock()
+        execute()
+        costs.record(key, _cpu_clock() - started)
+
+    def _run_inline(self, loop: ParLoop, phase: int) -> Optional[SharedFuture[OpDat]]:
+        """Gate-inline loop: the serial reference path on the submitting thread.
+
+        Nothing is pending while the gate is ``INLINE`` (it never reopens), so
+        the loop needs no drain, no tracker record and no engine; its effects
+        are complete when this returns and the future is ready.
+        """
+        self._run_sampled(
+            loop, lambda: loop.execute_all(prefer_vectorized=self.prefer_vectorized)
+        )
+        self.records.append(
+            LoopRecord(
+                name=loop.name,
+                phase=phase,
+                iterations=loop.iterset.size,
+                chunk_sizes=[],
+                task_ids=[],
+                dependency_count=0,
+                submission="inline",
+            )
+        )
+        return self._ready_result(loop)
+
+    def _ready_result(self, loop: ParLoop) -> Optional[SharedFuture[OpDat]]:
+        """What a loop that already ran to completion in the parent returns."""
+        if not self.policy.returns_future:
+            return None
+        return make_ready_future(loop.output_dat()).share()  # type: ignore[arg-type]
 
     # -- stage 2: analyze --------------------------------------------------------
     def _analyze(self, lowered: LoweredLoop) -> AnalyzedLoop:
@@ -625,17 +726,24 @@ class LoopPipeline:
         parent_fallback = (
             deferred and has_global_write and not capabilities.supports_global_write
         )
-        # Globals are invisible to the dependency tracker, so a loop touching
-        # one is a synchronisation point both ways: earlier loops may still be
-        # *reading* the same global (no WAR edges exist for globals), and the
-        # application reads the reduction target right after op_par_loop
-        # returns.
+        # Globals are invisible to the dependency tracker, so a reduction is
+        # a synchronisation point: the application reads the target right
+        # after op_par_loop returns (drain after), and a loop submitted since
+        # the last drain may still be *reading* the same buffer -- no WAR
+        # edges exist for globals -- in which case the reduction must wait
+        # for it (drain before).  With no such loop in flight the reduction
+        # submits behind its tracker edges like any other loop.
+        global_buffers = _global_buffer_ids(loop) if deferred else ()
+        global_clash = has_reduction and not self._globals_in_flight.isdisjoint(
+            global_buffers
+        )
         reduction = ReductionPlan(
             has_global_reduction=has_reduction,
             has_global_write=has_global_write,
-            drain_before=deferred and (has_reduction or parent_fallback),
+            drain_before=deferred and (global_clash or parent_fallback),
             drain_after=deferred and has_reduction and not parent_fallback,
             parent_eager=not deferred or parent_fallback,
+            global_buffers=global_buffers,
         )
         tasks: list[ChunkTaskSpec] = []
         if not reduction.parent_eager:
@@ -677,12 +785,16 @@ class LoopPipeline:
                 # partitioned engine must land every worker-fresh run there
                 # first (the preceding drain only completed the tasks).
                 engine.sync_parent_dats()
-            self.policy.execute_eager(
-                loop, schedule.analyzed.lowered, self.prefer_vectorized
-            )
-            if not self.policy.returns_future:
-                return None
-            return make_ready_future(loop.output_dat()).share()  # type: ignore[arg-type]
+            lowered = schedule.analyzed.lowered
+
+            def execute() -> None:
+                self.policy.execute_eager(loop, lowered, self.prefer_vectorized)
+
+            if self.policy.eager_is_whole_set:
+                self._run_sampled(loop, execute)
+            else:
+                execute()
+            return self._ready_result(loop)
 
         assert engine is not None
         slab_artifact = None
@@ -716,6 +828,7 @@ class LoopPipeline:
             if spec.barrier_after:
                 self._drain(engine)
         loop._mark_outputs_modified()
+        self._globals_in_flight.update(schedule.reduction.global_buffers)
         if schedule.reduction.drain_after:
             self._drain(engine)
         if not self.policy.returns_future:
@@ -761,10 +874,9 @@ class LoopPipeline:
         ):
             return None
         kernel = loop.kernel
-        session = self.session if self.session is not None else Session.current()
         try:
             signature = slab_signature(loop)
-            return session.kernel_artifact(
+            return self._owner_session().kernel_artifact(
                 (kernel.fingerprint, signature), lambda: kernel.lowered(signature)
             )
         except TranslatorError as exc:
@@ -808,6 +920,7 @@ class LoopPipeline:
         """
         engine.wait_all()
         self.pool_chunk_ids.clear()
+        self._globals_in_flight.clear()
 
     def _ensure_engine(self) -> ExecutionEngine:
         if self.session is not None:
@@ -930,6 +1043,8 @@ class LoopPipeline:
             "engine_capabilities": self.capabilities.describe(),
         }
         details.update(self.policy.report_details(self))
+        if self.grain is not None:
+            details["grain"] = self.grain.describe()
         if self.session is not None:
             # Per-tenant observability: cache hit rates, live engine keys and
             # arena counts of the session this pipeline borrowed engines from.

@@ -178,8 +178,11 @@ class ReductionPlan:
     """Stage-3 artifact: global-argument handling, derived from capabilities.
 
     ``drain_before`` / ``drain_after`` are the engine drain points around a
-    loop touching globals (globals are invisible to the dependency tracker,
-    so such loops are synchronisation points both ways).  ``parent_eager``
+    loop touching globals, which are invisible to the dependency tracker: a
+    reduction drains *after* (the application reads the target as soon as
+    ``op_par_loop`` returns) and drains *before* only when a loop submitted
+    since the last drain uses the same global buffer (``global_buffers``
+    holds the identities compared) or for the fallback below.  ``parent_eager``
     routes the whole loop around the engine: the engine's workers could not
     observe the parent's live global value (``supports_global_write=False``),
     so the loop executes eagerly inside the drained window.
@@ -190,6 +193,8 @@ class ReductionPlan:
     drain_before: bool = False
     drain_after: bool = False
     parent_eager: bool = False
+    #: ``id`` of the array owning the memory of each global argument
+    global_buffers: tuple[int, ...] = ()
 
 
 @dataclass
@@ -218,6 +223,11 @@ class LoopRecord:
     chunk_sizes: list[int]
     task_ids: list[int]
     dependency_count: int
+    #: how the numerics ran: "deferred" (engine tasks), "eager" (the whole
+    #: pipeline, then the parent: non-deferred engines, the global-WRITE
+    #: fallback) or "inline" (the grain gate: serial reference path, no
+    #: stages, no chunks)
+    submission: str = "deferred"
 
     @property
     def num_chunks(self) -> int:

@@ -10,6 +10,9 @@ ownership explicit.  It owns
   against;
 * a **plan cache** -- the colouring/blocking plans of
   :func:`~repro.op2.plan.op_plan_get`, guarded by a lock;
+* a **loop cost table** -- the measured whole-set inline time of every loop
+  shape the session has run, which the grain gate
+  (:mod:`repro.core.grain`) reads to keep small loop chains off the engines;
 * an **interval algebra** -- the interned, memoised
   :class:`~repro.op2.intervals.IntervalSet` operations the dependency
   tracker and the sharded engine's halo directory share, so a time-stepping
@@ -69,7 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.op2.plan import ExecutionPlan
     from repro.op2.shm import SharedMemoryArena
 
-__all__ = ["PlanCache", "KernelArtifactCache", "Session"]
+__all__ = ["PlanCache", "KernelArtifactCache", "LoopCostTable", "Session"]
 
 
 class PlanCache:
@@ -170,6 +173,44 @@ class KernelArtifactCache:
             return len(self._entries)
 
 
+class LoopCostTable:
+    """Measured whole-set inline time per loop shape, for the grain gate.
+
+    Keys are :func:`repro.core.grain.cost_key` tuples; an entry is ``(min
+    seconds, samples)``, in CPU seconds of the thread that ran the loop.  The
+    minimum, not the mean: what a loop costs is its fastest observed run,
+    everything above it is set-up or noise.  An entry with
+    :attr:`SETTLED_SAMPLES` samples is settled and its loop is no longer
+    timed: the two clock reads and the locked update cost a 30 us loop 5%,
+    on the serial path of every context of the session.
+    """
+
+    #: samples after which :meth:`wants` stops asking for more
+    SETTLED_SAMPLES = 8
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: dict[tuple, tuple[float, int]] = {}
+
+    def wants(self, key: tuple) -> bool:
+        """Whether another sample of ``key`` is worth timing the loop for."""
+        entry = self._entries.get(key)
+        return entry is None or entry[1] < self.SETTLED_SAMPLES
+
+    def record(self, key: tuple, seconds: float) -> None:
+        """Fold one measured execution into the entry of ``key``."""
+        with self._lock:
+            best, samples = self._entries.get(key, (seconds, 0))
+            self._entries[key] = (min(best, seconds), samples + 1)
+
+    def lookup(self, key: tuple) -> Optional[tuple[float, int]]:
+        """``(min seconds, samples)`` of ``key``, or ``None`` when never run."""
+        return self._entries.get(key)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 # ---------------------------------------------------------------------------
 # Current-session stack (thread-local, like the active-context stack)
 # ---------------------------------------------------------------------------
@@ -224,6 +265,8 @@ class Session:
         self._kernels: dict[str, "Kernel"] = {}
         self.plan_cache = PlanCache()
         self.artifact_cache = KernelArtifactCache()
+        #: measured inline loop times the grain gate decides on
+        self.loop_costs = LoopCostTable()
         # imported here: repro.op2's package import reaches back to this module
         from repro.op2.intervals import IntervalAlgebra
 
@@ -474,7 +517,8 @@ class Session:
 
         Reports the plan-cache, kernel-artifact-cache and interval-algebra
         (``interval_cache``: hits, misses, memo entries, interned sets and
-        their bytes) counters, the pool keys of live engines (``[engine,
+        their bytes) counters, the number of loop shapes with a measured
+        inline cost (``loop_costs``), the pool keys of live engines (``[engine,
         num_threads, prefer_vectorized]`` triples) and the number of tracked
         shared-memory arenas -- what the service runtime surfaces per tenant, and what
         :meth:`~repro.core.pipeline.LoopPipeline.build_report` embeds under
@@ -492,6 +536,7 @@ class Session:
             "plan_cache": self.plan_cache.stats(),
             "artifact_cache": self.artifact_cache.stats(),
             "interval_cache": self.interval_algebra.stats(),
+            "loop_costs": len(self.loop_costs),
             "engines": [list(key) for key in engine_keys],
             "arenas": arena_count,
         }

@@ -227,8 +227,10 @@ class TestPipelineHooks:
             assert intervals.count > 0
 
     def test_schedule_stage_derives_drains_from_capabilities(self):
-        """Global reductions become drain points; the simulate engine (not
-        deferred) routes everything through the parent-eager path."""
+        """Global reductions drain *after* (the application reads the target)
+        but not before when no in-flight loop uses their global; the simulate
+        engine (not deferred) routes everything through the parent-eager
+        path."""
         deferred_ctx = hpx_context(num_threads=2, engine="threads")
         eager_ctx = hpx_context(num_threads=2, engine="simulate")
         for context, expect_deferred in ((deferred_ctx, True), (eager_ctx, False)):
@@ -245,9 +247,8 @@ class TestPipelineHooks:
             assert with_reduction and without
             if expect_deferred:
                 assert all(s.submission == "deferred" for s in schedules)
-                assert all(s.reduction.drain_before for s in with_reduction)
                 assert all(s.reduction.drain_after for s in with_reduction)
-                assert all(not s.reduction.drain_before for s in without)
+                assert all(not s.reduction.drain_before for s in schedules)
                 assert all(s.tasks for s in schedules)
             else:
                 assert all(s.submission == "eager" for s in schedules)
@@ -372,14 +373,17 @@ class TestAllEnginesParity:
 # ---------------------------------------------------------------------------
 # Differential fuzzing: random loop chains, every engine vs serial
 # ---------------------------------------------------------------------------
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.apps.jacobi import RES_KERNEL, UPDATE_KERNEL  # noqa: E402
+from repro.core import grain  # noqa: E402
 from repro.op2.access import OP_ID, OP_INC, OP_MAX, OP_READ, OP_RW  # noqa: E402
 from repro.op2.args import op_arg_dat, op_arg_gbl  # noqa: E402
+from repro.op2.dat import op_decl_dat  # noqa: E402
 from repro.op2.kernel import Kernel  # noqa: E402
 from repro.op2.par_loop import op_par_loop  # noqa: E402
+from repro.op2.set import op_decl_set  # noqa: E402
 from repro.session import Session  # noqa: E402
 
 
@@ -530,8 +534,18 @@ class TestEngineParityFuzzer:
         derandomize=True,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(ops=st.lists(FUZZ_OPS, min_size=1, max_size=6))
-    def test_random_chains_all_engines_match_serial(self, ops, fuzz_sessions):
+    @given(ops=st.lists(FUZZ_OPS, min_size=1, max_size=6), flip=st.integers(0, 6))
+    # mid-chain flips, pinned: the eight derandomized draws land on 0 or past
+    # the chain's end
+    @example(ops=["edge_inc", "update", "dup_inc", "renumber", "indirect_rw", "update"], flip=2)
+    @example(ops=["gbl_rw", "scale", "edge_inc", "update", "edge_rw", "gbl_rw"], flip=3)
+    def test_random_chains_all_engines_match_serial(
+        self, ops, flip, fuzz_sessions, monkeypatch
+    ):
+        # The grain gate's flip point: loops before phase ``flip`` run inline
+        # (the serial reference path), loops from it on are deferred; 0 is
+        # "every loop deferred", anything past the chain's end "all inline".
+        monkeypatch.setattr(grain, "should_defer", lambda loop, phase, cost: phase >= flip)
         clear_plan_cache()
         reference = build_ring_problem(num_nodes=72, seed=13)
         reference_trace = []
@@ -551,7 +565,7 @@ class TestEngineParityFuzzer:
             ):
                 _fuzz_chain(ops, problem, trace)
 
-            label = f"engine={engine} ops={ops}"
+            label = f"engine={engine} ops={ops} flip={flip}"
             assert np.array_equal(problem.p_u.data, reference.p_u.data), label
             assert np.array_equal(problem.p_du.data, reference.p_du.data), label
             assert np.array_equal(problem.p_A.data, reference.p_A.data), label
@@ -564,3 +578,92 @@ class TestEngineParityFuzzer:
                 else:
                     # serialized global RW chains are element-ordered: exact
                     assert value == ref_value, label
+
+
+# ---------------------------------------------------------------------------
+# Reduction pre-drain: only when an in-flight loop uses the same global
+# ---------------------------------------------------------------------------
+def _pd_shift(d, g):
+    d[0] = d[0] + g[0]
+
+
+def _pd_shift_vec(_idx, d, g):
+    d[:, 0] = d[:, 0] + g[0]
+
+
+PD_SHIFT = Kernel(name="pd_shift", elemental=_pd_shift, vectorized=_pd_shift_vec)
+
+
+def _pd_sum(d, g):
+    g[0] += d[0]
+
+
+def _pd_sum_vec(_idx, d, g):
+    g[0] += float(np.sum(d[:, 0]))
+
+
+PD_SUM = Kernel(name="pd_sum", elemental=_pd_sum, vectorized=_pd_sum_vec)
+
+
+class TestReductionPreDrain:
+    """Globals are invisible to the tracker: a reduction must wait for an
+    in-flight loop that still *reads* its target, and only for that."""
+
+    @staticmethod
+    def _chain(read_view, reduce_view, other):
+        """Loop A reads ``g`` through ``read_view``; loop B reduces into an
+        unrelated global; loop C reduces into ``g`` through ``reduce_view``."""
+        cells = op_decl_set(4000, "pd_cells")
+        dat = op_decl_dat(cells, 1, "double", np.arange(4000.0).reshape(-1, 1), "pd_dat")
+        op_par_loop(
+            PD_SHIFT, "pd_shift", cells,
+            op_arg_dat(dat, -1, OP_ID, 1, "double", OP_RW),
+            op_arg_gbl(read_view, 1, "double", OP_READ),
+        )
+        op_par_loop(
+            PD_SUM, "pd_sum_other", cells,
+            op_arg_dat(dat, -1, OP_ID, 1, "double", OP_READ),
+            op_arg_gbl(other, 1, "double", OP_INC),
+        )
+        op_par_loop(
+            PD_SHIFT, "pd_shift", cells,
+            op_arg_dat(dat, -1, OP_ID, 1, "double", OP_RW),
+            op_arg_gbl(read_view, 1, "double", OP_READ),
+        )
+        op_par_loop(
+            PD_SUM, "pd_sum", cells,
+            op_arg_dat(dat, -1, OP_ID, 1, "double", OP_READ),
+            op_arg_gbl(reduce_view, 1, "double", OP_INC),
+        )
+        return dat.data.copy()
+
+    @pytest.mark.parametrize("engine", ["threads", "processes", "sharded"])
+    @pytest.mark.parametrize("through_view", [False, True])
+    def test_reduction_into_a_global_an_in_flight_loop_reads_drains_first(
+        self, engine, through_view
+    ):
+        def globals_():
+            storage = np.array([0.5, 0.0])
+            g = storage[:1]
+            # two views of one array are one buffer
+            return g, (storage[0:1] if through_view else g), np.zeros(1)
+
+        clear_plan_cache()
+        g_ref, view_ref, other_ref = globals_()
+        with active_context(serial_context()):
+            reference = self._chain(g_ref, view_ref, other_ref)
+
+        context = hpx_context(engine=engine, num_threads=2)
+        schedules: list[ChunkSchedule] = []
+        context.pipeline.add_observer(
+            lambda e: schedules.append(e.artifact), stages=("schedule",)
+        )
+        clear_plan_cache()
+        g, view, other = globals_()
+        with active_context(context):
+            data = self._chain(g, view, other)
+        assert [s.reduction.drain_before for s in schedules] == [False, False, False, True]
+        assert [s.reduction.drain_after for s in schedules] == [False, True, False, True]
+        assert np.array_equal(data, reference)
+        assert g[0] == pytest.approx(g_ref[0], rel=1e-12)
+        assert other[0] == pytest.approx(other_ref[0], rel=1e-12)
