@@ -4,8 +4,11 @@
 Feeds a C-style OP2 application (the Jacobi example, written the way an OP2
 user would write ``jac.cpp``) through the translator, prints the discovered
 loop sites and inter-loop dependences, generates both the OpenMP-style and
-the HPX-style wrapper modules, and finally *executes* the generated HPX
-module against real OP2 data to show the pipeline runs end to end.
+the HPX-style wrapper modules, and *executes* the generated HPX module
+against real OP2 data to show the pipeline runs end to end.  Finally it
+prints the two forms one level down that the kernel translator lowers from
+Airfoil's ``res_calc`` elemental source: the slab the ``compiled`` engine
+runs, and the NumPy block form every other engine runs.
 
 Run with:  python examples/translator_demo.py
 """
@@ -16,8 +19,9 @@ import types
 
 import numpy as np
 
+from repro.apps.airfoil.kernels import RES_CALC
 from repro.apps.jacobi import RES_KERNEL, UPDATE_KERNEL, build_ring_problem
-from repro.translator import op2_translate
+from repro.translator import SlabArg, emit_slab_module, op2_translate
 
 APPLICATION_SOURCE = """
 /* jac.cpp -- edge-based Jacobi relaxation written against the OP2 C API */
@@ -87,6 +91,21 @@ def main() -> None:
           f"simulated runtime {report.makespan_seconds * 1e6:.1f} us, "
           f"|u|^2 = {u_sum[0]:.4f}, max(u) = {u_max[0]:.4f}")
     print("output futures:", {name: type(f).__name__ for name, f in futures.items()})
+
+    show_res_calc_forms()
+
+
+def show_res_calc_forms() -> None:
+    """res_calc's slab and generated block form, both from its elemental source."""
+    reads = [SlabArg("indirect", "READ", dim, "float64") for dim in (2, 2, 4, 4, 1, 1)]
+    increments = [SlabArg("indirect", "INC", 4, "float64")] * 2
+    slab = emit_slab_module(RES_CALC.kernel_ir(), (*reads, *increments))
+    print("\nres_calc, one elemental source, two lowered forms")
+    print("\n-- slab (engine='compiled'): the elemental kernel, called once per edge --")
+    print(slab[slab.index("@_jit\ndef "):].rstrip())
+    print("\n-- block form (every other engine): one ufunc per operation, every")
+    print("   temporary a slot of per-thread scratch, called once per sub-block --")
+    print(RES_CALC.vectorized.source().rstrip())
 
 
 if __name__ == "__main__":

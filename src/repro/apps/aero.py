@@ -24,6 +24,7 @@ from repro.op2.kernel import Kernel
 from repro.op2.map import OpMap, op_decl_map
 from repro.op2.par_loop import op_par_loop
 from repro.op2.set import OpSet, op_decl_set
+from repro.translator.blockform import block_form
 
 __all__ = ["AeroProblem", "AeroResult", "build_grid_problem", "run_aero",
            "CELL_KERNEL", "NODE_KERNEL"]
@@ -42,20 +43,12 @@ def _cell_relax(phi0, phi1, phi2, phi3, k, d0, d1, d2, d3) -> None:
     d3[0] += stiffness * (average - phi3[0])
 
 
-def _cell_relax_vec(_idx, phi0, phi1, phi2, phi3, k, d0, d1, d2, d3) -> None:
-    """Block form of :func:`_cell_relax`."""
-    average = 0.25 * (phi0[:, 0] + phi1[:, 0] + phi2[:, 0] + phi3[:, 0])
-    stiffness = k[:, 0]
-    d0[:, 0] += stiffness * (average - phi0[:, 0])
-    d1[:, 0] += stiffness * (average - phi1[:, 0])
-    d2[:, 0] += stiffness * (average - phi2[:, 0])
-    d3[:, 0] += stiffness * (average - phi3[:, 0])
 
 
 CELL_KERNEL = Kernel(
     name="aero_cell",
     elemental=_cell_relax,
-    vectorized=_cell_relax_vec,
+    vectorized=block_form(_cell_relax),
     cycles_per_element=60.0,
     reuse_fraction=0.5,
     imbalance=0.08,
@@ -69,17 +62,12 @@ def _node_update(delta, phi, residual) -> None:
     delta[0] = 0.0
 
 
-def _node_update_vec(_idx, delta, phi, residual) -> None:
-    """Block form of :func:`_node_update`."""
-    phi[:, 0] += 0.7 * delta[:, 0]
-    residual[0] += float(np.sum(delta[:, 0] ** 2))
-    delta[:, 0] = 0.0
 
 
 NODE_KERNEL = Kernel(
     name="aero_node",
     elemental=_node_update,
-    vectorized=_node_update_vec,
+    vectorized=block_form(_node_update),
     cycles_per_element=25.0,
 )
 

@@ -29,6 +29,7 @@ from repro.op2.kernel import Kernel
 from repro.op2.map import OpMap, op_decl_map
 from repro.op2.par_loop import op_par_loop
 from repro.op2.set import OpSet, op_decl_set
+from repro.translator.blockform import block_form
 
 __all__ = ["JacobiProblem", "JacobiResult", "build_ring_problem", "run_jacobi", "RES_KERNEL", "UPDATE_KERNEL"]
 
@@ -41,15 +42,12 @@ def _res(a, u, du) -> None:
     du[0] += a[0] * u[0]
 
 
-def _res_vec(_idx, a, u, du) -> None:
-    """Block form of :func:`_res`."""
-    du[:, 0] += a[:, 0] * u[:, 0]
 
 
 RES_KERNEL = Kernel(
     name="res",
     elemental=_res,
-    vectorized=_res_vec,
+    vectorized=block_form(_res),
     cycles_per_element=12.0,
     reuse_fraction=0.3,
 )
@@ -63,18 +61,12 @@ def _update(r, du, u, u_sum, u_max) -> None:
     u_max[0] = max(u_max[0], u[0])
 
 
-def _update_vec(_idx, r, du, u, u_sum, u_max) -> None:
-    """Block form of :func:`_update`."""
-    u[:, 0] += du[:, 0] + 0.1 * r[:, 0]
-    du[:, 0] = 0.0
-    u_sum[0] += float(np.sum(u[:, 0] ** 2))
-    u_max[0] = max(u_max[0], float(np.max(u[:, 0])))
 
 
 UPDATE_KERNEL = Kernel(
     name="jac_update",
     elemental=_update,
-    vectorized=_update_vec,
+    vectorized=block_form(_update),
     cycles_per_element=20.0,
 )
 

@@ -19,11 +19,16 @@ greps ``src/`` for strays):
 
 * **Gathers** are ``np.take(data, index, axis=0)``, a row-copy loop, instead
   of ``data[index]``, which goes through NumPy's general fancy-indexing
-  iterator (2-6x slower at Airfoil sizes).  The index is the strided map
-  column itself, a view: a contiguous copy makes a 120k-row gather 0.15 ms
-  faster, but a megabyte-sized allocation living from staging to commit
-  between the blocks' 4 MB buffers fragments the allocator's arenas and cost
-  +11% peak RSS on the large Airfoil benchmark.
+  iterator (2-6x slower at Airfoil sizes).  A sub-block's gathers, its
+  ``_idx`` and a generated block form's temporaries live in per-thread
+  scratch (:func:`kernel_scratch`), grown on demand to the largest sub-block
+  the thread has run, so a steady sub-block allocates nothing.  The gathers
+  pass ``mode="clip"``: with ``out=``, ``mode="raise"`` buffers through a
+  fresh temporary, and clipping never changes a row because every index is
+  an :class:`~repro.op2.map.OpMap` value -- range-checked and read-only at
+  declaration, at ``set_values`` and in ``attach_map``.  Whole-chunk staging
+  comes from a bounded free-list that the committer refills after its last
+  commit.  Below :data:`SCRATCH_MIN_ROWS` rows it is plain allocation.
 
 * **Scatter-adds** ``data[index[i]] += buffer[i]`` *for i in order* -- the
   meaning of ``np.add.at`` -- run as conflict-free rounds.  Round ``r`` holds
@@ -44,9 +49,12 @@ per-request problems do not.
 
 from __future__ import annotations
 
+import math
 import operator
+import os
+import threading
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Optional
 
 import numpy as np
 
@@ -58,8 +66,11 @@ if TYPE_CHECKING:  # pragma: no cover - args imports map, which imports this mod
 __all__ = [
     "COMPUTE_BLOCK_ROWS",
     "SCATTER_ROUNDS_MIN_SIZE",
+    "SCRATCH_MIN_ROWS",
+    "STAGING_POOL_BYTES",
     "BlockStage",
     "gather_rows",
+    "kernel_scratch",
     "occurrence_ranks",
     "reduction_neutral",
     "stage_scatter_add",
@@ -79,13 +90,178 @@ SCATTER_ROUNDS_MIN_SIZE = 8192
 #: whole 120k-row Airfoil chunk at once measured 1.1-2.3x slower.
 _ROUND_BLOCK_ROWS = 8192
 
-#: Rows per sub-block of a chunk's compute phase (gather -> block form ->
-#: private buffers).  Measured on the 2-core reference box, Airfoil 400x300,
-#: ten rotating rounds, median step in ms on serial/threads/processes/sharded:
+#: Most rows per sub-block of a chunk's compute phase (gather -> block form ->
+#: private buffers); a chunk splits into as few equal sub-blocks as hold it.
+#: Measured on the 2-core reference box, Airfoil 400x300, ten rotating rounds,
+#: median step in ms on serial/threads/processes/sharded (fixed-size blocks):
 #: whole chunk 164/112/119/137, 4096 rows 105/179/79/91, 8192 101/121/80/94,
 #: 16384 95/85/76/88, 32768 102/86/79/91.  Below 16384 ``threads`` loses to
 #: whole chunks: its two workers queue for the GIL between ever shorter ufuncs.
 COMPUTE_BLOCK_ROWS = 16384
+
+#: Sub-blocks of at least this many rows use per-thread scratch (gathers,
+#: ``_idx``, block-form temporaries; scatter rounds by their buffer's rows)
+#: and chunks of at least this many rows pooled staging; smaller ones
+#: allocate plainly.  Measured on the 2-core reference box, serial Airfoil
+#: steps: at 48x32 (a 3 100-row ``res_calc``) plain allocation faults no
+#: page and costs no time, at 120x80 (9 520-row sub-blocks) it costs 1 568
+#: faults per step and ~1 ms of ~7.  Scratch stays with its thread, so a
+#: thread that only runs small blocks -- a service's light requests -- pins
+#: none, and scratch lookups stay off the small blocks' path.
+SCRATCH_MIN_ROWS = 8192
+
+#: Byte cap of one process's free-list of whole-chunk staging buffers.  It
+#: holds a 400x300 Airfoil step's ``res_calc`` INC staging (2 x 7.6 MB) for
+#: two chunk layouts at once, e.g. a serial and a ``threads`` chain.
+STAGING_POOL_BYTES = 48 << 20
+
+
+class _Scratch:
+    """One thread's reusable buffers: per key, one byte array grown on demand
+    to the largest request and carved into the arrays asked for.  The arrays
+    handed out last are kept, so the steady sub-blocks' repeated requests are
+    one lookup each."""
+
+    def __init__(self) -> None:
+        self._flat: dict[Hashable, np.ndarray] = {}
+        self._carved: dict[Hashable, dict[tuple, tuple[np.ndarray, ...]]] = {}
+        self._iota = np.arange(0)
+
+    def carve(
+        self, key: Hashable, *specs: tuple[tuple[int, ...], type]
+    ) -> tuple[np.ndarray, ...]:
+        """Uninitialised arrays, one per ``(shape, dtype)``, side by side in
+        ``key``'s buffer; valid until ``key`` is asked for again."""
+        carved = self._carved.setdefault(key, {})
+        arrays = carved.get(specs)
+        if arrays is not None:
+            return arrays
+        nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+        aligned = [-(-n // 64) * 64 for n in nbytes]
+        flat = self._flat.get(key)
+        if flat is None or flat.size < sum(aligned):
+            flat = self._flat[key] = np.empty(sum(aligned), dtype=np.uint8)
+            carved.clear()  # views of the old buffer
+        if len(carved) >= 16:  # shapes of one-off tails
+            carved.clear()
+        start, views = 0, []
+        for (shape, dtype), n, size in zip(specs, nbytes, aligned):
+            views.append(flat[start : start + n].view(dtype).reshape(shape))
+            start += size
+        arrays = carved[specs] = tuple(views)
+        return arrays
+
+    def buffer(self, key: Hashable, shape: tuple[int, ...], dtype: type) -> np.ndarray:
+        """One uninitialised array, valid until ``key`` is asked for again."""
+        return self.carve(key, (shape, dtype))[0]
+
+    def arange(self, lo: int, hi: int) -> np.ndarray:
+        """``np.arange(lo, hi)`` in the ``"index"`` buffer, which a gather
+        only needs while it runs (:func:`_take_rows`)."""
+        rows = hi - lo
+        if self._iota.size < rows:
+            self._iota = np.arange(rows)
+        return np.add(self._iota[:rows], lo, out=self.buffer("index", (rows,), np.intp))
+
+
+_local = threading.local()
+
+
+def _thread_scratch() -> _Scratch:
+    """The calling thread's scratch (the one accessor, kept to this module).
+
+    Only blocks of at least :data:`SCRATCH_MIN_ROWS` rows use it, so a
+    thread that never runs one -- a service's light requests -- has none.
+    """
+    scratch = getattr(_local, "scratch", None)
+    if scratch is None:
+        scratch = _local.scratch = _Scratch()
+    return scratch
+
+
+#: the flags of a block form that needs none
+_NO_FLAGS = np.empty((0, 0), dtype=np.bool_)
+
+
+def kernel_scratch(rows: int, floats: int, flags: int) -> tuple[np.ndarray, np.ndarray]:
+    """Work vectors of a generated block form: ``(floats, rows)`` float64 and
+    ``(flags, rows)`` bool (any empty array when ``flags`` is 0).
+
+    From :data:`SCRATCH_MIN_ROWS` rows up they are the calling thread's
+    scratch, valid until its next block form asks, i.e. until this one
+    returns; below, fresh arrays.
+    """
+    if rows < SCRATCH_MIN_ROWS:
+        bools = np.empty((flags, rows), dtype=np.bool_) if flags else _NO_FLAGS
+        return np.empty((floats, rows)), bools
+    # "work" is shared with the commit's rounds: a thread runs one at a time
+    work = ((floats, rows), np.float64), ((flags, rows), np.bool_)
+    return _thread_scratch().carve("work", *work)  # type: ignore[return-value]
+
+
+def _take_rows(
+    scratch: _Scratch, data: np.ndarray, index: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``np.take(data, index, axis=0, out=out)`` without allocating.
+
+    NumPy copies a strided index (a map column) into a fresh array before
+    taking; here it is copied into scratch instead, the ``"index"`` buffer
+    that a sub-block's ``_idx`` takes once its gathers are done.
+    """
+    if not index.flags.c_contiguous:
+        contiguous = scratch.buffer("index", index.shape, index.dtype)
+        np.copyto(contiguous, index)
+        index = contiguous
+    return np.take(data, index, axis=0, out=out, mode="clip")
+
+
+class _StagingPool:
+    """Bounded free-list of whole-chunk staging buffers, by shape and dtype.
+
+    A compute thread takes, the thread committing the chunk gives back --
+    different threads in a ``processes`` worker -- hence the lock.  A buffer
+    that would push the pool past :data:`STAGING_POOL_BYTES` empties it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._free: dict[tuple[tuple[int, ...], np.dtype], list[np.ndarray]] = {}
+        self.nbytes = 0
+
+    def take(self, shape: tuple[int, ...], dtype: np.dtype) -> Optional[np.ndarray]:
+        with self._lock:
+            stack = self._free.get((shape, np.dtype(dtype)))
+            if not stack:
+                return None
+            buffer = stack.pop()
+            self.nbytes -= buffer.nbytes
+        return buffer
+
+    def give(self, buffers: list[np.ndarray]) -> None:
+        with self._lock:
+            for buffer in buffers:
+                if self.nbytes + buffer.nbytes > STAGING_POOL_BYTES:
+                    self._free.clear()
+                    self.nbytes = 0
+                    if buffer.nbytes > STAGING_POOL_BYTES:
+                        continue
+                self._free.setdefault((buffer.shape, buffer.dtype), []).append(buffer)
+                self.nbytes += buffer.nbytes
+
+
+_staging = _StagingPool()
+
+
+def _reset_after_fork() -> None:
+    """A forked worker starts with empty scratch and an empty pool: the
+    parent's buffers would only be copied on first write, and a lock held by
+    another parent thread at the fork would never be released."""
+    global _local, _staging
+    _local = threading.local()
+    _staging = _StagingPool()
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def gather_rows(data: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -119,9 +295,12 @@ def occurrence_ranks(index: np.ndarray) -> Optional[np.ndarray]:
     return ranks
 
 
-def _add_distinct(data: np.ndarray, targets: np.ndarray, increments: np.ndarray) -> None:
-    """``data[targets] += increments`` for pairwise distinct ``targets``."""
-    current = np.take(data, targets, axis=0)
+def _add_distinct(
+    data: np.ndarray, targets: np.ndarray, increments: np.ndarray, current: np.ndarray
+) -> None:
+    """``data[targets] += increments`` for pairwise distinct, contiguous
+    ``targets``, through ``current``, a buffer of their shape."""
+    np.take(data, targets, axis=0, out=current, mode="clip")
     current += increments
     data[targets] = current
 
@@ -134,19 +313,50 @@ def _scatter_add_rounds(
     Ranks ascend in row order per target, so within a block equal targets
     carry different ranks (each rank's rows are conflict-free) and blocks in
     row order keep every target's increments in order.  A block whose ranks
-    are all zero -- most of them on a mesh -- is a single round.
+    are all zero -- most of them on a mesh -- is a single round.  Every
+    temporary but a round's row list lives in the committing thread's
+    scratch, sized by the block -- or, for a buffer of fewer than
+    :data:`SCRATCH_MIN_ROWS` rows, in a throwaway one.
     """
+    scratch = _thread_scratch() if index.size >= SCRATCH_MIN_ROWS else _Scratch()
     for lo in range(0, index.size, _ROUND_BLOCK_ROWS):
         block = slice(lo, lo + _ROUND_BLOCK_ROWS)
+        n = index[block].size
+        # "work" is shared with the block forms' vectors: a thread runs one at a time
+        targets, current, in_round, round_targets, round_increments = scratch.carve(
+            "work",
+            ((n,), index.dtype),
+            ((n, *data.shape[1:]), data.dtype),
+            ((n,), np.bool_),
+            ((n,), index.dtype),
+            ((n, *buffer.shape[1:]), buffer.dtype),
+        )
+        np.copyto(targets, index[block])
+        increments = buffer[block]
         last = 0 if ranks is None else int(ranks[block].max())
         if last == 0:
-            _add_distinct(data, index[block], buffer[block])
+            _add_distinct(data, targets, increments, current)
             continue
+        assert ranks is not None
+        half = _ROUND_BLOCK_ROWS // 2
         for rank in range(last + 1):
-            rows = np.flatnonzero(ranks[block] == rank)
-            _add_distinct(
-                data, np.take(index[block], rows), np.take(buffer[block], rows, axis=0)
-            )
+            np.equal(ranks[block], rank, out=in_round)
+            # a round's row list is the one allocation: a round of more than
+            # half the block goes in two halves, still conflict-free and in order
+            parts = [(0, n)]
+            if np.count_nonzero(in_round) > half:
+                parts = [(0, half), (half, n)]
+            for first, stop in parts:
+                rows = np.flatnonzero(in_round[first:stop])
+                if first:
+                    rows += first
+                count = rows.size
+                np.take(targets, rows, out=round_targets[:count], mode="clip")
+                np.take(increments, rows, axis=0, out=round_increments[:count], mode="clip")
+                del rows  # before the next list exists
+                _add_distinct(
+                    data, round_targets[:count], round_increments[:count], current[:count]
+                )
 
 
 def stage_scatter_add(
@@ -186,9 +396,28 @@ def _fold_reduction(access: AccessMode, target: np.ndarray, buffer: np.ndarray) 
         np.maximum(target, buffer, out=target)
 
 
-def _commit(commits: list[Callable[[], None]]) -> None:
+def _equal_pieces(start: int, stop: int, most: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` pieces of ``[start, stop)``: as few as hold at most
+    ``most`` rows each, their sizes equal to a row."""
+    count = -(-(stop - start) // most)
+    if count == 1:  # the common case, a chunk of one sub-block: no generator
+        return [(start, stop)]
+    rows = stop - start
+    return [(start + rows * k // count, start + rows * (k + 1) // count) for k in range(count)]
+
+
+def _commit(commits: list[Callable[[], None]], pooled: list[np.ndarray]) -> None:
     for commit in commits:
         commit()
+    commits.clear()
+    if pooled:
+        _staging.give(pooled)
+        pooled.clear()
+
+
+#: what a declared argument shows one sub-block: ``view(lo, hi, scratch)``,
+#: ``scratch`` being ``None`` below :data:`SCRATCH_MIN_ROWS` rows
+_View = Callable[[int, int, Optional[_Scratch]], np.ndarray]
 
 
 class BlockStage:
@@ -197,7 +426,9 @@ class BlockStage:
     The caller declares, per argument and in argument order, what its kernel
     form consumes, runs the kernel, and hands :meth:`committer`'s closure to
     whoever orders the commits.  The closure keeps the scatter buffers alive,
-    nothing else of the stage.
+    nothing else of the stage, and returns pooled staging to the free-list
+    after its last commit; a stage that is never committed (an aborted
+    context) never returns its buffers.
 
     Two kinds of caller.  The compiled slab takes whole-chunk pieces --
     :meth:`index`, and the buffers :meth:`private` and :meth:`reduction`
@@ -207,14 +438,20 @@ class BlockStage:
     arguments), so only the staging, never a kernel temporary, scales with
     the chunk.  Either way the commit is the whole chunk's, argument by
     argument in row order.
+
+    Lifetimes: a gathered READ view and ``_idx`` live until the block form
+    returns (the next sub-block reuses their scratch); staging lives until
+    its commit.
     """
 
     def __init__(self, start: int, stop: int) -> None:
         self.start = start
         self.stop = stop
         self._commits: list[Callable[[], None]] = []
+        #: staging buffers the committer returns to the free-list
+        self._pooled: list[np.ndarray] = []
         #: per declared argument: the view of global rows ``[lo, hi)``
-        self._views: list[Callable[[int, int], np.ndarray]] = []
+        self._views: list[_View] = []
         #: (position in ``_views``, access, chunk buffer) per global reduction
         self._reductions: list[tuple[int, AccessMode, np.ndarray]] = []
 
@@ -227,40 +464,63 @@ class BlockStage:
         """Global READ/WRITE/RW: every sub-block sees the live global array."""
         array = arg.gbl_data
         assert array is not None
-        self._views.append(lambda lo, hi: array)
+        self._views.append(lambda lo, hi, scratch: array)
 
     def direct(self, arg: OpArg) -> None:
         """Direct dat, any access: the ``dat.data[lo:hi]`` view."""
         assert arg.dat is not None
         data = arg.dat.data
-        self._views.append(lambda lo, hi: data[lo:hi])
+        self._views.append(lambda lo, hi, scratch: data[lo:hi])
 
     def gathered(self, arg: OpArg) -> None:
         """Indirect READ: a gathered ``(rows, dim)`` copy, made per sub-block."""
         assert arg.dat is not None and arg.map is not None
         data, column = arg.dat.data, arg.map.values[:, arg.map_index]  # type: ignore[union-attr]
-        self._views.append(lambda lo, hi: gather_rows(data, column[lo:hi]))
+        key = ("gathered", len(self._views))
+
+        def view(lo: int, hi: int, scratch: Optional[_Scratch]) -> np.ndarray:
+            if scratch is None:
+                return gather_rows(data, column[lo:hi])
+            out = scratch.buffer(key, (hi - lo, *data.shape[1:]), data.dtype)
+            return _take_rows(scratch, data, column[lo:hi], out)
+
+        self._views.append(view)
 
     def private(self, arg: OpArg) -> np.ndarray:
         """Indirect INC/WRITE/RW: the whole-chunk buffer the kernel works on.
 
         INC gets zeros, scatter-added at commit; WRITE/RW get the gathered
         rows, assigned back at commit (callers only vectorise blocks whose
-        WRITE/RW targets are distinct).
+        WRITE/RW targets are distinct).  From :data:`SCRATCH_MIN_ROWS` rows
+        up the buffer is a pooled one, zero-filled or gathered into.
         """
         assert arg.dat is not None and arg.map is not None
         data, index = arg.dat.data, self.index(arg)
+        shape = (self.stop - self.start, arg.dim)
+        pooled = shape[0] >= SCRATCH_MIN_ROWS
+        buffer = _staging.take(shape, arg.dat.dtype) if pooled else None
         if arg.access is AccessMode.INC:
-            buffer = np.zeros((self.stop - self.start, arg.dim), dtype=arg.dat.dtype)
+            if buffer is None:
+                buffer = np.zeros(shape, dtype=arg.dat.dtype)
+            else:
+                buffer.fill(0)
             ranks_of = partial(
                 arg.map.scatter_ranks, arg.map_index, self.start, self.stop  # type: ignore[union-attr]
             )
             self._commits.append(stage_scatter_add(data, index, buffer, ranks_of))
         else:
-            buffer = gather_rows(data, index)
+            if buffer is None:
+                buffer = gather_rows(data, index)
+            else:  # in pieces, so the index copy stays block-sized
+                scratch = _thread_scratch()
+                for lo in range(0, shape[0], _ROUND_BLOCK_ROWS):
+                    piece = slice(lo, lo + _ROUND_BLOCK_ROWS)
+                    _take_rows(scratch, data, index[piece], buffer[piece])
             self._commits.append(partial(operator.setitem, data, index, buffer))
+        if pooled:
+            self._pooled.append(buffer)
         start = self.start
-        self._views.append(lambda lo, hi: buffer[lo - start : hi - start])
+        self._views.append(lambda lo, hi, scratch: buffer[lo - start : hi - start])
         return buffer
 
     def reduction(self, arg: OpArg) -> np.ndarray:
@@ -277,25 +537,31 @@ class BlockStage:
         self._reductions.append((len(self._views), arg.access, buffer))
         chunk = (self.start, self.stop)
         self._views.append(
-            lambda lo, hi: buffer if (lo, hi) == chunk else reduction_neutral(arg)
+            lambda lo, hi, scratch: buffer if (lo, hi) == chunk else reduction_neutral(arg)
         )
         return buffer
 
     def sub_blocks(self) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
-        """``(_idx, views)`` per sub-block of :data:`COMPUTE_BLOCK_ROWS` rows.
+        """``(_idx, views)`` per sub-block: as few as hold at most
+        :data:`COMPUTE_BLOCK_ROWS` rows each, of equal size to a row.
 
         ``_idx`` is the sub-block's global iteration range, ``views`` one
         entry per declared argument.  The consumer runs the block form on
-        them before asking for the next item.
+        them before asking for the next item: from :data:`SCRATCH_MIN_ROWS`
+        rows up, ``_idx`` and the gathered views are the thread's scratch,
+        which the next sub-block overwrites.  Equal sub-blocks keep
+        that scratch small: a 19 040-row chunk is two of 9 520 rows, not
+        16 384 and a 2 656-row tail.
         """
-        for lo in range(self.start, self.stop, COMPUTE_BLOCK_ROWS):
-            hi = min(lo + COMPUTE_BLOCK_ROWS, self.stop)
-            views = [view(lo, hi) for view in self._views]
-            yield np.arange(lo, hi), views
+        for lo, hi in _equal_pieces(self.start, self.stop, COMPUTE_BLOCK_ROWS):
+            scratch = _thread_scratch() if hi - lo >= SCRATCH_MIN_ROWS else None
+            views = [view(lo, hi, scratch) for view in self._views]
+            yield (np.arange(lo, hi) if scratch is None else scratch.arange(lo, hi)), views
             for position, access, buffer in self._reductions:
                 if views[position] is not buffer:
                     _fold_reduction(access, buffer, views[position])
 
     def committer(self) -> Callable[[], None]:
-        """The closure applying every staged effect, in argument order."""
-        return partial(_commit, self._commits)
+        """The closure applying every staged effect, in argument order, then
+        returning the pooled staging to the free-list."""
+        return partial(_commit, self._commits, self._pooled)

@@ -2,16 +2,18 @@
 
 An OP2 kernel is the per-element function applied by ``op_par_loop``.  In the
 C version kernels live in header files (``save_soln.h`` etc.); here a
-:class:`Kernel` bundles up to two callables:
+:class:`Kernel` has one source, its elemental form, and optionally a block
+form for NumPy:
 
 ``elemental``
     Operates on one element at a time.  Its positional arguments correspond
     one-to-one to the loop's ``op_arg`` list: direct dat arguments receive a
     1-D view of length ``dim``, indirect arguments the mapped element's view,
-    and global arguments the global array.  This form is the readable
-    reference: the source the translator lowers, the fallback for blocks the
-    block form cannot take (duplicate WRITE/RW targets) and the oracle of the
-    correctness tests.
+    and global arguments the global array.  This form is the kernel's one
+    source: the translator lowers it to a slab for the ``compiled`` engine
+    and to a block form (:func:`repro.translator.blockform.block_form`), it
+    is the fallback for blocks the block form cannot take (duplicate
+    WRITE/RW targets) and the oracle of the correctness tests.
 
 ``vectorized``
     Operates on a whole *block* of elements at once using NumPy, receiving
@@ -22,7 +24,9 @@ C version kernels live in header files (``save_soln.h`` etc.); here a
     :meth:`ParLoop._prepare_vectorized` for the argument convention.
     Every backend, serial included, prefers this form -- looping over
     hundreds of thousands of elements in Python would swamp the experiments
-    -- but it is optional.
+    -- but it is optional.  The applications pass
+    ``vectorized=block_form(elemental)``, generated from the elemental
+    source; a hand-written callable with the same convention works too.
 
 ``cycles_per_element`` is the arithmetic-cost hint consumed by the machine
 model's :class:`~repro.sim.cost.KernelProfile`.

@@ -91,7 +91,19 @@ class OpMap:
                 f"map {self.name!r}: expected {expected} entries "
                 f"({self.from_set.size} elements x dim {self.dim}), got {array.size}"
             )
-        array = array.reshape(self.from_set.size, self.dim)
+        array = array.reshape(self.from_set.size, self.dim).copy()
+        self.check_targets(array)
+        array.setflags(write=False)
+        return array
+
+    def check_targets(self, array: np.ndarray) -> None:
+        """Raise unless every value of ``array`` indexes the target set.
+
+        The data path's gathers clip their indices, which would silently
+        clamp a bad one: every array that becomes ``values`` --
+        declared, replaced by :meth:`set_values`, attached in a worker -- is
+        checked here and made read-only.
+        """
         if self.from_set.size and self.to_set.size == 0:
             raise OP2MappingError(
                 f"map {self.name!r}: target set {self.to_set.name!r} is empty"
@@ -103,9 +115,6 @@ class OpMap:
                     f"map {self.name!r}: indices [{lo}, {hi}] fall outside target set "
                     f"{self.to_set.name!r} of size {self.to_set.size}"
                 )
-        array = array.copy()
-        array.setflags(write=False)
-        return array
 
     # -- versioning (mirrors OpDat.bump_version; folded into plan cache keys) -----
     @property

@@ -357,7 +357,8 @@ def attach_map(
     sets: dict[int, OpSet],
     segments: list[shared_memory.SharedMemory],
 ) -> OpMap:
-    """Rebuild an :class:`OpMap` over the parent's shared segment (read-only)."""
+    """Rebuild an :class:`OpMap` over the parent's shared segment (read-only,
+    range-checked like a declaration)."""
     segment, view = attach_segment(spec)
     segments.append(segment)
     view.setflags(write=False)
@@ -366,8 +367,9 @@ def attach_map(
     opmap.from_set = _attach_set(spec["from_set"], sets)
     opmap.to_set = _attach_set(spec["to_set"], sets)
     opmap.dim = spec["dim"]
-    opmap.values = view
     opmap.name = spec["name"]
+    opmap.check_targets(view)
+    opmap.values = view
     opmap._version = spec["version"]
     opmap._reset_caches()
     return opmap

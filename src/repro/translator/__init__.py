@@ -23,7 +23,9 @@ This package reproduces that pipeline in miniature:
 The same parser/IR/analysis stack also operates one level down, on single
 *kernels* -- :func:`parse_kernel` → :class:`KernelIR` → :func:`analyse_kernel`
 → :mod:`repro.translator.slab` emission -- which is the lowering pipeline the
-live ``compiled`` engine shares with the offline translator.
+live ``compiled`` engine shares with the offline translator, and
+:mod:`repro.translator.blockform` lowers the same IR to the NumPy block form
+every other engine runs.
 """
 
 from repro.translator.analysis import (
@@ -32,6 +34,7 @@ from repro.translator.analysis import (
     analyse_dependences,
     analyse_kernel,
 )
+from repro.translator.blockform import BlockForm, block_form
 from repro.translator.codegen_hpx import generate_hpx_module
 from repro.translator.codegen_openmp import generate_openmp_module
 from repro.translator.driver import TranslationResult, op2_translate
@@ -63,6 +66,8 @@ __all__ = [
     "emit_slab_module",
     "build_slab",
     "make_slab_prepare",
+    "BlockForm",
+    "block_form",
     "generate_openmp_module",
     "generate_hpx_module",
     "TranslationResult",

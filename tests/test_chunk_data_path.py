@@ -17,10 +17,18 @@ Five groups:
   run, and a Hypothesis property does the same over loop shapes (direct,
   indirect READ+INC, WRITE/RW, global reductions that accumulate or assign, a
   kernel reading ``_idx``, empty ranges, one-row tails).
+* **Scratch and staging pool** -- concurrent threads gather into disjoint
+  scratch; a kernel raising mid-chunk leaves its thread computing the
+  ``serial`` answer; staging returns to the free-list only from a commit, a
+  reused INC buffer is zero, the pool stays under its cap; and the map
+  values the ``mode="clip"`` gathers trust are range-checked and read-only
+  wherever they come from.
 * **Guard** -- ``np.add.at``, ``np.take`` and fancy row gathers of dat data
   appear nowhere in ``src/`` outside the data-path module, and the sub-block
   loop with its row constant lives in one function of it, so ``ParLoop`` and
-  the slab cannot drift apart again.
+  the slab cannot drift apart again; neither do ``mode="clip"`` gathers or
+  the scratch accessor, and generated block modules are executed only by
+  the translator.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import re
 import sys
 import threading
 from functools import partial
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +47,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.airfoil import generate_mesh, renumber_mesh, run_airfoil
+from repro.apps.airfoil.kernels import RES_CALC
+from repro.errors import OP2MappingError
 from repro.op2 import (
     OP_ID,
     OP_INC,
@@ -52,6 +63,7 @@ from repro.op2 import (
     op_decl_dat,
     op_decl_map,
     op_decl_set,
+    shm,
 )
 from repro.op2.backends.hpx import hpx_context
 from repro.op2.backends.serial import serial_context
@@ -365,8 +377,8 @@ class TestSubBlockSizeChangesNoBit:
     """Three Airfoil steps per block size, ``np.array_equal`` to the unblocked run.
 
     ``n`` is the cell count: ``serial`` runs the direct loops as one ``n``-row
-    block, so ``n - 1`` leaves a one-row tail, ``n`` one exact block and
-    ``n + 1`` one block with room; ``n // 8`` cuts the engines' smaller chunks
+    block, so ``n - 1`` splits it into two equal halves, ``n`` is one exact
+    block and ``n + 1`` one block with room; ``n // 8`` cuts the engines' smaller chunks
     too.  One- and seven-row blocks call the block form once per (few) rows --
     15 s per run on 120x80 -- and therefore run on a 24x16 mesh.
     """
@@ -509,6 +521,225 @@ class TestSubBlocksOverLoopShapes:
 
 
 # ---------------------------------------------------------------------------
+# scratch and staging pool
+# ---------------------------------------------------------------------------
+def _res_calc_loop(mesh, kernel=RES_CALC):
+    return ParLoop(
+        kernel,
+        "res_calc",
+        mesh.edges,
+        [
+            op_arg_dat(mesh.p_x, 0, mesh.pedge, 2, "double", OP_READ),
+            op_arg_dat(mesh.p_x, 1, mesh.pedge, 2, "double", OP_READ),
+            op_arg_dat(mesh.p_q, 0, mesh.pecell, 4, "double", OP_READ),
+            op_arg_dat(mesh.p_q, 1, mesh.pecell, 4, "double", OP_READ),
+            op_arg_dat(mesh.p_adt, 0, mesh.pecell, 1, "double", OP_READ),
+            op_arg_dat(mesh.p_adt, 1, mesh.pecell, 1, "double", OP_READ),
+            op_arg_dat(mesh.p_res, 0, mesh.pecell, 4, "double", OP_INC),
+            op_arg_dat(mesh.p_res, 1, mesh.pecell, 4, "double", OP_INC),
+        ],
+    )
+
+
+def _edge_map(rows, seed=0):
+    rng = np.random.default_rng(seed)
+    edges = op_decl_set(rows, "edges")
+    nodes = op_decl_set(rows // 2, "nodes")
+    e2n = op_decl_map(edges, nodes, 2, rng.integers(0, nodes.size, (rows, 2)), "e2n")
+    values = rng.standard_normal((nodes.size, 3))
+    return e2n, op_decl_dat(nodes, 3, "double", values, "x")
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """An empty free-list of staging, whatever earlier tests left pooled."""
+    pool = datapath._StagingPool()
+    monkeypatch.setattr(datapath, "_staging", pool)
+    return pool
+
+
+class TestScratchAndStagingPool:
+    def test_threads_gathering_at_once_get_disjoint_scratch(self):
+        rows = 3 * datapath.SCRATCH_MIN_ROWS
+        e2n, x = _edge_map(rows)
+        arg = op_arg_dat(x, 1, e2n, 3, "double", OP_READ)
+        barrier = threading.Barrier(2)
+        seen: dict[str, list] = {"a": [], "b": []}
+
+        def gather(name):
+            stage = datapath.BlockStage(0, rows)
+            stage.gathered(arg)
+            for idx, (view,) in stage.sub_blocks():
+                barrier.wait(timeout=30)  # both threads hold a sub-block's views now
+                seen[name].append((idx.copy(), view, view.copy()))
+                barrier.wait(timeout=30)
+
+        threads = [threading.Thread(target=gather, args=(name,)) for name in seen]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen["a"]) == len(seen["b"]) >= 2
+        for idx, _, values in seen["a"] + seen["b"]:
+            assert np.array_equal(values, x.data[e2n.values[idx, 1]])
+        for _, ours, _ in seen["a"]:
+            for _, theirs, _ in seen["b"]:
+                assert not np.shares_memory(ours, theirs)
+
+    def test_a_kernel_raising_mid_chunk_leaves_the_thread_computing_the_serial_answer(
+        self, monkeypatch, fresh_pool
+    ):
+        reference_mesh = generate_mesh(120, 80).declare()
+        _res_calc_loop(reference_mesh).execute_all()
+        # two sub-blocks, both through scratch
+        half = -(-reference_mesh.num_edges // 2)
+        assert half >= datapath.SCRATCH_MIN_ROWS
+        monkeypatch.setattr(datapath, "COMPUTE_BLOCK_ROWS", half)
+        calls = []
+
+        def flaky(_idx, *views):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("kernel failed in the second sub-block")
+            RES_CALC.vectorized(_idx, *views)
+
+        mesh = generate_mesh(120, 80).declare()
+        kernel = Kernel("res_calc_flaky", elemental=RES_CALC.elemental, vectorized=flaky)
+        with pytest.raises(RuntimeError, match="second sub-block"):
+            _res_calc_loop(mesh, kernel).prepare_block(0, mesh.num_edges)
+        assert not mesh.p_res.data.any()  # nothing committed
+        _res_calc_loop(mesh, kernel).execute_all()  # same thread, same scratch
+        assert np.array_equal(mesh.p_res.data, reference_mesh.p_res.data)
+
+    def test_staging_returns_to_the_pool_only_from_a_commit(self, fresh_pool):
+        mesh = generate_mesh(120, 80).declare()
+        loop = _res_calc_loop(mesh)
+        staging = 2 * mesh.num_edges * 4 * 8  # the two INC buffers
+        loop.prepare_block(0, mesh.num_edges)()
+        assert fresh_pool.nbytes == staging
+        aborted = loop.prepare_block(0, mesh.num_edges)  # as an aborted context leaves it
+        assert fresh_pool.nbytes == 0
+        del aborted
+        assert fresh_pool.nbytes == 0
+        loop.prepare_block(0, mesh.num_edges)()
+        assert fresh_pool.nbytes == staging
+
+    @pytest.mark.parametrize("access", [OP_INC, OP_RW])
+    def test_a_reused_buffer_is_zeroed_or_gathered_again(self, access, fresh_pool):
+        rows = datapath.SCRATCH_MIN_ROWS
+        e2n, x = _edge_map(rows)
+        if access is OP_RW:  # WRITE/RW staging needs distinct targets
+            nodes = op_decl_set(rows, "nodes")
+            e2n = op_decl_map(e2n.from_set, nodes, 1, np.random.default_rng(1).permutation(rows), "e2n")
+            x = op_decl_dat(nodes, 3, "double", np.arange(3.0 * rows).reshape(rows, 3), "x")
+        arg = op_arg_dat(x, 0, e2n, 3, "double", access)
+        first = datapath.BlockStage(0, rows)
+        used = first.private(arg)
+        used[...] = 7.0
+        first.committer()()
+        second = datapath.BlockStage(0, rows)
+        reused = second.private(arg)
+        assert reused is used
+        if access is OP_INC:
+            assert not reused.any()
+        else:
+            assert np.array_equal(reused, x.data[e2n.values[:, 0]])
+
+    def test_threads_sharing_the_pool_never_hold_one_buffer_at_once(self, fresh_pool):
+        # compute threads take while merge threads give back: more threads
+        # than cores, a short switch interval, a buffer marked by its holder
+        shapes = [(64, 4), (64, 1), (32, 4)]
+        clashes = []
+
+        def churn(mark):
+            for turn in range(300):
+                shape = shapes[(mark + turn) % len(shapes)]
+                buffer = fresh_pool.take(shape, np.float64)
+                if buffer is None:
+                    buffer = np.empty(shape)
+                buffer.fill(mark)
+                if not (buffer == mark).all():  # another thread wrote it meanwhile
+                    clashes.append(mark)
+                fresh_pool.give([buffer])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn, args=(mark,)) for mark in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not clashes
+        pooled = [b for stack in fresh_pool._free.values() for b in stack]
+        assert fresh_pool.nbytes == sum(b.nbytes for b in pooled) <= datapath.STAGING_POOL_BYTES
+        assert len({id(b) for b in pooled}) == len(pooled)
+
+    def test_the_pool_holds_at_most_its_cap(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(datapath, "STAGING_POOL_BYTES", 3 * 8000)
+        fresh_pool.give([np.empty(1000) for _ in range(5)])
+        assert fresh_pool.nbytes == 2 * 8000  # the fourth emptied it
+        fresh_pool.give([np.empty(4000)])  # larger than the cap: dropped
+        assert fresh_pool.nbytes == 0
+        assert fresh_pool.take((1000,), np.float64) is None
+
+    def test_pooled_bytes_stay_under_the_cap_after_a_large_processes_chain(self, fresh_pool):
+        clear_plan_cache()
+        mesh = generate_mesh(400, 300)
+        with active_context(serial_context()):
+            run_airfoil(mesh, niter=1, rk_steps=2)
+        assert fresh_pool.nbytes > 0
+        with Session(name="pooled-staging") as session:
+            with active_context(hpx_context(engine="processes", num_threads=2, session=session)):
+                run_airfoil(mesh, niter=1, rk_steps=2)
+        pooled = sum(b.nbytes for stack in fresh_pool._free.values() for b in stack)
+        assert pooled == fresh_pool.nbytes <= datapath.STAGING_POOL_BYTES
+
+
+class TestMapValuesAreCheckedAndReadOnly:
+    """``mode="clip"`` would clamp a bad index silently: every array that
+    becomes ``OpMap.values`` is range-checked and read-only."""
+
+    def test_set_values_checks_the_range_and_keeps_values_read_only(self):
+        e2n, _ = _edge_map(64)
+        bad = e2n.values.copy()
+        bad[5, 1] = e2n.to_set.size
+        with pytest.raises(OP2MappingError, match="outside target set"):
+            e2n.set_values(bad)
+        e2n.set_values(e2n.values[::-1].copy())
+        assert not e2n.values.flags.writeable
+        with pytest.raises(ValueError):
+            e2n.values[0, 0] = 0
+
+    def test_attach_map_checks_the_range_in_the_worker(self):
+        e2n, _ = _edge_map(64)
+        arena = shm.SharedMemoryArena(name_prefix="op2-test")
+        segments: list = []
+        try:
+            spec = arena.adopt_map(e2n)
+            attached = shm.attach_map(spec, {}, segments)
+            assert np.array_equal(attached.values, e2n.values)
+            assert not attached.values.flags.writeable
+            # a writer that bypasses the read-only view corrupts the segment
+            segment = shared_memory.SharedMemory(name=spec["segment"])
+            try:
+                raw = np.ndarray(spec["shape"], dtype=spec["dtype"], buffer=segment.buf)
+                raw[3, 0] = -1
+                del raw
+            finally:
+                segment.close()
+            with pytest.raises(OP2MappingError, match="outside target set"):
+                shm.attach_map(spec, {}, segments)
+        finally:
+            shm.detach_all(segments)
+            arena.release()
+
+
+# ---------------------------------------------------------------------------
 # guard: one implementation
 # ---------------------------------------------------------------------------
 class TestTheDataPathLivesInOneModule:
@@ -585,3 +816,36 @@ class TestTheDataPathLivesInOneModule:
             if re.search(r"\.sub_blocks\(", path.read_text())
         ]
         assert callers == ["op2/par_loop.py"], "the slab is deliberately not sub-blocked"
+
+    @staticmethod
+    def _calls(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def test_clip_gathers_and_the_scratch_accessor_live_in_the_data_path_module(self):
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.name == "datapath.py":
+                continue
+            tree = ast.parse(path.read_text())
+            for call in self._calls(tree):
+                if any(
+                    kw.arg == "mode" and isinstance(kw.value, ast.Constant) and kw.value.value == "clip"
+                    for kw in call.keywords
+                ):
+                    offenders.append(f"{path.relative_to(SRC)}:{call.lineno}: mode='clip'")
+            for node in ast.walk(tree):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name == "_thread_scratch":
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}: scratch accessor")
+        assert not offenders, "\n".join(offenders)
+
+    def test_generated_modules_are_executed_only_by_the_translator(self):
+        executors = sorted(
+            str(path.relative_to(SRC))
+            for path in SRC.rglob("*.py")
+            if any(
+                isinstance(call.func, ast.Name) and call.func.id in ("exec", "eval")
+                for call in self._calls(ast.parse(path.read_text()))
+            )
+        )
+        assert executors and all(path.startswith("translator/") for path in executors), executors
