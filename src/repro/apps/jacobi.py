@@ -106,10 +106,12 @@ def build_ring_problem(num_nodes: int = 1000, *, seed: int = 7) -> JacobiProblem
     num_edges = 2 * num_nodes
     edges = op_decl_set(num_edges, "edges")
 
+    # edge 2n runs node n -> n + 1, edge 2n + 1 runs node n -> n - 1 (mod N)
+    node = np.arange(num_nodes)
     edge_map = np.empty((num_edges, 2), dtype=np.int64)
-    for node in range(num_nodes):
-        edge_map[2 * node] = (node, (node + 1) % num_nodes)
-        edge_map[2 * node + 1] = (node, (node - 1) % num_nodes)
+    edge_map[0::2, 0] = edge_map[1::2, 0] = node
+    edge_map[0::2, 1] = (node + 1) % num_nodes
+    edge_map[1::2, 1] = (node - 1) % num_nodes
     ppedge = op_decl_map(edges, nodes, 2, edge_map, "ppedge")
 
     p_A = op_decl_dat(edges, 1, "double", rng.uniform(0.1, 0.5, (num_edges, 1)), "p_A")

@@ -17,7 +17,8 @@ The four runtime optimisation techniques of the paper map to submodules:
    prefetching iterator inside ``for_each`` (Figs. 13-14).
 
 All four combine in the shared loop-lowering pipeline
-(:mod:`repro.core.pipeline`, stage artifacts in :mod:`repro.core.stages`):
+(:mod:`repro.core.pipeline`, schedule policies in :mod:`repro.core.policies`,
+stage artifacts in :mod:`repro.core.stages`):
 every backend context lowers loops through the same plan → analyze →
 schedule → submit stages, parameterised only by a schedule policy and the
 configured engine's capabilities -- behind the grain gate
@@ -33,11 +34,10 @@ from repro.core.executor import HPXContext, hpx_context
 from repro.core.futures_args import FutureArg, op_arg_dat_async
 from repro.core.interleaving import AccessRecord, DependencyTracker
 from repro.core.persistent_chunking import ChunkPlanner
-from repro.core.pipeline import (
+from repro.core.pipeline import LoopPipeline
+from repro.core.policies import (
     ColorForkJoinSchedulePolicy,
     DataflowSchedulePolicy,
-    EagerSerialSchedulePolicy,
-    LoopPipeline,
     SchedulePolicy,
 )
 from repro.core.prefetch_integration import build_prefetch_spec, make_loop_prefetcher
@@ -69,7 +69,6 @@ __all__ = [
     "SchedulePolicy",
     "DataflowSchedulePolicy",
     "ColorForkJoinSchedulePolicy",
-    "EagerSerialSchedulePolicy",
     "PIPELINE_STAGES",
     "ChunkRange",
     "LoweredLoop",

@@ -29,13 +29,13 @@ submit) under the :class:`~repro.core.pipeline.DataflowSchedulePolicy`.  The
 pipeline never branches on the engine's *name*: every behaviour difference --
 whether chunks are deferred onto the engine at all, whether the dependency
 tracker adds strict-commit edges, whether a loop writing a non-reduction
-global must fall back to eager parent execution inside a drained window,
+global must fall back to the inline route inside a drained window,
 which submission style is used -- derives from the engine's
 :class:`~repro.engines.EngineCapabilities`.  Registering a new engine via
 :func:`repro.engines.register_engine` therefore makes it available here with
 no changes to this module.
 
-The built-in engines: ``simulate`` models the DAG while loops run eagerly;
+The built-in engines: ``simulate`` models the DAG while loops run inline;
 ``threads`` runs chunks on a :class:`~repro.runtime.pool_executor.
 PoolExecutor` of OS workers with deterministic chunk-order merges;
 ``processes`` runs them on worker processes over shared-memory dats

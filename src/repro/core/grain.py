@@ -7,9 +7,9 @@ than :data:`GRAIN_THRESHOLD_SECONDS` costs more to chunk, track, submit and
 drain than to run, on every deferred engine (``docs/perf/pr-24.txt`` holds
 the mesh-size sweep the value was read from).
 
-A deferring context therefore starts :data:`INLINE`: each loop runs through
-the serial reference path on the submitting thread, nothing is lowered,
-tracked or submitted, and no engine is acquired.  The first loop whose
+A deferring context therefore starts :data:`INLINE`: each loop takes the
+pipeline's inline route (the whole set on the submitting thread), nothing is
+lowered, tracked or submitted, and no engine is acquired.  The first loop whose
 *measured* inline time reaches the threshold flips the context -- once, for
 the rest of its life -- to :data:`DEFERRED`, before that loop executes; from
 then on every loop takes the plan → analyze → schedule → submit path.  Two
@@ -19,9 +19,10 @@ invalidates the shards' copies), and since ``INLINE`` strictly precedes
 ``DEFERRED`` nothing is ever pending when a loop runs inline, so the gate
 never inserts a drain.
 
+The serial reference is the same gate *pinned* INLINE: it never asks.
+
 The measurement is the session's :class:`~repro.session.LoopCostTable`:
-every whole-set inline run (serial contexts, eager loops of non-deferred
-engines, the global-WRITE fallback, gate-inline loops) records the CPU time
+every run of the inline route, whatever its reason, records the CPU time
 of the executing thread under :func:`cost_key` -- CPU time, because a wall
 clock also counts waiting for the GIL or a core, and a wrongly "heavy" loop
 stays deferred (it is never measured inline again).  Sampling stops once a
@@ -37,16 +38,21 @@ module at every call); there is deliberately no configuration knob.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.stages import LoopRecord
     from repro.op2.par_loop import ParLoop
-    from repro.session import LoopCostTable
 
 __all__ = [
     "GRAIN_THRESHOLD_SECONDS",
     "INLINE",
     "DEFERRED",
+    "SERIAL",
+    "GATE",
+    "MODEL",
+    "GLOBAL_WRITE",
     "cost_key",
     "should_defer",
     "GrainGate",
@@ -57,6 +63,11 @@ GRAIN_THRESHOLD_SECONDS = 0.020
 
 INLINE = "inline"
 DEFERRED = "deferred"
+
+# why a loop took the inline route (``LoopRecord.reason``): the serial
+# reference, a gate still INLINE, an engine that defers nothing (the stages
+# ran for the modelled DAG), a WRITE/RW global the engine cannot host
+SERIAL, GATE, MODEL, GLOBAL_WRITE = "serial", "gate", "model", "global_write"
 
 
 def cost_key(loop: "ParLoop", prefer_vectorized: bool) -> tuple:
@@ -82,39 +93,48 @@ def should_defer(
 
 
 class GrainGate:
-    """One context's gate state: ``INLINE`` until a loop flips it, then ``DEFERRED``."""
+    """One context's gate state: ``INLINE`` until a loop flips it, then
+    ``DEFERRED``; a *pinned* gate (the serial reference) never flips."""
 
-    __slots__ = ("state", "flip_phase", "flip_loop", "inline_loops", "deferred_loops")
+    __slots__ = ("state", "reason", "flip_phase", "flip_loop")
 
-    def __init__(self) -> None:
+    def __init__(self, *, pinned: bool = False) -> None:
         self.state = INLINE
+        #: the inline reason of the loops the gate admits
+        self.reason = SERIAL if pinned else GATE
         #: phase and name of the loop that flipped the gate (None while INLINE)
         self.flip_phase: Optional[int] = None
         self.flip_loop: Optional[str] = None
-        self.inline_loops = 0
-        self.deferred_loops = 0
+
+    @property
+    def pinned(self) -> bool:
+        """The serial reference's gate, which never asks."""
+        return self.reason == SERIAL
 
     def admit_inline(
-        self, loop: "ParLoop", phase: int, costs: "LoopCostTable", prefer_vectorized: bool
+        self, loop: "ParLoop", phase: int, cost: Optional[tuple[float, int]]
     ) -> bool:
-        """Count the loop and say whether it runs inline (may flip the gate)."""
-        if self.state == INLINE:
-            if not should_defer(
-                loop, phase, costs.lookup(cost_key(loop, prefer_vectorized))
-            ):
-                self.inline_loops += 1
-                return True
-            self.state = DEFERRED
-            self.flip_phase, self.flip_loop = phase, loop.name
-        self.deferred_loops += 1
+        """Whether the loop runs inline, given its ``cost`` entry (may flip
+        the gate, before the loop runs)."""
+        if self.state != INLINE:
+            return False
+        if self.reason == SERIAL or not should_defer(loop, phase, cost):
+            return True
+        self.state = DEFERRED
+        self.flip_phase, self.flip_loop = phase, loop.name
         return False
 
-    def describe(self) -> dict[str, Any]:
-        """The ``details["grain"]`` entry of the backend report."""
+    def describe(self, records: Sequence["LoopRecord"]) -> dict[str, Any]:
+        """The ``details["grain"]`` entry of the backend report: the state,
+        the loops the gate kept inline and those that ran as tasks, and every
+        inline loop of the context by reason."""
+        by_reason = Counter(r.reason for r in records if r.submission == INLINE)
         return {
             "state": self.state,
-            "inline_loops": self.inline_loops,
-            "deferred_loops": self.deferred_loops,
+            "pinned": self.pinned,
+            "inline_loops": by_reason[self.reason],
+            "deferred_loops": sum(r.submission == DEFERRED for r in records),
+            "inline_by_reason": dict(by_reason),
             "flip_phase": self.flip_phase,
             "flip_loop": self.flip_loop,
             "threshold_seconds": GRAIN_THRESHOLD_SECONDS,

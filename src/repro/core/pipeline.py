@@ -1,61 +1,50 @@
 """The shared loop-lowering pipeline: plan → analyze → schedule → submit.
 
 Every execution context lowers ``op_par_loop`` invocations through one
-:class:`LoopPipeline`.  The pipeline owns the logic the three historical
-lowering paths (the HPX dataflow runner, the OpenMP colour fork/join, the
-serial reference) each re-implemented: chunking, dependency-tracker wiring,
-the global-WRITE parent-eager fallback, reduction drain points, engine
-lifecycle, wall-clock accounting and :class:`~repro.core.stages.LoopRecord` /
-report assembly.  What *differs* between the paths is expressed as a
-:class:`SchedulePolicy`:
-
-* :class:`DataflowSchedulePolicy` -- the paper's design: chunk-size policies
-  from :mod:`repro.runtime.chunking`, chunk-granular tracker edges, one merge
-  chain per loop, futures as loop results, DATAFLOW simulation.
-* :class:`ColorForkJoinSchedulePolicy` -- the OpenMP-style baseline:
-  lowering by colouring plan, no tracker (colours are the concurrency
-  structure), merge chains and barriers per colour, BARRIER simulation.
-  Colouring is *a schedule policy*, not a separate code path.
-* :class:`EagerSerialSchedulePolicy` -- the serial reference: one chunk,
-  eager execution, nothing simulated.
+:class:`LoopPipeline`.  The pipeline owns what the historical lowering paths
+(the HPX dataflow runner, the OpenMP colour fork/join, the serial reference)
+each re-implemented: chunking, dependency-tracker wiring, reduction drain
+points, engine lifecycle, wall-clock accounting and
+:class:`~repro.core.stages.LoopRecord` / report assembly.  What *differs*
+between them is a :class:`~repro.core.policies.SchedulePolicy`
+(:mod:`repro.core.policies`); the serial reference has none.
 
 Stages and artifacts (see :mod:`repro.core.stages`)::
 
     ParLoop --lower--> LoweredLoop --analyze--> AnalyzedLoop
             --schedule--> ChunkSchedule --submit--> SharedFuture | None
 
-In front of the stages sits the *grain gate* (:mod:`repro.core.grain`): a
-deferring dataflow context runs its loops inline -- serial reference path,
-no stages, no engine -- until the first loop whose measured inline time is
-worth tasks, and takes the staged path from that loop on.
+Every loop that runs whole in the parent takes one route, *inline*: the
+whole set on the submitting thread, timed into the session's ``loop_costs``
+until the loop shape settles, its result a ready future.  Its reasons
+(:mod:`repro.core.grain`): ``serial`` (the serial reference's gate is pinned
+INLINE) and ``gate`` (a deferring context's gate is still INLINE) skip the
+stages; ``model`` (an engine that defers nothing) runs them for the modelled
+DAG first; ``global_write`` (a WRITE/RW global the engine cannot host)
+drains and syncs the parent's dats first.
 
-Hook points
------------
 Each stage is observable: :meth:`LoopPipeline.add_observer` registers a
 callable receiving a :class:`~repro.core.stages.StageEvent` (the stage's
 artifact plus its wall-clock duration) synchronously after the stage
-completes.  This is the attachment point for autotuners (watch ``lower`` /
-``submit`` durations, adapt the chunk policy), prefetchers (the ``analyze``
-artifact enumerates every chunk's gather intervals) and future engines --
-none of which need to touch a context class.
+completes -- the attachment point for autotuners, prefetchers (the
+``analyze`` artifact enumerates every chunk's gather intervals) and future
+engines, none of which need to touch a context class.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional
 
 from repro.core import grain
 from repro.core.interleaving import DependencyTracker
 from repro.core.optimizer import OptimizationConfig
 from repro.core.persistent_chunking import ChunkPlanner
-from repro.core.prefetch_integration import build_prefetch_spec
+from repro.core.policies import ColorForkJoinSchedulePolicy, DataflowSchedulePolicy, SchedulePolicy
 from repro.core.stages import (
     PIPELINE_STAGES,
     AnalyzedChunk,
     AnalyzedLoop,
-    ChunkRange,
     ChunkSchedule,
     ChunkTaskSpec,
     LoopRecord,
@@ -64,40 +53,23 @@ from repro.core.stages import (
     StageEvent,
     StageObserver,
 )
-from repro.engines import (
-    EngineCapabilities,
-    ExecutionEngine,
-    RunConfig,
-    engine_capabilities,
-    make_engine,
-)
-from repro.errors import OP2BackendError, TranslatorError
-from repro.op2.access import AccessMode
+from repro.engines import ExecutionEngine, RunConfig, engine_capabilities, make_engine
+from repro.errors import OP2BackendError
 from repro.op2.context import BackendReport
 from repro.op2.dat import OpDat
 from repro.op2.par_loop import ParLoop
-from repro.op2.plan import op_plan_get
 from repro.runtime.future import HandleFuture, Promise, SharedFuture, make_ready_future
-from repro.session import Session
-from repro.sim.cost import ChunkCost, KernelCostModel, PrefetchSpec
+from repro.session import LoopCostTable, Session
+from repro.sim.cost import ChunkCost, KernelCostModel
 from repro.sim.machine import Machine
-from repro.sim.scheduler_sim import (
-    OmpSchedule,
-    ScheduleMode,
-    ScheduleResult,
-    TaskGraph,
-    simulate_schedule,
-)
+from repro.sim.scheduler_sim import ScheduleResult, TaskGraph
 
 __all__ = [
     "SchedulePolicy",
     "DataflowSchedulePolicy",
     "ColorForkJoinSchedulePolicy",
-    "EagerSerialSchedulePolicy",
     "LoopPipeline",
     "build_dataflow_pipeline",
-    "build_forkjoin_pipeline",
-    "build_serial_pipeline",
 ]
 
 
@@ -108,9 +80,8 @@ __all__ = [
 #: never measured inline again.
 _cpu_clock = time.thread_time
 
-#: kernel fingerprints whose lowering failure has already been warned about
-#: (process-wide: the fallback is per kernel *content*, not per pipeline)
-_lowering_warned: set[str] = set()
+#: a loop's cost sample: the session's table, the loop's key, its entry
+_Sample = tuple[LoopCostTable, tuple, Optional[tuple[float, int]]]
 
 
 def _global_buffer_ids(loop: ParLoop) -> tuple[int, ...]:
@@ -129,350 +100,6 @@ def _global_buffer_ids(loop: ParLoop) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Schedule policies
-# ---------------------------------------------------------------------------
-class SchedulePolicy:
-    """How a pipeline lowers, orders and times loops.
-
-    A policy contributes the *shape* of the run -- how iteration ranges are
-    chunked, which dependency edges exist, where merge chains break and
-    barriers sit, and how the accumulated task graph is simulated.  The
-    pipeline contributes everything else (engine negotiation, drain points,
-    the global-WRITE fallback, submission, records, reports), so all three
-    built-in policies -- and any future one -- share that machinery.
-    """
-
-    #: short policy name (reports, stage events)
-    name: str = "policy"
-    #: whether loops may defer onto a deferred-capable engine
-    defers: bool = True
-    #: whether the pipeline contributes timing tasks to a simulated graph
-    models_timing: bool = True
-    #: whether :meth:`LoopPipeline.run` returns the loop's output future
-    returns_future: bool = False
-    #: reported worker count is 1 regardless of the run config (serial)
-    single_worker: bool = False
-    #: whether modelled chunk costs include task-spawn overhead
-    spawn_overhead: bool = True
-    #: whether deferral waits for the grain gate (loops start inline)
-    grain_gated: bool = False
-    #: whether :meth:`execute_eager` is the whole-set serial reference run
-    #: (its wall time is then a sample of the loop's inline cost)
-    eager_is_whole_set: bool = True
-
-    def validate_capabilities(
-        self, engine_name: str, capabilities: EngineCapabilities
-    ) -> None:
-        """Reject engines the policy cannot host (default: accept all)."""
-
-    # -- lower -------------------------------------------------------------------
-    def lower(self, loop: ParLoop, phase: int, pipeline: "LoopPipeline") -> LoweredLoop:
-        """Split ``loop`` into chunk ranges; policies override."""
-        raise NotImplementedError
-
-    # -- analyze -----------------------------------------------------------------
-    def chunk_dependencies(
-        self, pipeline: "LoopPipeline", lowered: LoweredLoop, chunk: ChunkRange
-    ) -> list[int]:
-        """Simulated task ids the chunk waits for (default: none)."""
-        return []
-
-    def record_chunk(
-        self,
-        pipeline: "LoopPipeline",
-        lowered: LoweredLoop,
-        chunk: ChunkRange,
-        task_id: int,
-    ) -> None:
-        """Record a chunk in the dependency history (default: nothing)."""
-
-    def access_groups(
-        self, pipeline: "LoopPipeline", lowered: LoweredLoop, chunk: ChunkRange
-    ) -> Optional[list]:
-        """Per-(dat, access) interval summaries of the chunk (default: none)."""
-        return None
-
-    def prefetch_spec(self) -> Optional[PrefetchSpec]:
-        """Prefetcher configuration folded into chunk costs (default: off)."""
-        return None
-
-    def chunk_cost(
-        self, pipeline: "LoopPipeline", lowered: LoweredLoop, chunk: ChunkRange
-    ) -> ChunkCost:
-        """Modelled cost of one chunk task."""
-        assert pipeline.cost_model is not None
-        total = max(lowered.iterations, 1)
-        return pipeline.cost_model.chunk_cost(
-            lowered.profile,
-            chunk.size,
-            prefetch=self.prefetch_spec(),
-            chunk_index=chunk.index,
-            position=(chunk.start / total, chunk.stop / total),
-            spawn_overhead=self.spawn_overhead,
-        )
-
-    def sim_phase(self, lowered: LoweredLoop, chunk: ChunkRange) -> int:
-        """Simulated phase of a chunk's task (default: the loop's phase)."""
-        return lowered.phase
-
-    # -- schedule ----------------------------------------------------------------
-    def chain_start(self, lowered: LoweredLoop, position: int) -> bool:
-        """Whether the chunk at ``position`` opens a fresh merge chain."""
-        return position == 0
-
-    def barrier_after(self, lowered: LoweredLoop, position: int) -> bool:
-        """Whether the engine drains after the chunk at ``position``."""
-        return False
-
-    # -- submit ------------------------------------------------------------------
-    def execute_eager(
-        self, loop: ParLoop, lowered: LoweredLoop, prefer_vectorized: bool
-    ) -> None:
-        """Run the loop numerically in the parent (non-deferred path)."""
-        loop.execute_all(prefer_vectorized=prefer_vectorized)
-
-    # -- finish ------------------------------------------------------------------
-    def simulate(
-        self, task_graph: TaskGraph, machine: Machine, num_threads: int
-    ) -> Optional[ScheduleResult]:
-        """Simulate the accumulated task graph (default: nothing to simulate)."""
-        return None
-
-    def report_details(self, pipeline: "LoopPipeline") -> dict[str, Any]:
-        """Policy-specific entries of the backend report's ``details``."""
-        return {}
-
-
-class DataflowSchedulePolicy(SchedulePolicy):
-    """The paper's lowering: chunk policies + tracker edges + futures."""
-
-    name = "dataflow"
-    returns_future = True
-    grain_gated = True
-
-    def __init__(
-        self,
-        *,
-        tracker: DependencyTracker,
-        planner: ChunkPlanner,
-        optimization: OptimizationConfig,
-    ) -> None:
-        self.tracker = tracker
-        self.planner = planner
-        self.optimization = optimization
-        self._prefetch_spec: Optional[PrefetchSpec] = (
-            build_prefetch_spec(True, optimization.prefetch_distance_factor)
-            if optimization.prefetching
-            else None
-        )
-
-    def prefetch_spec(self) -> Optional[PrefetchSpec]:
-        return self._prefetch_spec
-
-    def lower(self, loop: ParLoop, phase: int, pipeline: "LoopPipeline") -> LoweredLoop:
-        profile = loop.kernel_profile()
-        sizes = self.planner.plan_chunks(
-            loop, profile=profile, prefetch=self._prefetch_spec
-        )
-        chunks: list[ChunkRange] = []
-        start = 0
-        for index, size in enumerate(sizes):
-            chunks.append(ChunkRange(index=index, start=start, stop=start + size))
-            start += size
-        return LoweredLoop(loop=loop, phase=phase, profile=profile, chunks=chunks)
-
-    def chunk_dependencies(
-        self, pipeline: "LoopPipeline", lowered: LoweredLoop, chunk: ChunkRange
-    ) -> list[int]:
-        return self.tracker.chunk_dependencies(
-            lowered.loop, chunk.start, chunk.stop, loop_seq=lowered.phase
-        )
-
-    def record_chunk(
-        self,
-        pipeline: "LoopPipeline",
-        lowered: LoweredLoop,
-        chunk: ChunkRange,
-        task_id: int,
-    ) -> None:
-        self.tracker.record_chunk(
-            lowered.loop, lowered.phase, chunk.start, chunk.stop, task_id
-        )
-
-    def access_groups(
-        self, pipeline: "LoopPipeline", lowered: LoweredLoop, chunk: ChunkRange
-    ) -> Optional[list]:
-        return self.tracker.access_groups(lowered.loop, chunk.start, chunk.stop)
-
-    def simulate(
-        self, task_graph: TaskGraph, machine: Machine, num_threads: int
-    ) -> Optional[ScheduleResult]:
-        mode = (
-            ScheduleMode.DATAFLOW
-            if self.optimization.async_tasking
-            else ScheduleMode.BARRIER
-        )
-        return simulate_schedule(task_graph, machine, num_threads, mode)
-
-    def report_details(self, pipeline: "LoopPipeline") -> dict[str, Any]:
-        details: dict[str, Any] = {
-            "config": self.optimization.describe(),
-            "chunking": "persistent_auto" if self.planner.is_persistent else "auto",
-            "total_chunks": pipeline.total_chunks(),
-            "total_dependencies": pipeline.total_dependencies(),
-            "dependency_mode": self.tracker.mode,
-            "dependency_edges_by_loop": pipeline.dependency_edges_by_loop(),
-            "tracked_dats": self.tracker.tracked_dats(),
-        }
-        # Engines without a shared address space hold dats in an arena of
-        # shared segments; surface its shape when one exists.
-        arena = getattr(pipeline.executor, "arena", None)
-        if arena is not None:
-            details["workers"] = pipeline.executor.num_workers
-            details["shared_dats"] = len(arena.dat_ids())
-        return details
-
-
-class ColorForkJoinSchedulePolicy(SchedulePolicy):
-    """OpenMP-style lowering: colouring plan, per-colour fork/join barriers.
-
-    Blocks of one colour never write the same indirect element, so their
-    compute parts run concurrently; each colour's merges are chained in block
-    order (results identical to sequential colour-by-colour execution) and
-    the drain closing each colour is the implicit OpenMP barrier.  Every
-    colour is its own simulated fork/join phase, later timed in ``BARRIER``
-    mode -- colouring is a *schedule policy* here, not a separate code path.
-    """
-
-    name = "color-fork-join"
-    spawn_overhead = False
-    eager_is_whole_set = False
-
-    def __init__(
-        self,
-        *,
-        block_size: int = 256,
-        omp_schedule: Union[OmpSchedule, str] = OmpSchedule.STATIC,
-    ) -> None:
-        self.block_size = block_size
-        self.omp_schedule = (
-            OmpSchedule(omp_schedule) if isinstance(omp_schedule, str) else omp_schedule
-        )
-        self._next_phase = 0
-        self._phase_base = 0
-
-    def validate_capabilities(
-        self, engine_name: str, capabilities: EngineCapabilities
-    ) -> None:
-        # The fork/join baseline negotiates by capability, not by engine
-        # name: its defining property is the shared-address-space barrier
-        # per loop, and it hands the engine block *closures* -- so engines
-        # whose workers live in other address spaces, or that only accept
-        # by-name kernel dispatch, can never host it.
-        if capabilities.shared_address_space and not capabilities.needs_kernel_registry:
-            return
-        reasons = []
-        if not capabilities.shared_address_space:
-            reasons.append("shared_address_space=False")
-        if capabilities.needs_kernel_registry:
-            reasons.append("needs_kernel_registry=True")
-        raise OP2BackendError(
-            f"engine {engine_name!r} is not usable by the OpenMP "
-            f"baseline: the fork/join design needs a shared address space "
-            f"and closure submission (the engine advertises "
-            f"{', '.join(reasons)})"
-        )
-
-    def lower(self, loop: ParLoop, phase: int, pipeline: "LoopPipeline") -> LoweredLoop:
-        plan = op_plan_get(loop.name, loop.iterset, self.block_size, loop.args)
-        if plan.ncolors > 1:
-            color_blocks: list[Sequence[int]] = [
-                plan.blocks_of_color(c) for c in range(plan.ncolors)
-            ]
-        else:
-            color_blocks = [list(range(plan.nblocks))]
-        chunks: list[ChunkRange] = []
-        for color, blocks in enumerate(color_blocks):
-            for block in blocks:
-                start, stop = plan.block_range(int(block))
-                chunks.append(
-                    ChunkRange(index=int(block), start=start, stop=stop, color=color)
-                )
-        # Every colour is its own simulated fork/join phase.
-        self._phase_base = self._next_phase
-        self._next_phase += len(color_blocks)
-        return LoweredLoop(
-            loop=loop,
-            phase=phase,
-            profile=loop.kernel_profile(),
-            chunks=chunks,
-            num_colors=len(color_blocks),
-        )
-
-    def sim_phase(self, lowered: LoweredLoop, chunk: ChunkRange) -> int:
-        return self._phase_base + chunk.color
-
-    def chain_start(self, lowered: LoweredLoop, position: int) -> bool:
-        return (
-            position == 0
-            or lowered.chunks[position].color != lowered.chunks[position - 1].color
-        )
-
-    def barrier_after(self, lowered: LoweredLoop, position: int) -> bool:
-        # The implicit barrier closing the parallel region of each colour.
-        return (
-            position == len(lowered.chunks) - 1
-            or lowered.chunks[position + 1].color != lowered.chunks[position].color
-        )
-
-    def execute_eager(
-        self, loop: ParLoop, lowered: LoweredLoop, prefer_vectorized: bool
-    ) -> None:
-        # Colour-by-colour block execution is what makes indirect increments
-        # race-free in the real OpenMP code; honour the same order here.
-        for chunk in lowered.chunks:
-            loop.execute_block(
-                chunk.start, chunk.stop, prefer_vectorized=prefer_vectorized
-            )
-        loop._mark_outputs_modified()
-
-    def simulate(
-        self, task_graph: TaskGraph, machine: Machine, num_threads: int
-    ) -> Optional[ScheduleResult]:
-        return simulate_schedule(
-            task_graph,
-            machine,
-            num_threads,
-            ScheduleMode.BARRIER,
-            omp_schedule=self.omp_schedule,
-        )
-
-    def report_details(self, pipeline: "LoopPipeline") -> dict[str, Any]:
-        return {
-            "block_size": self.block_size,
-            "omp_schedule": self.omp_schedule.value,
-            "loops": [record.name for record in pipeline.records],
-        }
-
-
-class EagerSerialSchedulePolicy(SchedulePolicy):
-    """The serial reference: one chunk, eager execution, nothing simulated."""
-
-    name = "serial"
-    defers = False
-    models_timing = False
-    single_worker = True
-
-    def lower(self, loop: ParLoop, phase: int, pipeline: "LoopPipeline") -> LoweredLoop:
-        size = loop.iterset.size
-        chunks = [ChunkRange(index=0, start=0, stop=size)] if size else []
-        return LoweredLoop(loop=loop, phase=phase, profile=None, chunks=chunks)
-
-    def report_details(self, pipeline: "LoopPipeline") -> dict[str, Any]:
-        return {"loops": [record.name for record in pipeline.records]}
-
-
-# ---------------------------------------------------------------------------
 # The pipeline
 # ---------------------------------------------------------------------------
 class LoopPipeline:
@@ -481,16 +108,17 @@ class LoopPipeline:
     One pipeline instance backs one execution context; all shared lowering
     logic lives here, parameterised by a :class:`SchedulePolicy` and the
     :class:`~repro.engines.EngineCapabilities` of the configured engine.
+    ``policy=None`` is the serial reference: one worker, no futures, nothing
+    modelled, and every loop on the inline route.
     """
 
     def __init__(
         self,
         *,
         run_config: RunConfig,
-        policy: SchedulePolicy,
+        policy: Optional[SchedulePolicy],
         machine: Optional[Machine] = None,
         cost_model: Optional[KernelCostModel] = None,
-        task_graph: Optional[TaskGraph] = None,
         prefer_vectorized: Optional[bool] = None,
         session: Optional[Session] = None,
     ) -> None:
@@ -504,15 +132,14 @@ class LoopPipeline:
         #: gives unknown engine names the uniform registry error at
         #: construction time, before any work is accepted
         self.capabilities = engine_capabilities(run_config.engine)
-        policy.validate_capabilities(run_config.engine, self.capabilities)
+        if policy is not None:
+            policy.validate_capabilities(run_config.engine, self.capabilities)
         self.policy = policy
         self.machine = machine
-        if cost_model is None and machine is not None and policy.models_timing:
+        if cost_model is None and machine is not None and policy is not None:
             cost_model = KernelCostModel(machine)
         self.cost_model = cost_model
-        if task_graph is None and policy.models_timing:
-            task_graph = TaskGraph()
-        self.task_graph = task_graph
+        self.task_graph = TaskGraph() if policy is not None else None
         self.num_threads = run_config.num_threads
         self.prefer_vectorized = (
             run_config.prefer_vectorized
@@ -530,12 +157,14 @@ class LoopPipeline:
         self._executor: Optional[ExecutionEngine] = None
         self._schedule_result: Optional[ScheduleResult] = None
         self._observers: list[tuple[StageObserver, Optional[frozenset[str]]]] = []
-        #: grain gate of a deferring context (``None``: every loop is staged)
-        self.grain: Optional[grain.GrainGate] = (
-            grain.GrainGate()
-            if policy.grain_gated and policy.defers and self.capabilities.deferred
-            else None
-        )
+        #: grain gate: pinned INLINE for the serial reference, real for a
+        #: deferring dataflow context, ``None`` (every loop staged) otherwise
+        self.grain: Optional[grain.GrainGate] = None
+        if policy is None:
+            self.grain = grain.GrainGate(pinned=True)
+        elif policy.grain_gated and self.capabilities.deferred:
+            self.grain = grain.GrainGate()
+        self._returns_future = policy is not None and policy.returns_future
         #: ids of the global buffers loops submitted since the last drain use
         #: (globals are invisible to the tracker; a reduction into one of
         #: them must wait for those loops)
@@ -590,22 +219,32 @@ class LoopPipeline:
 
     # -- main entry point --------------------------------------------------------
     def run(self, loop: ParLoop) -> Optional[SharedFuture[OpDat]]:
-        """Lower one loop through all four stages; returns its output future
-        (``None`` under policies that do not produce futures)."""
+        """Run one loop: inline while the grain gate says so, else through
+        all four stages; returns its output future (``None`` without a
+        policy that produces futures)."""
         if self._wall_start is None:
             self._wall_start = time.perf_counter()
         phase = self.loop_count
-        if self.grain is not None and self.grain.admit_inline(
-            loop, phase, self._owner_session().loop_costs, self.prefer_vectorized
-        ):
-            result = self._run_inline(loop, phase)
+        gate = self.grain
+        sample = None
+        if gate is not None and gate.state == grain.INLINE:
+            sample = self._cost_sample(loop)
+        if sample is not None and gate.admit_inline(loop, phase, sample[2]):  # type: ignore[union-attr]
+            self._run_inline(loop, sample)
+            self.records.append(
+                LoopRecord(loop.name, phase, loop.iterset.size, [], [], 0,
+                           submission=grain.INLINE, reason=gate.reason)  # type: ignore[union-attr]
+            )
+            result = self._ready_result(loop)
         else:
             result = self._run_staged(loop, phase)
         self.loop_count += 1
         return result
 
     def _run_staged(self, loop: ParLoop, phase: int) -> Optional[SharedFuture[OpDat]]:
-        lowered = self._staged("lower", loop, phase, lambda: self.policy.lower(loop, phase, self))
+        assert self.policy is not None
+        policy = self.policy
+        lowered = self._staged("lower", loop, phase, lambda: policy.lower(loop, phase, self))
         analyzed = self._staged("analyze", loop, phase, lambda: self._analyze(lowered))
         schedule = self._staged("schedule", loop, phase, lambda: self._schedule(analyzed))
         result = self._staged("submit", loop, phase, lambda: self._submit(schedule))
@@ -618,54 +257,39 @@ class LoopPipeline:
                 task_ids=analyzed.task_ids,
                 dependency_count=analyzed.dependency_count,
                 submission=schedule.submission,
+                reason=schedule.reason,
             )
         )
         self._schedule_result = None  # invalidate any previous simulation
         return result
 
-    # -- the grain gate's inline path ----------------------------------------------
-    def _owner_session(self) -> Session:
-        return self.session if self.session is not None else Session.current()
-
-    def _run_sampled(self, loop: ParLoop, execute: Callable[[], None]) -> None:
-        """Run a whole-set inline execution, timing it while the session's
-        cost table still wants samples of this loop (a settled loop pays one
-        dictionary lookup, not two clock reads and a locked update)."""
-        costs = self._owner_session().loop_costs
+    # -- the inline route ----------------------------------------------------------
+    def _cost_sample(self, loop: ParLoop) -> _Sample:
+        """The cost table, ``loop``'s key in it and its entry: one lookup
+        serves the gate's decision and the sampling."""
+        costs = (self.session if self.session is not None else Session.current()).loop_costs
         key = grain.cost_key(loop, self.prefer_vectorized)
-        if not costs.wants(key):
-            execute()
+        return costs, key, costs.lookup(key)
+
+    def _run_inline(self, loop: ParLoop, sample: _Sample) -> None:
+        """The whole set on this thread, timed while the session's cost table
+        still wants samples of it (a settled loop pays the one lookup).
+
+        Nothing of this pipeline is pending when a loop runs inline -- the
+        gate's ``INLINE`` precedes any deferral, the other reasons drain or
+        never defer -- so its effects are complete when this returns.
+        """
+        costs, key, cost = sample
+        if cost is not None and cost[1] >= costs.SETTLED_SAMPLES:
+            loop.execute_all(prefer_vectorized=self.prefer_vectorized)
             return
         started = _cpu_clock()
-        execute()
+        loop.execute_all(prefer_vectorized=self.prefer_vectorized)
         costs.record(key, _cpu_clock() - started)
-
-    def _run_inline(self, loop: ParLoop, phase: int) -> Optional[SharedFuture[OpDat]]:
-        """Gate-inline loop: the serial reference path on the submitting thread.
-
-        Nothing is pending while the gate is ``INLINE`` (it never reopens), so
-        the loop needs no drain, no tracker record and no engine; its effects
-        are complete when this returns and the future is ready.
-        """
-        self._run_sampled(
-            loop, lambda: loop.execute_all(prefer_vectorized=self.prefer_vectorized)
-        )
-        self.records.append(
-            LoopRecord(
-                name=loop.name,
-                phase=phase,
-                iterations=loop.iterset.size,
-                chunk_sizes=[],
-                task_ids=[],
-                dependency_count=0,
-                submission="inline",
-            )
-        )
-        return self._ready_result(loop)
 
     def _ready_result(self, loop: ParLoop) -> Optional[SharedFuture[OpDat]]:
         """What a loop that already ran to completion in the parent returns."""
-        if not self.policy.returns_future:
+        if not self._returns_future:
             return None
         return make_ready_future(loop.output_dat()).share()  # type: ignore[arg-type]
 
@@ -711,20 +335,17 @@ class LoopPipeline:
     # -- stage 3: schedule -------------------------------------------------------
     def _schedule(self, analyzed: AnalyzedLoop) -> ChunkSchedule:
         """Derive the submission plan purely from the engine's capabilities."""
+        assert self.policy is not None
         loop = analyzed.loop
         capabilities = self.capabilities
-        deferred = capabilities.deferred and self.policy.defers
+        deferred = capabilities.deferred
         has_reduction = loop.has_global_reduction
-        has_global_write = any(
-            arg.is_global and arg.access in (AccessMode.WRITE, AccessMode.RW)
-            for arg in loop.args
-        )
         # The engine cannot host a kernel with a WRITE/RW global (its workers
-        # never observe the parent's live value): the loop then runs eagerly
+        # never observe the parent's live value): the loop then runs inline
         # in the parent inside a drained window; its dats are already shared,
         # so workers see its effects.
         parent_fallback = (
-            deferred and has_global_write and not capabilities.supports_global_write
+            deferred and loop.has_global_write and not capabilities.supports_global_write
         )
         # Globals are invisible to the dependency tracker, so a reduction is
         # a synchronisation point: the application reads the target right
@@ -739,14 +360,19 @@ class LoopPipeline:
         )
         reduction = ReductionPlan(
             has_global_reduction=has_reduction,
-            has_global_write=has_global_write,
             drain_before=deferred and (global_clash or parent_fallback),
             drain_after=deferred and has_reduction and not parent_fallback,
-            parent_eager=not deferred or parent_fallback,
             global_buffers=global_buffers,
         )
+        if deferred and not parent_fallback:
+            submission, reason = "deferred", None
+        else:
+            submission = self.policy.parent_submission
+            reason = None
+            if submission == grain.INLINE:
+                reason = grain.GLOBAL_WRITE if parent_fallback else grain.MODEL
         tasks: list[ChunkTaskSpec] = []
-        if not reduction.parent_eager:
+        if submission == "deferred":
             lowered = analyzed.lowered
             for position, chunk in enumerate(analyzed.chunks):
                 tasks.append(
@@ -764,42 +390,45 @@ class LoopPipeline:
             analyzed=analyzed,
             tasks=tasks,
             reduction=reduction,
-            submission="eager" if reduction.parent_eager else "deferred",
+            submission=submission,
+            reason=reason,
         )
 
     # -- stage 4: submit ---------------------------------------------------------
     def _submit(self, schedule: ChunkSchedule) -> Optional[SharedFuture[OpDat]]:
-        """Run the schedule: engine tasks, or eagerly in the (drained) parent."""
+        """Run the schedule: engine tasks, or in the (drained) parent."""
         loop = schedule.loop
         capabilities = self.capabilities
         engine: Optional[ExecutionEngine] = None
-        if capabilities.deferred and self.policy.defers:
+        if capabilities.deferred:
             engine = self._ensure_engine()
         if schedule.reduction.drain_before:
             assert engine is not None
             self._drain(engine)
 
-        if schedule.submission == "eager":
+        if schedule.submission != "deferred":
             if engine is not None and capabilities.partitioned_dats:
-                # The eager loop runs on the parent's home views; a
-                # partitioned engine must land every worker-fresh run there
-                # first (the preceding drain only completed the tasks).
+                # The loop runs on the parent's home views; a partitioned
+                # engine must land every worker-fresh run there first (the
+                # preceding drain only completed the tasks).
                 engine.sync_parent_dats()
-            lowered = schedule.analyzed.lowered
-
-            def execute() -> None:
-                self.policy.execute_eager(loop, lowered, self.prefer_vectorized)
-
-            if self.policy.eager_is_whole_set:
-                self._run_sampled(loop, execute)
+            if schedule.submission == grain.INLINE:
+                self._run_inline(loop, self._cost_sample(loop))
             else:
-                execute()
+                assert self.policy is not None
+                self.policy.execute_eager(
+                    loop, schedule.analyzed.lowered, self.prefer_vectorized
+                )
             return self._ready_result(loop)
 
         assert engine is not None
         slab_artifact = None
         if capabilities.compiled_kernels and not capabilities.needs_kernel_registry:
-            slab_artifact = self._resolve_slab(loop)
+            from repro.translator.slab import resolve_slab
+
+            slab_artifact = resolve_slab(
+                loop, self.session if self.session is not None else Session.current()
+            )
         last_merge_id: Optional[int] = None
         for spec in schedule.tasks:
             if spec.chain_start:
@@ -831,7 +460,7 @@ class LoopPipeline:
         self._globals_in_flight.update(schedule.reduction.global_buffers)
         if schedule.reduction.drain_after:
             self._drain(engine)
-        if not self.policy.returns_future:
+        if not self._returns_future:
             return None
         return self._deferred_future(loop.output_dat(), last_merge_id)
 
@@ -855,41 +484,6 @@ class LoopPipeline:
             return loop.prepare_block(start, stop, prefer_vectorized=prefer_vectorized)
 
         return prepare
-
-    def _resolve_slab(self, loop: ParLoop) -> Any:
-        """The loop's compiled slab artifact, or ``None`` for the interpreted path.
-
-        Loops with a non-reduction global write stay interpreted silently --
-        privatising them is semantically impossible (the kernel must observe
-        prior iterations), mirroring :meth:`ParLoop.prepare_block`.  Kernels
-        the translator cannot lower fall back with one warning per kernel
-        content; artifacts are cached on the owning session keyed on
-        ``(fingerprint, slab signature)``.
-        """
-        from repro.translator.slab import slab_signature
-
-        if any(
-            arg.is_global and arg.access in (AccessMode.WRITE, AccessMode.RW)
-            for arg in loop.args
-        ):
-            return None
-        kernel = loop.kernel
-        try:
-            signature = slab_signature(loop)
-            return self._owner_session().kernel_artifact(
-                (kernel.fingerprint, signature), lambda: kernel.lowered(signature)
-            )
-        except TranslatorError as exc:
-            fingerprint = kernel.fingerprint
-            if fingerprint not in _lowering_warned:
-                _lowering_warned.add(fingerprint)
-                warnings.warn(
-                    f"kernel {kernel.name!r} could not be lowered to a compiled "
-                    f"slab ({exc}); falling back to the interpreted path",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return None
 
     def _deferred_future(
         self, output: Optional[OpDat], last_merge_id: Optional[int]
@@ -996,7 +590,7 @@ class LoopPipeline:
         self._stop_clock()
         if self.task_graph is None or len(self.task_graph) == 0:
             return
-        assert self.machine is not None
+        assert self.machine is not None and self.policy is not None
         self._schedule_result = self.policy.simulate(
             self.task_graph, self.machine, self.num_threads
         )
@@ -1005,32 +599,6 @@ class LoopPipeline:
         if self._wall_start is not None:
             self.wall_seconds += time.perf_counter() - self._wall_start
             self._wall_start = None
-
-    # -- statistics --------------------------------------------------------------
-    @property
-    def schedule_result(self) -> Optional[ScheduleResult]:
-        """The simulated schedule of the run (``None`` before finish)."""
-        return self._schedule_result
-
-    def total_chunks(self) -> int:
-        """Total number of chunk tasks generated so far."""
-        return sum(record.num_chunks for record in self.records)
-
-    def total_dependencies(self) -> int:
-        """Total number of chunk-level dependency edges generated so far."""
-        return sum(record.dependency_count for record in self.records)
-
-    def dependency_edges_by_loop(self) -> dict[str, int]:
-        """Dependency-edge totals aggregated per loop name.
-
-        The per-loop breakdown is what the renumbered-mesh benchmarks report:
-        it shows exactly which loops the interval-set tracker relieves of
-        false edges relative to ``[min, max]`` mode.
-        """
-        edges: dict[str, int] = {}
-        for record in self.records:
-            edges[record.name] = edges.get(record.name, 0) + record.dependency_count
-        return edges
 
     # -- reporting ---------------------------------------------------------------
     def build_report(self, backend_name: str) -> BackendReport:
@@ -1042,16 +610,19 @@ class LoopPipeline:
             "engine": self.run_config.engine,
             "engine_capabilities": self.capabilities.describe(),
         }
-        details.update(self.policy.report_details(self))
+        if self.policy is not None:
+            details.update(self.policy.report_details(self))
+        else:
+            details["loops"] = [record.name for record in self.records]
         if self.grain is not None:
-            details["grain"] = self.grain.describe()
+            details["grain"] = self.grain.describe(self.records)
         if self.session is not None:
             # Per-tenant observability: cache hit rates, live engine keys and
             # arena counts of the session this pipeline borrowed engines from.
             details["session"] = self.session.stats()
         return BackendReport(
             backend=backend_name,
-            num_threads=1 if self.policy.single_worker else self.num_threads,
+            num_threads=1 if self.policy is None else self.num_threads,
             loops_executed=self.loop_count,
             schedule=self._schedule_result,
             wall_seconds=self.wall_seconds,
@@ -1060,7 +631,7 @@ class LoopPipeline:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline factories (the contexts are thin adapters over these)
+# The dataflow context's pipeline (the contexts are thin adapters over these)
 # ---------------------------------------------------------------------------
 def build_dataflow_pipeline(
     run_config: RunConfig,
@@ -1098,32 +669,3 @@ def build_dataflow_pipeline(
         session=session,
     )
 
-
-def build_forkjoin_pipeline(
-    run_config: RunConfig,
-    machine: Machine,
-    *,
-    block_size: int = 256,
-    omp_schedule: Union[OmpSchedule, str] = OmpSchedule.STATIC,
-    session: Optional[Session] = None,
-) -> LoopPipeline:
-    """Pipeline for the OpenMP-style fork/join baseline context."""
-    policy = ColorForkJoinSchedulePolicy(block_size=block_size, omp_schedule=omp_schedule)
-    return LoopPipeline(
-        run_config=run_config, policy=policy, machine=machine, session=session
-    )
-
-
-def build_serial_pipeline(
-    run_config: RunConfig,
-    *,
-    prefer_vectorized: Optional[bool] = None,
-    session: Optional[Session] = None,
-) -> LoopPipeline:
-    """Pipeline for the serial reference context."""
-    return LoopPipeline(
-        run_config=run_config,
-        policy=EagerSerialSchedulePolicy(),
-        prefer_vectorized=prefer_vectorized,
-        session=session,
-    )

@@ -18,13 +18,14 @@ artifacts below:
 ``schedule``
     :class:`ChunkSchedule` -- engine-ready task specs
     (:class:`ChunkTaskSpec`) with merge-chain and barrier structure, plus the
-    :class:`ReductionPlan` describing global-reduction drain points and the
-    global-WRITE parent-eager fallback, all derived from the engine's
-    :class:`~repro.engines.EngineCapabilities`.
+    :class:`ReductionPlan` describing global-reduction drain points, and
+    the submission -- engine tasks, or the parent when the engine defers
+    nothing or cannot host a WRITE/RW global -- all derived from the
+    engine's :class:`~repro.engines.EngineCapabilities`.
 ``submit``
     the loop's :class:`~repro.runtime.future.SharedFuture` (dataflow policy)
-    or ``None`` (fork/join and serial policies), after the schedule ran on
-    the engine or eagerly in the parent.
+    or ``None`` (fork/join policy), after the schedule ran on the engine or
+    in the parent.
 
 The artifacts are plain dataclasses so observers (autotuners, prefetchers,
 tests) can inspect a stage's output without re-deriving it; every hook
@@ -182,17 +183,15 @@ class ReductionPlan:
     reduction drains *after* (the application reads the target as soon as
     ``op_par_loop`` returns) and drains *before* only when a loop submitted
     since the last drain uses the same global buffer (``global_buffers``
-    holds the identities compared) or for the fallback below.  ``parent_eager``
-    routes the whole loop around the engine: the engine's workers could not
-    observe the parent's live global value (``supports_global_write=False``),
-    so the loop executes eagerly inside the drained window.
+    holds the identities compared) or before a loop with a WRITE/RW global
+    the engine cannot host (``supports_global_write=False``): its workers
+    could not observe the parent's live value, so the loop runs inline
+    inside the drained window.
     """
 
     has_global_reduction: bool = False
-    has_global_write: bool = False
     drain_before: bool = False
     drain_after: bool = False
-    parent_eager: bool = False
     #: ``id`` of the array owning the memory of each global argument
     global_buffers: tuple[int, ...] = ()
 
@@ -204,8 +203,11 @@ class ChunkSchedule:
     analyzed: AnalyzedLoop
     tasks: list[ChunkTaskSpec]
     reduction: ReductionPlan
-    #: how the numerics run: "deferred" (engine tasks) or "eager" (parent)
+    #: how the numerics run: "deferred" (engine tasks), "inline" (the
+    #: pipeline's whole-set route) or "eager" (the policy's parent order)
     submission: str = "deferred"
+    #: why an "inline" loop is inline (:mod:`repro.core.grain` names them)
+    reason: Optional[str] = None
 
     @property
     def loop(self) -> "ParLoop":
@@ -223,11 +225,13 @@ class LoopRecord:
     chunk_sizes: list[int]
     task_ids: list[int]
     dependency_count: int
-    #: how the numerics ran: "deferred" (engine tasks), "eager" (the whole
-    #: pipeline, then the parent: non-deferred engines, the global-WRITE
-    #: fallback) or "inline" (the grain gate: serial reference path, no
-    #: stages, no chunks)
+    #: how the numerics ran: "deferred" (engine tasks), "inline" (the whole
+    #: set on the submitting thread) or "eager" (the fork/join policy's
+    #: colour-by-colour parent execution on an engine that defers nothing)
     submission: str = "deferred"
+    #: why an "inline" loop took the route: "serial", "gate" (both without
+    #: stages or chunks), "model" or "global_write"
+    reason: Optional[str] = None
 
     @property
     def num_chunks(self) -> int:

@@ -63,7 +63,7 @@ class EngineCapabilities:
     * ``supports_global_write``: loops writing a non-reduction global
       (``OP_WRITE``/``OP_RW`` on ``op_arg_gbl``) can execute on the engine.
       When ``False`` the context drains the engine and runs such loops
-      eagerly in the parent, which owns the live global value.
+      inline in the parent, which owns the live global value.
     * ``strict_commit_order``: chunk effects commit asynchronously, so the
       dependency tracker must add the strict-commit edges (program-order
       increment accumulation, reader ordering against displaced writer

@@ -32,7 +32,10 @@ class ArgKind(enum.Enum):
 class OpArg:
     """A fully validated loop argument."""
 
-    __slots__ = ("kind", "dat", "map", "map_index", "dim", "type_name", "access", "gbl_data")
+    __slots__ = (
+        "kind", "dat", "map", "map_index", "dim", "type_name", "access", "gbl_data",
+        "is_global", "is_direct", "is_indirect",
+    )
 
     def __init__(
         self,
@@ -53,22 +56,16 @@ class OpArg:
         self.map = map_
         self.map_index = map_index
         self.gbl_data = gbl_data
-
-    # -- classification -----------------------------------------------------------
-    @property
-    def is_global(self) -> bool:
-        """True for ``op_arg_gbl`` arguments."""
-        return self.kind is ArgKind.GBL
-
-    @property
-    def is_direct(self) -> bool:
-        """True for dat arguments accessed through the identity map."""
-        return self.kind is ArgKind.DAT and isinstance(self.map, IdentityMap)
-
-    @property
-    def is_indirect(self) -> bool:
-        """True for dat arguments accessed through a real map."""
-        return self.kind is ArgKind.DAT and isinstance(self.map, OpMap)
+        # Classification, once: every loop execution asks, and nothing
+        # reassigns an argument's kind or map.
+        #: True for ``op_arg_gbl`` arguments
+        self.is_global = kind is ArgKind.GBL
+        #: True for dat arguments accessed through the identity map (a singleton)
+        self.is_direct = kind is ArgKind.DAT and map_ is OP_ID
+        #: True for dat arguments accessed through a real map
+        self.is_indirect = (
+            kind is ArgKind.DAT and not self.is_direct and isinstance(map_, OpMap)
+        )
 
     # -- helpers -------------------------------------------------------------------
     @property
@@ -123,14 +120,15 @@ def op_arg_dat(
     eagerly, so the argument is built *without blocking* (the dependency DAG
     orders the actual data accesses); any other future is awaited here.
     """
-    if hasattr(dat, "get") and hasattr(dat, "is_ready") and not isinstance(dat, OpDat):
-        handle = getattr(dat, "handle", None)
-        if isinstance(handle, OpDat):
-            dat = handle  # declared against the handle; the DAG orders the data
-        else:
-            dat = dat.get()  # a plain Future/SharedFuture of an OpDat
     if not isinstance(dat, OpDat):
-        raise OP2AccessError(f"op_arg_dat needs an OpDat, got {dat!r}")
+        if hasattr(dat, "get") and hasattr(dat, "is_ready"):
+            handle = getattr(dat, "handle", None)
+            if isinstance(handle, OpDat):
+                dat = handle  # declared against the handle; the DAG orders the data
+            else:
+                dat = dat.get()  # a plain Future/SharedFuture of an OpDat
+        if not isinstance(dat, OpDat):
+            raise OP2AccessError(f"op_arg_dat needs an OpDat, got {dat!r}")
     if not isinstance(access, AccessMode):
         raise OP2AccessError(f"invalid access mode {access!r}")
     if access in (AccessMode.MIN, AccessMode.MAX):
@@ -145,7 +143,7 @@ def op_arg_dat(
             f"declared type {type_name!r} does not match dat {dat.name!r} dtype "
             f"{dat.dtype.name}"
         )
-    if isinstance(map_, IdentityMap):
+    if map_ is OP_ID:
         if idx != -1:
             raise OP2AccessError("direct arguments (OP_ID) must use idx == -1")
     elif isinstance(map_, OpMap):
@@ -153,7 +151,7 @@ def op_arg_dat(
             raise OP2AccessError(
                 f"map index {idx} outside [0, {map_.dim}) for map {map_.name!r}"
             )
-        if map_.to_set != dat.dataset:
+        if map_.to_set is not dat.dataset and map_.to_set != dat.dataset:
             raise OP2AccessError(
                 f"map {map_.name!r} targets set {map_.to_set.name!r} but dat "
                 f"{dat.name!r} lives on {dat.dataset.name!r}"

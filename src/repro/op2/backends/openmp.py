@@ -9,7 +9,7 @@ to synchronize before exiting the loop".
 
 The context is a thin adapter over the shared
 :class:`~repro.core.pipeline.LoopPipeline`: colouring is expressed as the
-:class:`~repro.core.pipeline.ColorForkJoinSchedulePolicy`, *a schedule
+:class:`~repro.core.policies.ColorForkJoinSchedulePolicy`, *a schedule
 policy*, not a separate lowering path.  The policy lowers each loop via the
 colouring plan, executes blocks colour by colour (what makes indirect
 increments race-free in the real OpenMP code), contributes one simulated
@@ -32,7 +32,8 @@ from __future__ import annotations
 from typing import Any, Optional, Union
 
 from repro.config import DEFAULTS
-from repro.core.pipeline import build_forkjoin_pipeline
+from repro.core.pipeline import LoopPipeline
+from repro.core.policies import ColorForkJoinSchedulePolicy
 from repro.engines import ExecutionEngine, RunConfig, resolve_run_config
 from repro.errors import OP2BackendError
 from repro.op2.context import BackendReport, ExecutionContext, register_backend
@@ -88,11 +89,10 @@ class OpenMPContext(ExecutionContext):
             machine = Machine(machine)
         self.machine = machine
         self.num_threads = run_config.num_threads
-        self.pipeline = build_forkjoin_pipeline(
-            run_config,
-            machine,
-            block_size=block_size,
-            omp_schedule=omp_schedule,
+        self.pipeline = LoopPipeline(
+            run_config=run_config,
+            policy=ColorForkJoinSchedulePolicy(block_size=block_size, omp_schedule=omp_schedule),
+            machine=machine,
             session=self.session,
         )
 

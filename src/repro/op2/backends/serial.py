@@ -5,22 +5,20 @@ iteration set.  It is the ground truth the parallel backends are compared
 against in the correctness tests, and the default context when no other
 context is active.
 
-The context is a thin adapter over the shared
-:class:`~repro.core.pipeline.LoopPipeline` under the
-:class:`~repro.core.pipeline.EagerSerialSchedulePolicy` (one chunk, eager
-parent execution, nothing simulated).  It accepts the same typed
-:class:`~repro.engines.RunConfig` as the parallel contexts
-(``serial_context(config=...)``) so harnesses can hand one config object to
-every backend; only ``prefer_vectorized`` is meaningful here, but the engine
-name is still resolved through the registry, giving a mistyped engine the
-same uniform unknown-engine error everywhere.
+The context is the shared :class:`~repro.core.pipeline.LoopPipeline` with
+no schedule policy: its grain gate is pinned INLINE, so every loop takes the
+inline route (reason ``serial``) -- nothing lowered, analyzed, scheduled or
+simulated, no stage event fired.  ``config=`` takes the same
+:class:`~repro.engines.RunConfig` as the parallel contexts; only
+``prefer_vectorized`` matters, but a mistyped engine name still gets the
+registry's uniform error.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.core.pipeline import build_serial_pipeline
+from repro.core.pipeline import LoopPipeline
 from repro.engines import RunConfig
 from repro.errors import OP2BackendError
 from repro.op2.context import BackendReport, ExecutionContext, register_backend
@@ -47,8 +45,9 @@ class SerialContext(ExecutionContext):
             raise OP2BackendError(
                 f"config must be a RunConfig, got {type(config).__name__}"
             )
-        self.pipeline = build_serial_pipeline(
-            config if config is not None else RunConfig(),
+        self.pipeline = LoopPipeline(
+            run_config=config if config is not None else RunConfig(),
+            policy=None,
             prefer_vectorized=prefer_vectorized,
             session=self.session,
         )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, TYPE_CHECKING
 
 from repro.errors import OP2BackendError
-from repro.session import Session
+from repro.session import Session, _active_sessions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.op2.par_loop import ParLoop
@@ -185,12 +185,13 @@ def get_active_context() -> ExecutionContext:
     session -- each session's stack is thread-local, so only contexts this
     thread entered are ever visible.
     """
-    from repro.session import _active_sessions
-
-    for session in (*reversed(_active_sessions.stack), Session.default()):
+    for session in reversed(_active_sessions.stack):
         context = session.active_context()
         if context is not None:
             return context
+    context = Session.default().active_context()
+    if context is not None:
+        return context
     # Import here to avoid a circular import at module load time.
     from repro.op2.backends.serial import SerialContext
 
@@ -206,8 +207,6 @@ def drain_active_context() -> None:
     most importantly :meth:`~repro.op2.map.OpMap.set_values`, whose new
     connectivity must not be visible to loops submitted before it.
     """
-    from repro.session import _active_sessions
-
     for session in (*reversed(_active_sessions.stack), Session.default()):
         context = session.active_context()
         if context is not None:

@@ -72,7 +72,6 @@ __all__ = [
     "gather_rows",
     "kernel_scratch",
     "occurrence_ranks",
-    "reduction_neutral",
     "stage_scatter_add",
 ]
 
@@ -266,7 +265,7 @@ os.register_at_fork(after_in_child=_reset_after_fork)
 
 def gather_rows(data: np.ndarray, index: np.ndarray) -> np.ndarray:
     """A fresh ``(len(index), ...)`` copy of ``data``'s rows at ``index``."""
-    return np.take(data, index, axis=0)
+    return data.take(index, axis=0)
 
 
 def occurrence_ranks(index: np.ndarray) -> Optional[np.ndarray]:
@@ -377,14 +376,13 @@ def stage_scatter_add(
     return partial(_scatter_add_rounds, data, index, buffer, ranks_of())
 
 
-def reduction_neutral(arg: OpArg) -> np.ndarray:
-    """A private buffer holding the neutral element of a global reduction."""
-    assert arg.gbl_data is not None
-    if arg.access is AccessMode.MIN:
-        return np.full_like(arg.gbl_data, np.inf)
-    if arg.access is AccessMode.MAX:
-        return np.full_like(arg.gbl_data, -np.inf)
-    return np.zeros_like(arg.gbl_data)
+def _neutral(access: AccessMode, like: np.ndarray) -> np.ndarray:
+    """A buffer shaped like ``like`` holding the neutral element of ``access``."""
+    if access is AccessMode.INC:
+        return np.zeros(like.shape, like.dtype)
+    buffer = np.empty(like.shape, like.dtype)
+    buffer.fill(np.inf if access is AccessMode.MIN else -np.inf)
+    return buffer
 
 
 def _fold_reduction(access: AccessMode, target: np.ndarray, buffer: np.ndarray) -> None:
@@ -415,11 +413,6 @@ def _commit(commits: list[Callable[[], None]], pooled: list[np.ndarray]) -> None
         pooled.clear()
 
 
-#: what a declared argument shows one sub-block: ``view(lo, hi, scratch)``,
-#: ``scratch`` being ``None`` below :data:`SCRATCH_MIN_ROWS` rows
-_View = Callable[[int, int, Optional[_Scratch]], np.ndarray]
-
-
 class BlockStage:
     """Private staging of the indirect and global arguments of one block.
 
@@ -439,6 +432,11 @@ class BlockStage:
     the chunk.  Either way the commit is the whole chunk's, argument by
     argument in row order.
 
+    A chunk of fewer than :data:`SCRATCH_MIN_ROWS` rows is *eager*: it uses
+    no scratch, so its READ gathers are made as they are declared and its
+    one sub-block gets the declared views as they are -- every chunk of a
+    light request.
+
     Lifetimes: a gathered READ view and ``_idx`` live until the block form
     returns (the next sub-block reuses their scratch); staging lives until
     its commit.
@@ -447,11 +445,17 @@ class BlockStage:
     def __init__(self, start: int, stop: int) -> None:
         self.start = start
         self.stop = stop
+        #: views are built as declared: the chunk needs no scratch
+        self.eager = stop - start < SCRATCH_MIN_ROWS
         self._commits: list[Callable[[], None]] = []
         #: staging buffers the committer returns to the free-list
         self._pooled: list[np.ndarray] = []
-        #: per declared argument: the view of global rows ``[lo, hi)``
-        self._views: list[_View] = []
+        #: per declared argument: the array of the chunk's rows a sub-block
+        #: slices, a global's array, or ``(data, column)``: a gather made per
+        #: sub-block
+        self._views: list = []
+        #: positions of live globals in ``_views``
+        self._live: list[int] = []
         #: (position in ``_views``, access, chunk buffer) per global reduction
         self._reductions: list[tuple[int, AccessMode, np.ndarray]] = []
 
@@ -462,29 +466,23 @@ class BlockStage:
 
     def live(self, arg: OpArg) -> None:
         """Global READ/WRITE/RW: every sub-block sees the live global array."""
-        array = arg.gbl_data
-        assert array is not None
-        self._views.append(lambda lo, hi, scratch: array)
+        assert arg.gbl_data is not None
+        self._live.append(len(self._views))
+        self._views.append(arg.gbl_data)
 
     def direct(self, arg: OpArg) -> None:
         """Direct dat, any access: the ``dat.data[lo:hi]`` view."""
         assert arg.dat is not None
-        data = arg.dat.data
-        self._views.append(lambda lo, hi, scratch: data[lo:hi])
+        self._views.append(arg.dat.data[self.start : self.stop])
 
     def gathered(self, arg: OpArg) -> None:
         """Indirect READ: a gathered ``(rows, dim)`` copy, made per sub-block."""
         assert arg.dat is not None and arg.map is not None
         data, column = arg.dat.data, arg.map.values[:, arg.map_index]  # type: ignore[union-attr]
-        key = ("gathered", len(self._views))
-
-        def view(lo: int, hi: int, scratch: Optional[_Scratch]) -> np.ndarray:
-            if scratch is None:
-                return gather_rows(data, column[lo:hi])
-            out = scratch.buffer(key, (hi - lo, *data.shape[1:]), data.dtype)
-            return _take_rows(scratch, data, column[lo:hi], out)
-
-        self._views.append(view)
+        if self.eager:
+            self._views.append(gather_rows(data, column[self.start : self.stop]))
+        else:
+            self._views.append((data, column))
 
     def private(self, arg: OpArg) -> np.ndarray:
         """Indirect INC/WRITE/RW: the whole-chunk buffer the kernel works on.
@@ -519,8 +517,7 @@ class BlockStage:
             self._commits.append(partial(operator.setitem, data, index, buffer))
         if pooled:
             self._pooled.append(buffer)
-        start = self.start
-        self._views.append(lambda lo, hi, scratch: buffer[lo - start : hi - start])
+        self._views.append(buffer)
         return buffer
 
     def reduction(self, arg: OpArg) -> np.ndarray:
@@ -532,14 +529,34 @@ class BlockStage:
         that is the whole chunk works on the chunk's buffer itself.
         """
         assert arg.gbl_data is not None
-        buffer = reduction_neutral(arg)
+        buffer = _neutral(arg.access, arg.gbl_data)
         self._commits.append(partial(_fold_reduction, arg.access, arg.gbl_data, buffer))
         self._reductions.append((len(self._views), arg.access, buffer))
-        chunk = (self.start, self.stop)
-        self._views.append(
-            lambda lo, hi, scratch: buffer if (lo, hi) == chunk else reduction_neutral(arg)
-        )
+        self._views.append(buffer)
         return buffer
+
+    def _sub_block_views(self, lo: int, hi: int, scratch: Optional[_Scratch]) -> list:
+        """The views of rows ``[lo, hi)``: slices of the chunk's rows, gathers
+        made now (into ``scratch`` unless it is ``None``), globals whole, and
+        neutral reduction buffers unless the rows are the whole chunk."""
+        first, last = lo - self.start, hi - self.start
+        views = []
+        for position, view in enumerate(self._views):
+            if type(view) is not tuple:
+                view = view[first:last]
+            elif scratch is None:
+                view = gather_rows(view[0], view[1][lo:hi])
+            else:
+                data, column = view
+                out = scratch.buffer(("gathered", position), (hi - lo, *data.shape[1:]), data.dtype)
+                view = _take_rows(scratch, data, column[lo:hi], out)
+            views.append(view)
+        for position in self._live:
+            views[position] = self._views[position]
+        whole = (lo, hi) == (self.start, self.stop)
+        for position, access, buffer in self._reductions:
+            views[position] = buffer if whole else _neutral(access, buffer)
+        return views
 
     def sub_blocks(self) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
         """``(_idx, views)`` per sub-block: as few as hold at most
@@ -553,10 +570,15 @@ class BlockStage:
         that scratch small: a 19 040-row chunk is two of 9 520 rows, not
         16 384 and a 2 656-row tail.
         """
+        chunk = (self.start, self.stop)
         for lo, hi in _equal_pieces(self.start, self.stop, COMPUTE_BLOCK_ROWS):
-            scratch = _thread_scratch() if hi - lo >= SCRATCH_MIN_ROWS else None
-            views = [view(lo, hi, scratch) for view in self._views]
-            yield (np.arange(lo, hi) if scratch is None else scratch.arange(lo, hi)), views
+            if self.eager and (lo, hi) == chunk:  # as declared
+                views, idx = self._views, np.arange(lo, hi)
+            else:
+                scratch = _thread_scratch() if hi - lo >= SCRATCH_MIN_ROWS else None
+                views = self._sub_block_views(lo, hi, scratch)  # gathers before _idx
+                idx = np.arange(lo, hi) if scratch is None else scratch.arange(lo, hi)
+            yield idx, views
             for position, access, buffer in self._reductions:
                 if views[position] is not buffer:
                     _fold_reduction(access, buffer, views[position])

@@ -18,6 +18,7 @@ import numpy as np
 from repro.errors import OP2AccessError, OP2Error
 from repro.op2.access import AccessMode
 from repro.op2.args import OpArg
+from repro.op2.context import get_active_context
 from repro.op2.dat import OpDat
 from repro.op2.datapath import BlockStage
 from repro.op2.kernel import Kernel
@@ -25,6 +26,13 @@ from repro.op2.set import OpSet
 from repro.sim.cost import KernelProfile
 
 __all__ = ["ParLoop", "op_par_loop"]
+
+#: the global accesses a block stages as a reduction
+_REDUCTIONS = (AccessMode.INC, AccessMode.MIN, AccessMode.MAX)
+#: the accesses that modify their data (``AccessMode.writes``)
+_WRITES = (AccessMode.WRITE, AccessMode.RW, *_REDUCTIONS)
+#: the accesses that assign their data
+_ASSIGNS = (AccessMode.WRITE, AccessMode.RW)
 
 
 class ParLoop:
@@ -41,28 +49,43 @@ class ParLoop:
         self.name = name or kernel.name
         self.iterset = iterset
         self.args = tuple(args)
-        self._validate()
+        # The arguments are an immutable tuple: validate and classify them
+        # once, here, instead of on every execution.
+        written: list[OpDat] = []
+        assigned: list[OpArg] = []
+        #: some global argument is written (a reduction target)
+        self.has_global_reduction = False
+        #: some global argument is WRITE/RW: its kernel must observe prior
+        #: iterations, so the loop's blocks cannot be privatised
+        self.has_global_write = False
+        for position, arg in enumerate(self.args):
+            access = arg.access
+            if arg.is_global:
+                self.has_global_reduction |= access in _WRITES
+                self.has_global_write |= access in _ASSIGNS
+                continue
+            if (arg.dat.dataset if arg.is_direct else arg.map.from_set) is not iterset:  # type: ignore[union-attr]
+                self._validate(position, arg)
+            if access in _WRITES:
+                written.append(arg.dat)  # type: ignore[arg-type]
+                if arg.is_indirect and access in _ASSIGNS:
+                    assigned.append(arg)
+        self._written = tuple(written)
+        #: indirect WRITE/RW arguments, whose duplicate targets serialise a block
+        self._assigned_scatters = tuple(assigned)
 
     # -- validation -------------------------------------------------------------
-    def _validate(self) -> None:
-        for position, arg in enumerate(self.args):
-            if arg.is_direct:
-                assert arg.dat is not None
-                if arg.dat.dataset != self.iterset:
-                    raise OP2AccessError(
-                        f"loop {self.name!r} arg {position}: direct dat "
-                        f"{arg.dat.name!r} lives on {arg.dat.dataset.name!r}, "
-                        f"not on the iteration set {self.iterset.name!r}"
-                    )
-            elif arg.is_indirect:
-                assert arg.map is not None
-                if arg.map.from_set != self.iterset:  # type: ignore[union-attr]
-                    raise OP2AccessError(
-                        f"loop {self.name!r} arg {position}: map "
-                        f"{arg.map.name!r} starts at "  # type: ignore[union-attr]
-                        f"{arg.map.from_set.name!r}, not at the iteration set "  # type: ignore[union-attr]
-                        f"{self.iterset.name!r}"
-                    )
+    def _validate(self, position: int, arg: OpArg) -> None:
+        """Reject a dat argument whose set is not the iteration set object's equal."""
+        if arg.is_direct:
+            found, what, where = arg.dat.dataset, f"direct dat {arg.dat.name!r} lives", "on"  # type: ignore[union-attr]
+        else:
+            found, what, where = arg.map.from_set, f"map {arg.map.name!r} starts", "at"  # type: ignore[union-attr]
+        if found != self.iterset:
+            raise OP2AccessError(
+                f"loop {self.name!r} arg {position}: {what} {where} {found.name!r}, "
+                f"not {where} the iteration set {self.iterset.name!r}"
+            )
 
     # -- classification ------------------------------------------------------------
     @property
@@ -78,18 +101,9 @@ class ParLoop:
             for arg in self.args
         )
 
-    @property
-    def has_global_reduction(self) -> bool:
-        """True when some global argument is a reduction target."""
-        return any(arg.is_global and arg.access.writes for arg in self.args)
-
-    def dats_read(self) -> list[OpDat]:
-        """Dats whose previous values the loop observes."""
-        return [arg.dat for arg in self.args if arg.dat is not None and arg.access.reads]
-
     def dats_written(self) -> list[OpDat]:
         """Dats the loop modifies."""
-        return [arg.dat for arg in self.args if arg.dat is not None and arg.access.writes]
+        return list(self._written)
 
     # -- cost model -------------------------------------------------------------------
     def kernel_profile(self) -> KernelProfile:
@@ -134,15 +148,15 @@ class ParLoop:
         if start == stop:
             return
         if self._use_vectorized(start, stop, prefer_vectorized):
-            self._execute_block_vectorized(start, stop)
+            self._prepare_vectorized(start, stop)()
         else:
             self._execute_block_elemental(start, stop)
 
     def _use_vectorized(self, start: int, stop: int, prefer_vectorized: bool) -> bool:
         return (
             prefer_vectorized
-            and self.kernel.has_vectorized
-            and not self._scatter_conflicts(start, stop)
+            and self.kernel.vectorized is not None
+            and not (self._assigned_scatters and self._scatter_conflicts(start, stop))
         )
 
     def _scatter_conflicts(self, start: int, stop: int) -> bool:
@@ -158,11 +172,9 @@ class ParLoop:
         connectivity) -- time-stepping loops re-ask for the same blocks every
         iteration.
         """
-        for arg in self.args:
-            if arg.is_indirect and arg.access in (AccessMode.WRITE, AccessMode.RW):
-                assert arg.map is not None
-                if arg.map.scatter_ranks(arg.map_index, start, stop) is not None:  # type: ignore[union-attr]
-                    return True
+        for arg in self._assigned_scatters:
+            if arg.map.scatter_ranks(arg.map_index, start, stop) is not None:  # type: ignore[union-attr]
+                return True
         return False
 
     # elemental path ------------------------------------------------------------------
@@ -185,10 +197,6 @@ class ParLoop:
         return arg.dat.data[target]
 
     # vectorised path ------------------------------------------------------------------
-    def _execute_block_vectorized(self, start: int, stop: int) -> None:
-        """Gather/scatter wrapper around the kernel's NumPy block form."""
-        self._prepare_vectorized(start, stop)()
-
     def _prepare_vectorized(self, start: int, stop: int) -> Callable[[], None]:
         """Run the block form into private buffers; return the merge closure.
 
@@ -224,7 +232,7 @@ class ParLoop:
         stage = BlockStage(start, stop)
         for arg in self.args:
             if arg.is_global:
-                if arg.access.is_reduction:
+                if arg.access in _REDUCTIONS:
                     stage.reduction(arg)
                 else:  # READ / WRITE / RW observe (and mutate) the live value
                     stage.live(arg)
@@ -262,23 +270,19 @@ class ParLoop:
         """
         if start == stop:
             return lambda: None
-        serialized = not self._use_vectorized(start, stop, prefer_vectorized) or any(
-            arg.is_global and arg.access in (AccessMode.WRITE, AccessMode.RW)
-            for arg in self.args
-        )
-        if serialized:
+        if not self._use_vectorized(start, stop, prefer_vectorized) or self.has_global_write:
             return lambda: self.execute_block(
                 start, stop, prefer_vectorized=prefer_vectorized
             )
         return self._prepare_vectorized(start, stop)
 
     def execute_all(self, *, prefer_vectorized: bool = True) -> None:
-        """Execute the full iteration range (used by the serial backend)."""
+        """Execute the full iteration range (the pipeline's inline route)."""
         self.execute_block(0, self.iterset.size, prefer_vectorized=prefer_vectorized)
         self._mark_outputs_modified()
 
     def _mark_outputs_modified(self) -> None:
-        for dat in self.dats_written():
+        for dat in self._written:
             dat.bump_version()
 
     def output_dat(self) -> Optional[OpDat]:
@@ -287,8 +291,7 @@ class ParLoop:
         The paper's redesigned ``op_par_loop`` returns this dat as a future
         (Fig. 9: ``p_qold = op_par_loop_save_soln(...)``).
         """
-        written = self.dats_written()
-        return written[-1] if written else None
+        return self._written[-1] if self._written else None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -304,7 +307,4 @@ def op_par_loop(kernel: Kernel, name: str, iterset: OpSet, *args: OpArg) -> Any:
     OpenMP-style contexts, a shared future of the output dat for the
     HPX-style context.
     """
-    from repro.op2.context import get_active_context
-
-    loop = ParLoop(kernel, name, iterset, list(args))
-    return get_active_context().execute(loop)
+    return get_active_context().execute(ParLoop(kernel, name, iterset, args))

@@ -38,6 +38,12 @@ T = TypeVar("T")
 _UNSET = object()
 
 
+#: the primitives every ready state shares (see :meth:`_SharedState.ready`)
+_READY_LOCK = threading.Lock()
+_READY_EVENT = threading.Event()
+_READY_EVENT.set()
+
+
 class _SharedState(Generic[T]):
     """State shared between a promise and the future(s) observing it."""
 
@@ -49,6 +55,21 @@ class _SharedState(Generic[T]):
         self._value: Any = _UNSET
         self._exception: Optional[BaseException] = None
         self._callbacks: list[Callable[[], None]] = []
+
+    @classmethod
+    def ready(
+        cls, value: Any = _UNSET, exception: Optional[BaseException] = None
+    ) -> "_SharedState[Any]":
+        """A state satisfied from birth, sharing one pre-set event and lock
+        with every other: nothing waits on it or changes it (``set_value``
+        raises, callbacks run inline)."""
+        state = cls.__new__(cls)
+        state._lock = _READY_LOCK
+        state._event = _READY_EVENT
+        state._value = value
+        state._exception = exception
+        state._callbacks = []
+        return state
 
     # -- producer side -------------------------------------------------------
     def set_value(self, value: T) -> None:
@@ -302,16 +323,14 @@ AnyFuture = (Future, SharedFuture)
 
 def make_ready_future(value: T) -> Future[T]:
     """A future that is already satisfied with ``value``."""
-    promise: Promise[T] = Promise()
-    promise.set_value(value)
-    return promise.get_future()
+    return Future(_SharedState.ready(value))
 
 
 def make_exceptional_future(exception: BaseException) -> Future[Any]:
     """A future that is already satisfied with an exception."""
-    promise: Promise[Any] = Promise()
-    promise.set_exception(exception)
-    return promise.get_future()
+    if not isinstance(exception, BaseException):
+        raise TypeError(f"expected an exception instance, got {exception!r}")
+    return Future(_SharedState.ready(exception=exception))
 
 
 def when_all(*futures: "Future | SharedFuture | Iterable") -> Future[list]:

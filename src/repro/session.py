@@ -185,17 +185,12 @@ class LoopCostTable:
     on the serial path of every context of the session.
     """
 
-    #: samples after which :meth:`wants` stops asking for more
+    #: samples after which the inline route stops timing the loop
     SETTLED_SAMPLES = 8
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: dict[tuple, tuple[float, int]] = {}
-
-    def wants(self, key: tuple) -> bool:
-        """Whether another sample of ``key`` is worth timing the loop for."""
-        entry = self._entries.get(key)
-        return entry is None or entry[1] < self.SETTLED_SAMPLES
 
     def record(self, key: tuple, seconds: float) -> None:
         """Fold one measured execution into the entry of ``key``."""

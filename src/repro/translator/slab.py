@@ -33,12 +33,13 @@ loops to a slab, mirroring :meth:`ParLoop.prepare_block`'s serialisation.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
-from repro.errors import TranslatorLoweringError
+from repro.errors import TranslatorError, TranslatorLoweringError
 from repro.op2.access import AccessMode
 from repro.op2.datapath import BlockStage
 from repro.translator.analysis import KernelAccessAnalysis, analyse_kernel
@@ -46,6 +47,7 @@ from repro.translator.ir import KernelIR
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.op2.par_loop import ParLoop
+    from repro.session import Session
 
 __all__ = [
     "SlabArg",
@@ -54,6 +56,7 @@ __all__ = [
     "emit_slab_module",
     "build_slab",
     "make_slab_prepare",
+    "resolve_slab",
 ]
 
 #: access-mode names a slab can privatise per argument kind
@@ -261,6 +264,42 @@ def build_slab(
 # ---------------------------------------------------------------------------
 # Runtime binding
 # ---------------------------------------------------------------------------
+def resolve_slab(loop: "ParLoop", session: "Session") -> Optional["KernelArtifact"]:
+    """The loop's compiled slab artifact, or ``None`` for the interpreted path.
+
+    Loops with a non-reduction global write stay interpreted silently --
+    privatising them is semantically impossible (the kernel must observe
+    prior iterations), mirroring :meth:`ParLoop.prepare_block`.  Kernels
+    the translator cannot lower fall back with one warning per kernel
+    content; artifacts are cached on ``session`` keyed on
+    ``(fingerprint, slab signature)``.
+    """
+    if loop.has_global_write:
+        return None
+    kernel = loop.kernel
+    try:
+        signature = slab_signature(loop)
+        return session.kernel_artifact(
+            (kernel.fingerprint, signature), lambda: kernel.lowered(signature)
+        )
+    except TranslatorError as exc:
+        fingerprint = kernel.fingerprint
+        if fingerprint not in _lowering_warned:
+            _lowering_warned.add(fingerprint)
+            warnings.warn(
+                f"kernel {kernel.name!r} could not be lowered to a compiled "
+                f"slab ({exc}); falling back to the interpreted path",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return None
+
+
+#: kernel fingerprints whose lowering failure has already been warned about
+#: (process-wide: the fallback is per kernel *content*, not per pipeline)
+_lowering_warned: set[str] = set()
+
+
 def make_slab_prepare(
     loop: "ParLoop", artifact: KernelArtifact, start: int, stop: int
 ) -> Callable[[], None]:

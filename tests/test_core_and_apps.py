@@ -268,6 +268,19 @@ class TestAirfoilMesh:
         assert int((mesh.bound == 1).sum()) == 2 * 8
 
 
+class TestJacobiRing:
+    @pytest.mark.parametrize("num_nodes", [3, 4, 300, 1000])
+    def test_edge_map_equals_the_loop_form(self, num_nodes):
+        """Edge 2n runs node n -> n + 1, edge 2n + 1 runs n -> n - 1 (mod N)."""
+        expected = np.empty((2 * num_nodes, 2), dtype=np.int64)
+        for node in range(num_nodes):
+            expected[2 * node] = (node, (node + 1) % num_nodes)
+            expected[2 * node + 1] = (node, (node - 1) % num_nodes)
+        problem = build_ring_problem(num_nodes)
+        assert problem.ppedge.values.dtype == expected.dtype
+        assert np.array_equal(problem.ppedge.values, expected)
+
+
 class TestAirfoilKernels:
     """The block forms are generated from the elemental source
     (:func:`repro.translator.blockform.block_form`): dats agree bit for bit."""

@@ -300,7 +300,7 @@ class TestCapabilityNegotiation:
 
     def test_global_write_capability_forces_parent_eager_path(self):
         """supports_global_write=False must route WRITE-global loops around
-        the engine: the loop executes eagerly in the drained parent and the
+        the engine: the loop runs inline in the drained parent and the
         engine sees none of its chunks."""
 
         class NoGlobalWriteEngine(ToyInlineEngine):

@@ -130,12 +130,20 @@ class TestSmallChainsStayInline:
 
     def test_ungated_contexts_report_no_gate(self):
         for context in (
-            serial_context(),
             openmp_context(engine="threads", num_threads=2),
             hpx_context(engine="simulate", num_threads=2),
         ):
             assert context.pipeline.grain is None
             assert "grain" not in context.report().details
+        # the serial reference is the gate pinned INLINE: it never asks
+        clear_plan_cache()
+        context = serial_context()
+        with active_context(context):
+            run_jacobi(build_ring_problem(num_nodes=64), iterations=2)
+        gate = context.report().details["grain"]
+        assert gate["pinned"] and gate["state"] == grain.INLINE
+        assert (gate["inline_loops"], gate["deferred_loops"]) == (4, 0)
+        assert gate["inline_by_reason"] == {grain.SERIAL: 4}
         # the fork/join baseline keeps paying per-loop engine overhead
         clear_plan_cache()
         context = openmp_context(engine="threads", num_threads=2)
@@ -296,11 +304,9 @@ class TestFlip:
             settled = session.loop_costs.SETTLED_SAMPLES
             problem = build_ring_problem(num_nodes=64)
             key = (RES_KERNEL.fingerprint, problem.edges.size, True)
-            assert session.loop_costs.wants(key)
             with active_context(serial_context()):
                 run_jacobi(problem, iterations=settled - 1)
             assert session.loop_costs.lookup(key)[1] == settled - 1
-            assert session.loop_costs.wants(key)
             for factory in (
                 serial_context,
                 lambda: hpx_context(engine="threads", num_threads=2),
@@ -308,7 +314,6 @@ class TestFlip:
                 with active_context(factory()):
                     run_jacobi(problem, iterations=3)
                 assert session.loop_costs.lookup(key)[1] == settled
-                assert not session.loop_costs.wants(key)
 
 
 # ---------------------------------------------------------------------------
@@ -395,5 +400,5 @@ class TestBenchSmokeRoundReachesEveryEngine:
                 assert tasks == [0] * conf["steps"]
             else:
                 assert all(t > 0 for t in tasks), (chain.target, tasks)
-                assert chain.ctx.pipeline.grain.inline_loops == 0
+                assert all(r.submission == "deferred" for r in chain.ctx.pipeline.records)
         assert _shm_segments() == segments

@@ -7,7 +7,8 @@ Three groups:
   context), so observers and future tools can rely on their shape.
 * **Pipeline behaviour** -- the stage observers fire in pipeline order with
   the right artifact types, the schedule stage derives drain points and the
-  parent-eager fallback purely from engine capabilities, and all three
+  parent fallback purely from engine capabilities, the serial reference runs
+  every loop through the inline route without stages, and all three
   backend contexts expose their pipeline.
 * **Differential parity** -- every *registered* engine produces the same
   numbers as the serial reference on Jacobi (bit-identical) and Airfoil
@@ -26,7 +27,6 @@ from repro.apps.jacobi import build_ring_problem, run_jacobi
 from repro.core.pipeline import (
     ColorForkJoinSchedulePolicy,
     DataflowSchedulePolicy,
-    EagerSerialSchedulePolicy,
     LoopPipeline,
 )
 from repro.core.stages import (
@@ -104,7 +104,6 @@ class TestStageArtifacts:
     def test_reduction_plan_defaults(self):
         plan = ReductionPlan()
         assert not plan.drain_before and not plan.drain_after
-        assert not plan.parent_eager
 
     def test_chunk_schedule_loop_view(self):
         lowered = LoweredLoop(loop="LOOP", phase=0, profile=None, chunks=[])  # type: ignore[arg-type]
@@ -165,6 +164,14 @@ class TestPipelineHooks:
     def test_observer_sees_all_stages_in_order(self, factory):
         context = factory()
         _, events = _run_jacobi_with_observer(context)
+        if factory is serial_context:
+            # gate pinned INLINE: no loop is lowered, so no stage fires
+            assert events == []
+            records = context.pipeline.records
+            assert len(records) == 6
+            assert {(r.submission, r.reason) for r in records} == {("inline", "serial")}
+            assert all(r.chunk_sizes == [] for r in records)
+            return
         assert events, "observer must fire"
         assert len(events) % len(PIPELINE_STAGES) == 0
         for i in range(0, len(events), 4):
@@ -229,8 +236,8 @@ class TestPipelineHooks:
     def test_schedule_stage_derives_drains_from_capabilities(self):
         """Global reductions drain *after* (the application reads the target)
         but not before when no in-flight loop uses their global; the simulate
-        engine (not deferred) routes everything through the parent-eager
-        path."""
+        engine (not deferred) schedules every loop onto the inline route with
+        reason ``model``, keeping its chunks for the modelled DAG."""
         deferred_ctx = hpx_context(num_threads=2, engine="threads")
         eager_ctx = hpx_context(num_threads=2, engine="simulate")
         for context, expect_deferred in ((deferred_ctx, True), (eager_ctx, False)):
@@ -251,8 +258,14 @@ class TestPipelineHooks:
                 assert all(not s.reduction.drain_before for s in schedules)
                 assert all(s.tasks for s in schedules)
             else:
-                assert all(s.submission == "eager" for s in schedules)
-                assert all(not s.tasks for s in schedules)
+                assert all(
+                    (s.submission, s.reason) == ("inline", "model") for s in schedules
+                )
+                assert all(not s.tasks and s.analyzed.chunks for s in schedules)
+                assert all(not s.reduction.drain_after for s in schedules)
+                records = context.pipeline.records
+                assert {(r.submission, r.reason) for r in records} == {("inline", "model")}
+                assert context.report().details["total_chunks"] > 0
 
     @pytest.mark.parametrize("owner", ["session", "private"])
     def test_chunk_ids_are_forgotten_at_every_drain(self, owner):
@@ -311,8 +324,11 @@ class TestPipelineHooks:
     def test_policies_exposed_by_contexts(self):
         assert isinstance(hpx_context().pipeline.policy, DataflowSchedulePolicy)
         assert isinstance(openmp_context().pipeline.policy, ColorForkJoinSchedulePolicy)
-        assert isinstance(serial_context().pipeline.policy, EagerSerialSchedulePolicy)
-        assert isinstance(serial_context().pipeline, LoopPipeline)
+        # the serial reference has no schedule policy: its gate is pinned INLINE
+        serial = serial_context().pipeline
+        assert isinstance(serial, LoopPipeline)
+        assert serial.policy is None and serial.grain.pinned
+        assert serial.grain.state == "inline" and serial.task_graph is None
 
     def test_serial_report_is_single_worker(self):
         context = serial_context()
