@@ -1,4 +1,4 @@
-"""Ablation: chunk-granular vs loop-granular dependency edges (DESIGN.md #1).
+"""Ablation: chunk-granular vs loop-granular dependency edges.
 
 The paper's interleaving relies on *chunk-level* futures: a consumer chunk
 waits only for the producer chunks whose elements it actually reads.  This

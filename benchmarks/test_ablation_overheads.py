@@ -1,4 +1,4 @@
-"""Ablation: sensitivity to barrier and task-spawn overheads (DESIGN.md #3).
+"""Ablation: sensitivity to barrier and task-spawn overheads.
 
 The cost-model calibration lives in one place (``repro.sim.machine``); this
 benchmark varies the two scheduling overheads that differentiate the OpenMP

@@ -4,9 +4,9 @@
 Two parts:
 
 1. the *real* prefetching iterator of the runtime
-   (``make_prefetcher_context`` used inside ``for_each``, exactly as in
-   Fig. 14), run against a line-granular cache model so the hit/miss and
-   prefetch-accuracy numbers are observable; and
+   (``make_prefetcher_context``, walked chunk by chunk as the range of
+   Fig. 14's ``for_each``), run against a line-granular cache model so the
+   hit/miss and prefetch-accuracy numbers are observable; and
 2. the Airfoil-level sweep over ``prefetch_distance_factor`` on the machine
    model, which reproduces the non-monotone curve of Fig. 20 with its optimum
    around a distance of 15.
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.bench.figures import figure20_prefetch_distance
 from repro.bench.harness import AirfoilWorkload
-from repro.runtime import for_each, make_prefetcher_context, par
+from repro.runtime import make_prefetcher_context
 from repro.sim.cache import CacheConfig, CacheModel
 
 
@@ -36,7 +36,9 @@ def runtime_prefetcher_demo() -> None:
         cache = CacheModel(CacheConfig(capacity_bytes=16 * 1024, line_bytes=64))
         ctx = make_prefetcher_context(0, n, distance, container_1, container_2, container_3,
                                       cache=cache)
-        for_each(par, ctx, lambda i: container_3.__setitem__(i, container_1[i] + container_2[i]))
+        for start in range(0, n, 512):
+            for i in ctx.chunk(start, min(start + 512, n)):
+                container_3[i] = container_1[i] + container_2[i]
         stats = cache.stats
         print(
             f"  distance={distance:4d}  miss rate={stats.miss_rate:5.1%}  "

@@ -3,9 +3,9 @@ Runtime Asynchronous Techniques" (Khatami, Kaiser, Ramanujam, IPPS 2017).
 
 The package contains every system the paper builds on or contributes:
 
-* :mod:`repro.runtime` -- an HPX-like asynchronous runtime (futures,
-  dataflow, LCOs, execution policies, chunk-size policies, parallel
-  ``for_each`` and the prefetching iterator);
+* :mod:`repro.runtime` -- the asynchronous substrate the engines run on
+  (futures, the chunk-task pool and worker processes, execution and
+  chunk-size policies, the prefetching iterator);
 * :mod:`repro.op2` -- the OP2 active library (sets, maps, dats, access
   descriptors, execution plans with colouring, ``op_par_loop``) with serial,
   OpenMP-style and HPX-style backends;
@@ -18,7 +18,7 @@ The package contains every system the paper builds on or contributes:
 * :mod:`repro.translator` -- the source-to-source translator emitting either
   OpenMP-style or HPX-style wrapper modules;
 * :mod:`repro.sim` -- the discrete-event machine model used to time the
-  experiments (see DESIGN.md for the substitution rationale);
+  experiments;
 * :mod:`repro.apps` -- the Airfoil CFD application used in the paper's
   evaluation plus two further example applications;
 * :mod:`repro.bench` -- the harness regenerating every figure and table of

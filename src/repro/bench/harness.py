@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.config import DEFAULTS
-from repro.engines import RunConfig, available_engines, resolve_legacy_execution
+from repro.engines import RunConfig, available_engines
 from repro.errors import BenchmarkError
 from repro.apps.airfoil import generate_mesh, renumber_mesh, run_airfoil
 from repro.apps.airfoil.mesh import AirfoilMesh
@@ -96,14 +96,6 @@ class ExperimentConfig:
     workload: AirfoilWorkload = field(default_factory=AirfoilWorkload)
     renumbering: Optional[str] = None  # "shuffle" / "reverse" / "rcm" mesh renumbering
     renumber_seed: int = 0
-    #: deprecated alias of ``engine`` (normalised away in __post_init__)
-    execution: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.execution is not None:
-            engine = resolve_legacy_execution(self.execution, stacklevel=4)
-            object.__setattr__(self, "engine", engine)
-            object.__setattr__(self, "execution", None)
 
     def run_config(self) -> RunConfig:
         """The typed execution config this experiment point hands to contexts."""
@@ -330,7 +322,6 @@ def run_wallclock_comparison(
     base_config: ExperimentConfig,
     *,
     engines: Optional[Sequence[str]] = None,
-    executions: Optional[Sequence[str]] = None,
     check_correctness: bool = True,
     include_serial: bool = False,
     persist_path: Union[str, Path, None] = None,
@@ -344,8 +335,7 @@ def run_wallclock_comparison(
     carries the simulated makespan, the measured wall-clock seconds, and
     whether the run matched the serial reference -- the Fig. 15/16-style
     sanity check that the modelled dataflow overlap corresponds to a real,
-    correct execution.  (``executions`` is the deprecated alias of
-    ``engines``.)
+    correct execution.
 
     ``include_serial`` adds a ``"serial"`` entry measured on the serial
     reference backend (wall clock only).  ``persist_path`` additionally
@@ -358,10 +348,6 @@ def run_wallclock_comparison(
     steady-state numbers stop paying thread/process spin-up per point.  The
     session is closed (engines shut down, arenas released) before returning.
     """
-    if executions is not None:
-        if engines is not None:
-            raise BenchmarkError("pass engines= or the deprecated executions=, not both")
-        engines = [resolve_legacy_execution(name, stacklevel=3) for name in executions]
     if engines is None:
         engines = available_engines()
     comparison: dict[str, dict[str, float]] = {}

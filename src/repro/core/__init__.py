@@ -3,8 +3,8 @@
 The four runtime optimisation techniques of the paper map to submodules:
 
 1. **Asynchronous tasking via futures/dataflow** --
-   :mod:`repro.core.futures_args` (``op_arg_dat`` returning futures, Fig. 7)
-   and the :class:`~repro.core.pipeline.DataflowSchedulePolicy`
+   :func:`~repro.op2.args.op_arg_dat` accepting the future a loop returned
+   (Fig. 7) and the :class:`~repro.core.policies.DataflowSchedulePolicy`
    (``op_par_loop`` as a dataflow node returning a future of its output dat,
    Figs. 8-9).
 2. **Loop interleaving** -- :mod:`repro.core.interleaving`: chunk-granular
@@ -14,7 +14,7 @@ The four runtime optimisation techniques of the paper map to submodules:
    ``persistent_auto_chunk_size`` execution-policy parameter that gives every
    dependent loop chunks of equal *duration* (Fig. 12).
 4. **Data prefetching** -- :mod:`repro.core.prefetch_integration`: the
-   prefetching iterator inside ``for_each`` (Figs. 13-14).
+   prefetching iterator over a loop's containers (Figs. 13-14).
 
 All four combine in the shared loop-lowering pipeline
 (:mod:`repro.core.pipeline`, schedule policies in :mod:`repro.core.policies`,
@@ -25,13 +25,12 @@ configured engine's capabilities -- behind the grain gate
 (:mod:`repro.core.grain`), which keeps a loop chain too small to pay for
 tasks inline and off the engines.  :mod:`repro.core.executor` wraps the
 dataflow policy as the ``hpx`` OP2 backend; :mod:`repro.core.optimizer`
-holds the knobs that switch each technique on or off (used by the ablation
-benchmarks).
+derives from the run's ``RunConfig`` which technique is on (the ablation
+benchmarks sweep those fields).
 """
 
 from repro.core.optimizer import OptimizationConfig
 from repro.core.executor import HPXContext, hpx_context
-from repro.core.futures_args import FutureArg, op_arg_dat_async
 from repro.core.interleaving import AccessRecord, DependencyTracker
 from repro.core.persistent_chunking import ChunkPlanner
 from repro.core.pipeline import LoopPipeline
@@ -58,8 +57,6 @@ __all__ = [
     "OptimizationConfig",
     "HPXContext",
     "hpx_context",
-    "FutureArg",
-    "op_arg_dat_async",
     "AccessRecord",
     "DependencyTracker",
     "ChunkPlanner",

@@ -40,8 +40,6 @@ The built-in engines: ``simulate`` models the DAG while loops run inline;
 PoolExecutor` of OS workers with deterministic chunk-order merges;
 ``processes`` runs them on worker processes over shared-memory dats
 (:class:`~repro.runtime.process_pool.ProcessChunkEngine`), past the GIL.
-The legacy ``execution="..."`` kwarg still works as a deprecation shim
-resolving through the engine registry.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ class HPXContext(ExecutionContext):
         self,
         *,
         machine: Union[Machine, str, None] = None,
-        config: Union[RunConfig, OptimizationConfig, None] = None,
+        config: Optional[RunConfig] = None,
         engine: Optional[str] = None,
         num_threads: Optional[int] = None,
         chunking: Union[str, ChunkSizePolicy, None] = None,
@@ -84,26 +82,15 @@ class HPXContext(ExecutionContext):
         interval_sets: Optional[bool] = None,
         async_tasking: Optional[bool] = None,
         prefer_vectorized: Optional[bool] = None,
-        execution: Optional[str] = None,
         session: Optional[Session] = None,
     ) -> None:
         super().__init__(session)
-        # ``config`` accepts the new typed RunConfig or -- for optimisation
-        # ablations -- a bare OptimizationConfig (the historical meaning).
-        optimization: Optional[OptimizationConfig] = None
-        base_config: Optional[RunConfig] = None
-        if isinstance(config, RunConfig):
-            base_config = config
-        elif isinstance(config, OptimizationConfig):
-            optimization = config
-        elif config is not None:
+        if config is not None and not isinstance(config, RunConfig):
             raise OP2BackendError(
-                f"config must be a RunConfig or an OptimizationConfig, "
-                f"got {type(config).__name__}"
+                f"config must be a RunConfig, got {type(config).__name__}"
             )
         run_config = resolve_run_config(
-            base_config,
-            execution=execution,
+            config,
             engine=engine,
             num_threads=num_threads,
             chunking=chunking,
@@ -123,23 +110,7 @@ class HPXContext(ExecutionContext):
         self.machine = machine
         self.num_threads = run_config.num_threads
 
-        if optimization is None:
-            policy = run_config.chunking
-            persistent = (
-                policy == "persistent_auto"
-                or getattr(policy, "name", "") == "persistent_auto"
-            )
-            optimization = OptimizationConfig(
-                async_tasking=run_config.async_tasking,
-                interleaving=run_config.interleave,
-                persistent_chunking=persistent,
-                prefetching=run_config.prefetch,
-                prefetch_distance_factor=(
-                    run_config.prefetch_distance_factor
-                    if run_config.prefetch_distance_factor is not None
-                    else DEFAULTS.prefetch_distance_factor
-                ),
-            )
+        optimization = OptimizationConfig.from_run_config(run_config)
         self.config = optimization
 
         self.pipeline = build_dataflow_pipeline(

@@ -1,8 +1,9 @@
-"""Configuration of the four runtime optimisations.
+"""The four runtime optimisations a run switches on.
 
-:class:`OptimizationConfig` is the single knob panel of the HPX backend; the
-benchmark harness flips its fields to reproduce the paper's figures and to
-run the ablations called out in DESIGN.md:
+:class:`OptimizationConfig` is what the HPX context's schedule policy reads,
+derived from the run's :class:`~repro.engines.RunConfig` (the one place a
+caller says how loops execute); the benchmark harness sweeps the RunConfig
+fields to reproduce the paper's figures and ablations:
 
 * ``async_tasking`` -- execute loops as dataflow nodes (off = behave like a
   barrier backend even under the HPX context; used only for sanity ablations).
@@ -12,15 +13,19 @@ run the ablations called out in DESIGN.md:
 * ``persistent_chunking`` -- the ``persistent_auto_chunk_size`` policy
   (off = plain ``auto_chunk_size``).
 * ``prefetching`` + ``prefetch_distance_factor`` -- the prefetching iterator
-  inside ``for_each``.
+  (modelled in each chunk's cost).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.config import DEFAULTS
 from repro.errors import OP2BackendError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.engines import RunConfig
 
 __all__ = ["OptimizationConfig"]
 
@@ -43,31 +48,24 @@ class OptimizationConfig:
             # thread-based prefetching *with* asynchronous task execution.
             raise OP2BackendError("prefetching requires async_tasking")
 
-    # -- convenience constructors matching the paper's configurations -------------
     @classmethod
-    def baseline_dataflow(cls) -> "OptimizationConfig":
-        """Fig. 15/16 configuration: dataflow + interleaving only."""
-        return cls(async_tasking=True, interleaving=True)
-
-    @classmethod
-    def with_persistent_chunking(cls) -> "OptimizationConfig":
-        """Fig. 17 configuration: dataflow + persistent_auto_chunk_size."""
-        return cls(async_tasking=True, interleaving=True, persistent_chunking=True)
-
-    @classmethod
-    def full(cls, distance_factor: int = DEFAULTS.prefetch_distance_factor) -> "OptimizationConfig":
-        """Fig. 18-20 configuration: everything on."""
-        return cls(
-            async_tasking=True,
-            interleaving=True,
-            persistent_chunking=True,
-            prefetching=True,
-            prefetch_distance_factor=distance_factor,
+    def from_run_config(cls, run_config: "RunConfig") -> "OptimizationConfig":
+        """The techniques a :class:`~repro.engines.RunConfig` switches on."""
+        policy = run_config.chunking
+        persistent = (
+            policy == "persistent_auto" or getattr(policy, "name", "") == "persistent_auto"
         )
-
-    def but(self, **kwargs: object) -> "OptimizationConfig":
-        """A copy with some fields replaced (ablation helper)."""
-        return replace(self, **kwargs)
+        return cls(
+            async_tasking=run_config.async_tasking,
+            interleaving=run_config.interleave,
+            persistent_chunking=persistent,
+            prefetching=run_config.prefetch,
+            prefetch_distance_factor=(
+                run_config.prefetch_distance_factor
+                if run_config.prefetch_distance_factor is not None
+                else DEFAULTS.prefetch_distance_factor
+            ),
+        )
 
     def describe(self) -> str:
         """Short label used in benchmark tables."""

@@ -8,10 +8,9 @@ Two pieces:
   executor attaches this to every chunk cost it generates.
 * :func:`make_loop_prefetcher` -- the *execution* side: a real
   :class:`~repro.runtime.prefetching.PrefetcherContext` over the containers
-  (dats) a loop touches, usable with :func:`repro.runtime.algorithms.for_each`
-  exactly as in Fig. 14.  The examples and the runtime-level tests exercise
-  this path; the large benchmark runs rely on the timing model only (see
-  DESIGN.md for the substitution note).
+  (dats) a loop touches, iterated chunk by chunk as the range of Fig. 14's
+  ``for_each``.  The examples and the runtime-level tests exercise this
+  path; the large benchmark runs rely on the timing model only.
 """
 
 from __future__ import annotations

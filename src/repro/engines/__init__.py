@@ -26,7 +26,6 @@ from repro.engines.registry import (
     engine_capabilities,
     make_engine,
     register_engine,
-    resolve_legacy_execution,
     resolve_run_config,
     unregister_engine,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "engine_capabilities",
     "make_engine",
     "register_engine",
-    "resolve_legacy_execution",
     "resolve_run_config",
     "unregister_engine",
 ]

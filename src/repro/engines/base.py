@@ -18,8 +18,7 @@ capability (it needs a shared address space) instead of by name.
 :class:`RunConfig` is the typed, frozen description of one run -- engine
 name, worker count, chunking policy, prefetch settings -- that contexts are
 built from (``hpx_context(config=RunConfig(...))``) and engine factories
-receive.  It replaces the ``execution="..."`` string kwarg, which survives
-only as a deprecation shim resolving through the engine registry.
+receive.
 """
 
 from __future__ import annotations
@@ -148,10 +147,10 @@ class ExecutionEngine(Protocol):
 class RunConfig:
     """Typed description of one execution run.
 
-    Replaces the ``execution=``/keyword pile: build one explicitly and pass
-    ``hpx_context(config=RunConfig(...))`` (or keep using keywords -- the
-    contexts assemble the same object from them).  Frozen so a config can be
-    shared, hashed and ``dataclasses.replace``-swept by benchmarks.
+    Build one explicitly and pass ``hpx_context(config=RunConfig(...))`` (or
+    use keywords -- the contexts assemble the same object from them).  Frozen
+    so a config can be shared, hashed and ``dataclasses.replace``-swept by
+    benchmarks.
     """
 
     #: registered engine name ("simulate", "threads", "processes", ...)

@@ -12,20 +12,14 @@ protocol.  Capabilities must be known *without* instantiating the engine
 (contexts negotiate at construction time, long before any pool spawns), so
 they are registered alongside the factory -- either explicitly or as a
 ``capabilities`` attribute on the factory.
-
-The legacy ``execution="simulate"|"threads"|"processes"`` kwarg resolves
-through this registry via :func:`resolve_legacy_execution`, which emits the
-single :class:`~repro.errors.ReproDeprecationWarning` the migration relies
-on.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import TYPE_CHECKING, Callable, Hashable, Optional
 
-from repro.errors import OP2BackendError, ReproDeprecationWarning
+from repro.errors import OP2BackendError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engines.base import EngineCapabilities, ExecutionEngine, RunConfig
@@ -38,7 +32,6 @@ __all__ = [
     "available_engines",
     "engine_capabilities",
     "make_engine",
-    "resolve_legacy_execution",
     "resolve_run_config",
 ]
 
@@ -147,48 +140,19 @@ def make_engine(
     return factory(config)
 
 
-def resolve_legacy_execution(execution: str, *, stacklevel: int = 3) -> str:
-    """Map the deprecated ``execution=`` kwarg onto an engine name.
-
-    The value *is* the engine name (the legacy mode strings were adopted as
-    the built-in engine names), so this only emits the deprecation warning;
-    validation happens when the context resolves the name through the
-    registry, giving unknown values the same uniform error as ``engine=``.
-    """
-    warnings.warn(
-        f"the execution= kwarg is deprecated; pass engine={execution!r} or "
-        f"config=RunConfig(engine={execution!r}) instead",
-        ReproDeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return execution
-
-
 def resolve_run_config(
-    config: Optional["RunConfig"] = None,
-    *,
-    execution: Optional[str] = None,
-    stacklevel: int = 5,
-    **overrides: object,
+    config: Optional["RunConfig"] = None, **overrides: object
 ) -> "RunConfig":
     """Assemble the effective :class:`~repro.engines.base.RunConfig` of a context.
 
     The one shared implementation of the contexts' keyword plumbing: start
-    from ``config`` (or a default ``RunConfig``), fold the deprecated
-    ``execution=`` kwarg through the shim into an ``engine`` override, and
-    apply every non-``None`` keyword override.  ``engine=`` and
-    ``execution=`` together are rejected.
+    from ``config`` (or a default ``RunConfig``) and apply every non-``None``
+    keyword override.
     """
     from repro.engines.base import RunConfig
 
     if config is None:
         config = RunConfig()
-    if execution is not None:
-        if overrides.get("engine") is not None:
-            raise OP2BackendError(
-                "pass engine=... or the deprecated execution=..., not both"
-            )
-        overrides["engine"] = resolve_legacy_execution(execution, stacklevel=stacklevel)
     effective = {key: value for key, value in overrides.items() if value is not None}
     return config.replace(**effective) if effective else config
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 __all__ = [
     "ReproError",
-    "ReproDeprecationWarning",
     "RuntimeStateError",
     "FutureError",
     "FutureAlreadySatisfiedError",
@@ -45,15 +44,6 @@ __all__ = [
 
 class ReproError(Exception):
     """Base class for all library errors."""
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Deprecation warnings emitted by this library's own shims.
-
-    A dedicated subclass so CI can escalate exactly our deprecations to
-    errors (``-W error::repro.errors.ReproDeprecationWarning``) without
-    tripping over third-party ``DeprecationWarning`` noise.
-    """
 
 
 # ---------------------------------------------------------------------------

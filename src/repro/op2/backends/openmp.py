@@ -67,7 +67,6 @@ class OpenMPContext(ExecutionContext):
         block_size: int = 256,
         omp_schedule: Union[OmpSchedule, str] = OmpSchedule.STATIC,
         prefer_vectorized: Optional[bool] = None,
-        execution: Optional[str] = None,
         session: Optional[Session] = None,
     ) -> None:
         super().__init__(session)
@@ -77,7 +76,6 @@ class OpenMPContext(ExecutionContext):
             )
         run_config = resolve_run_config(
             config,
-            execution=execution,
             engine=engine,
             num_threads=num_threads,
             prefer_vectorized=prefer_vectorized,

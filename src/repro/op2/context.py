@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "BackendReport",
     "ExecutionContext",
-    "EXECUTION_MODES",
     "active_context",
     "drain_active_context",
     "get_active_context",
@@ -39,28 +38,6 @@ __all__ = [
     "available_backends",
     "make_context",
 ]
-
-def __getattr__(name: str) -> Any:
-    # Legacy alias kept for backward compatibility, derived from the engine
-    # registry so it can never go stale again.  New code should call
-    # :func:`repro.engines.available_engines` (which also lists third-party
-    # registrations) and select engines via ``engine=`` / ``RunConfig``
-    # instead of the deprecated ``execution=`` kwarg.  Which contexts accept
-    # which engine is decided by capability negotiation, not by this tuple.
-    if name == "EXECUTION_MODES":
-        import warnings
-
-        from repro.engines.registry import BUILTIN_ENGINES
-        from repro.errors import ReproDeprecationWarning
-
-        warnings.warn(
-            "EXECUTION_MODES is deprecated; call repro.engines."
-            "available_engines() and select engines via engine=/RunConfig",
-            ReproDeprecationWarning,
-            stacklevel=2,
-        )
-        return tuple(BUILTIN_ENGINES)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -72,7 +49,7 @@ class BackendReport:
     :class:`~repro.sim.scheduler_sim.ScheduleResult` of their run.
     ``wall_seconds`` is the measured wall-clock time of the run's numerical
     execution -- the real counterpart of the simulated makespan, and the
-    number to watch when a context runs with ``execution="threads"``.
+    number to watch when a context runs with ``engine="threads"``.
     """
 
     backend: str

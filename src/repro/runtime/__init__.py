@@ -1,26 +1,22 @@
-"""An HPX-like asynchronous runtime in pure Python.
+"""The asynchronous substrate under the OP2 contexts.
 
-This package reproduces, at the API level, the parts of the HPX C++ runtime
-system that the paper's OP2 redesign relies on:
+One runtime, the one the engines run on:
 
-* futures and promises (:mod:`repro.runtime.future`),
-* local control objects -- latches, barriers, semaphores, channels
-  (:mod:`repro.runtime.lco`),
-* a work-stealing task scheduler (:mod:`repro.runtime.scheduler`),
-* the ``dataflow`` / ``unwrapped`` construct (:mod:`repro.runtime.dataflow`),
-* execution policies ``seq`` / ``par`` / ``seq(task)`` / ``par(task)``
-  (:mod:`repro.runtime.policies`, the paper's Table I),
-* chunk-size policies including the paper's new
-  ``persistent_auto_chunk_size`` (:mod:`repro.runtime.chunking`),
-* parallel algorithms, most importantly ``for_each``
-  (:mod:`repro.runtime.algorithms`), and
+* futures and promises (:mod:`repro.runtime.future`) -- what
+  ``op_par_loop`` returns (``HandleFuture``, Figs. 8-9 of the paper),
+* the chunk-task pool (:mod:`repro.runtime.pool_executor`) behind the
+  ``threads`` engine, the shared-memory worker pool
+  (:mod:`repro.runtime.process_pool`) behind ``processes``, and its sharded
+  placement (:mod:`repro.runtime.sharding`),
+* ready-queue policies and the paper's Table I execution-policy descriptors
+  (:mod:`repro.runtime.policies`),
+* chunk-size policies including the paper's ``persistent_auto_chunk_size``
+  (:mod:`repro.runtime.chunking`), and
 * the prefetching iterator ``make_prefetcher_context``
   (:mod:`repro.runtime.prefetching`).
 
-Execution is real (Python threads), so the asynchronous semantics -- what can
-overlap with what, which barriers exist -- are genuine; the *performance*
-numbers for the paper's figures come from the machine model in
-:mod:`repro.sim` instead of wall-clock time (see DESIGN.md).
+Execution is real (OS threads and processes); the *modelled* numbers for the
+paper's figures come from the machine model in :mod:`repro.sim`.
 """
 
 from repro.runtime.future import (
@@ -30,21 +26,9 @@ from repro.runtime.future import (
     SharedFuture,
     make_exceptional_future,
     make_ready_future,
-    when_all,
-    when_any,
 )
 from repro.runtime.pool_executor import PoolExecutor
 from repro.runtime.process_pool import ProcessChunkEngine, ProcessPool
-from repro.runtime.lco import AndGate, Barrier, Channel, CountingSemaphore, Event, Latch
-from repro.runtime.scheduler import (
-    ImmediateScheduler,
-    TaskScheduler,
-    WorkStealingScheduler,
-    get_default_scheduler,
-    reset_default_scheduler,
-    set_default_scheduler,
-)
-from repro.runtime.dataflow import dataflow, unwrapped
 from repro.runtime.policies import (
     ExecutionPolicy,
     FifoQueue,
@@ -66,9 +50,7 @@ from repro.runtime.chunking import (
     PersistentChunkRegistry,
     StaticChunkSize,
 )
-from repro.runtime.algorithms import for_each, for_loop, parallel_reduce, parallel_transform
 from repro.runtime.prefetching import PrefetcherContext, make_prefetcher_context
-from repro.runtime.runtime import HPXRuntime, runtime_session
 
 __all__ = [
     "Future",
@@ -80,22 +62,6 @@ __all__ = [
     "ProcessChunkEngine",
     "make_ready_future",
     "make_exceptional_future",
-    "when_all",
-    "when_any",
-    "AndGate",
-    "Barrier",
-    "Channel",
-    "CountingSemaphore",
-    "Event",
-    "Latch",
-    "TaskScheduler",
-    "ImmediateScheduler",
-    "WorkStealingScheduler",
-    "get_default_scheduler",
-    "set_default_scheduler",
-    "reset_default_scheduler",
-    "dataflow",
-    "unwrapped",
     "ExecutionPolicy",
     "seq",
     "par",
@@ -113,12 +79,6 @@ __all__ = [
     "DynamicChunkSize",
     "PersistentAutoChunkSize",
     "PersistentChunkRegistry",
-    "for_each",
-    "for_loop",
-    "parallel_transform",
-    "parallel_reduce",
     "PrefetcherContext",
     "make_prefetcher_context",
-    "HPXRuntime",
-    "runtime_session",
 ]

@@ -14,7 +14,7 @@ without any global barrier.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Generic, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Generic, Optional, TypeVar
 
 from repro.errors import (
     BrokenPromiseError,
@@ -30,8 +30,6 @@ __all__ = [
     "HandleFuture",
     "make_ready_future",
     "make_exceptional_future",
-    "when_all",
-    "when_any",
 ]
 
 T = TypeVar("T")
@@ -242,7 +240,6 @@ class Future(Generic[T]):
         if self._consumed:
             raise FutureError("future is no longer valid (already consumed)")
 
-    # internal access for dataflow/when_all
     @property
     def _shared_state(self) -> _SharedState[T]:
         return self._state
@@ -318,9 +315,6 @@ class HandleFuture(SharedFuture[T]):
         return cls(handle, promise.get_future()._shared_state)
 
 
-AnyFuture = (Future, SharedFuture)
-
-
 def make_ready_future(value: T) -> Future[T]:
     """A future that is already satisfied with ``value``."""
     return Future(_SharedState.ready(value))
@@ -331,71 +325,3 @@ def make_exceptional_future(exception: BaseException) -> Future[Any]:
     if not isinstance(exception, BaseException):
         raise TypeError(f"expected an exception instance, got {exception!r}")
     return Future(_SharedState.ready(exception=exception))
-
-
-def when_all(*futures: "Future | SharedFuture | Iterable") -> Future[list]:
-    """A future of the list of input futures, ready when all of them are.
-
-    Accepts futures directly or a single iterable of futures.  The resulting
-    list contains the input futures themselves (as in HPX); combine with
-    :func:`repro.runtime.dataflow.unwrapped` to get values.
-    """
-    flat = _flatten_futures(futures)
-    promise: Promise[list] = Promise()
-    if not flat:
-        promise.set_value([])
-        return promise.get_future()
-
-    remaining = len(flat)
-    lock = threading.Lock()
-
-    def one_ready() -> None:
-        nonlocal remaining
-        with lock:
-            remaining -= 1
-            done = remaining == 0
-        if done:
-            promise.set_value(list(flat))
-
-    for future in flat:
-        future._shared_state.add_callback(one_ready)
-    return promise.get_future()
-
-
-def when_any(*futures: "Future | SharedFuture | Iterable") -> Future[tuple[int, object]]:
-    """A future of ``(index, future)`` for the first input future to become ready."""
-    flat = _flatten_futures(futures)
-    if not flat:
-        raise FutureError("when_any requires at least one future")
-    promise: Promise[tuple[int, object]] = Promise()
-    satisfied = threading.Event()
-
-    def make_callback(index: int, future: object) -> Callable[[], None]:
-        def callback() -> None:
-            if not satisfied.is_set():
-                satisfied.set()
-                try:
-                    promise.set_value((index, future))
-                except FutureAlreadySatisfiedError:
-                    pass
-
-        return callback
-
-    for index, future in enumerate(flat):
-        future._shared_state.add_callback(make_callback(index, future))
-    return promise.get_future()
-
-
-def _flatten_futures(items: Sequence) -> list:
-    flat: list = []
-    for item in items:
-        if isinstance(item, AnyFuture):
-            flat.append(item)
-        elif isinstance(item, Iterable) and not isinstance(item, (str, bytes)):
-            for sub in item:
-                if not isinstance(sub, AnyFuture):
-                    raise FutureError(f"when_all/when_any received a non-future: {sub!r}")
-                flat.append(sub)
-        else:
-            raise FutureError(f"when_all/when_any received a non-future: {item!r}")
-    return flat

@@ -14,9 +14,11 @@ seq(task)   sequential and asynchronous execution        HPX
 par(task)   parallel and asynchronous execution          HPX
 ========== ============================================ ==============
 
-Policies are immutable; ``policy(task)``, ``policy.on(scheduler)`` and
-``policy.with_(chunker)`` return modified copies, mirroring HPX's
-``par(task)``, ``.on(executor)`` and ``.with(chunk_size)`` spellings.
+Here the policies are descriptors: :func:`execution_policy_table` regenerates
+Table I from them, and ``policy(task)`` returns the asynchronous variant,
+mirroring HPX's ``par(task)`` spelling.  What *executes* loops is the chunk
+DAG of :mod:`repro.core.pipeline` on an engine, where every ``op_par_loop``
+is ``par(task)``: it returns a future and chunks run in parallel.
 
 Ready-queue policies
 --------------------
@@ -35,14 +37,10 @@ on the executor's lock for thread safety.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Hashable, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Hashable, Mapping, Optional
 
 from repro.errors import PolicyError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.runtime.chunking import ChunkSizePolicy
-    from repro.runtime.scheduler import TaskScheduler
 
 __all__ = [
     "ExecutionPolicy",
@@ -217,18 +215,13 @@ class ExecutionPolicy:
         kernels are always vectorised within a chunk).
     is_task:
         Whether algorithm invocations return futures instead of blocking.
-    scheduler / chunker:
-        Optional overrides attached via :meth:`on` / :meth:`with_`.
     """
 
     name: str
     parallel: bool
     vectorized: bool = False
     is_task: bool = False
-    scheduler: Optional["TaskScheduler"] = field(default=None, compare=False)
-    chunker: Optional["ChunkSizePolicy"] = field(default=None, compare=False)
 
-    # -- HPX-style modifiers ------------------------------------------------------
     def __call__(self, marker: Any) -> "ExecutionPolicy":
         """``policy(task)`` returns the asynchronous variant of the policy."""
         if marker is not task:
@@ -236,22 +229,6 @@ class ExecutionPolicy:
                 f"execution policies only accept the `task` marker, got {marker!r}"
             )
         return replace(self, is_task=True)
-
-    def on(self, scheduler: "TaskScheduler") -> "ExecutionPolicy":
-        """Bind the policy to a specific scheduler (``par.on(executor)``)."""
-        from repro.runtime.scheduler import TaskScheduler  # local to avoid cycle
-
-        if not isinstance(scheduler, TaskScheduler):
-            raise PolicyError(f"on() expects a TaskScheduler, got {scheduler!r}")
-        return replace(self, scheduler=scheduler)
-
-    def with_(self, chunker: "ChunkSizePolicy") -> "ExecutionPolicy":
-        """Attach a chunk-size policy (``par.with(persistent_auto_chunk_size)``)."""
-        from repro.runtime.chunking import ChunkSizePolicy  # local to avoid cycle
-
-        if not isinstance(chunker, ChunkSizePolicy):
-            raise PolicyError(f"with_() expects a ChunkSizePolicy, got {chunker!r}")
-        return replace(self, chunker=chunker)
 
     # -- descriptions --------------------------------------------------------------
     @property

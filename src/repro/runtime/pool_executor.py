@@ -9,7 +9,7 @@ FIFO order by default, or in whatever order the installed
 :class:`~repro.runtime.policies.ReadyQueuePolicy` decides (the multi-tenant
 service layer installs a weighted round-robin queue so tenants interleave at
 chunk granularity).  This is the execution substrate behind
-``hpx_context(execution="threads")`` and the OpenMP backend's pooled
+``hpx_context(engine="threads")`` and the OpenMP backend's pooled
 fork/join-per-colour mode.
 
 Design notes

@@ -3,9 +3,9 @@
 ``make_prefetcher_context(begin, end, distance_factor, *containers)`` builds a
 :class:`PrefetcherContext`: an iterable over ``range(begin, end)`` whose
 iterator, at every position ``i``, *prefetches the data of iteration
-``i + distance_factor`` for every container* before the loop body runs.  Used
-inside :func:`repro.runtime.algorithms.for_each` this combines thread-based
-prefetching with asynchronous task execution, which is the paper's point.
+``i + distance_factor`` for every container* before the loop body runs.  In
+HPX it is the range of a ``for_each``; iterating the context (or one chunk of
+it with :meth:`PrefetcherContext.chunk`) is the same walk.
 
 CPython cannot issue real prefetch instructions, so the context does two
 things instead:
@@ -178,7 +178,7 @@ class PrefetcherContext:
             yield index
 
     def chunk(self, start: int, stop: int) -> Iterator[int]:
-        """Iterate over a sub-range (used by chunked parallel for_each)."""
+        """Iterate over a sub-range: one chunk of the walk."""
         if start < self.begin or stop > self.end or stop < start:
             raise PrefetchError(
                 f"chunk [{start}, {stop}) outside context range [{self.begin}, {self.end})"

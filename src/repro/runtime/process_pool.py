@@ -1,7 +1,7 @@
 """A dependency-gated *multiprocess* chunk-DAG engine.
 
 :class:`ProcessPool` is the third execution substrate behind
-``hpx_context(execution=...)``: where the threaded engine
+``hpx_context(engine=...)``: where the threaded engine
 (:class:`~repro.runtime.pool_executor.PoolExecutor`) runs chunk tasks on OS
 threads of one interpreter -- and is therefore GIL-bound for the small NumPy
 kernels that dominate workloads like Airfoil -- this module runs them on
@@ -668,7 +668,7 @@ class ProcessPool:
 # Backend facade: arena + pool + loop registration
 # ---------------------------------------------------------------------------
 class ProcessChunkEngine:
-    """Parent-side driver of ``execution="processes"``.
+    """Parent-side driver of ``engine="processes"``.
 
     Adopts every dat/map a loop touches into the shared-memory arena (and
     declares it to all workers), registers each distinct loop shape once by

@@ -7,14 +7,13 @@ import pytest
 
 from repro.config import SMALL_TEST_MACHINE
 from repro.op2.plan import clear_plan_cache
-from repro.runtime.scheduler import reset_default_scheduler
 from repro.session import Session
 from repro.sim.machine import Machine
 
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    """Keep shared state (plan cache, scheduler, kernel namespace) isolated per test.
+    """Keep shared state (plan cache, kernel namespace) isolated per test.
 
     The default session's kernel namespace is snapshotted before and restored
     after every test: a test registering a same-named kernel (deliberately or
@@ -23,12 +22,10 @@ def _clean_state():
     into a hard error.
     """
     clear_plan_cache()
-    reset_default_scheduler()
     kernels = Session.default().kernel_snapshot()
     yield
     Session.default().restore_kernels(kernels)
     clear_plan_cache()
-    reset_default_scheduler()
 
 
 class _ChunkIdLog(dict):

@@ -15,9 +15,9 @@ from repro.core import (
     build_prefetch_spec,
     hpx_context,
     make_loop_prefetcher,
-    op_arg_dat_async,
 )
 from repro.core.persistent_chunking import ChunkPlanner
+from repro.engines import RunConfig
 from repro.errors import MeshError, OP2BackendError
 from repro.op2 import OP_ID, OP_INC, OP_READ, OP_RW, OP_WRITE, Kernel, op_arg_dat, op_decl_dat, op_decl_map, op_decl_set
 from repro.op2.backends import openmp_context, serial_context
@@ -34,22 +34,20 @@ from repro.translator.blockform import BlockForm
 # OptimizationConfig
 # ---------------------------------------------------------------------------
 class TestOptimizationConfig:
-    def test_presets(self):
-        assert OptimizationConfig.baseline_dataflow().async_tasking
-        assert OptimizationConfig.with_persistent_chunking().persistent_chunking
-        full = OptimizationConfig.full(distance_factor=10)
-        assert full.prefetching and full.prefetch_distance_factor == 10
+    def test_derived_from_run_config(self):
+        config = OptimizationConfig.from_run_config(
+            RunConfig(chunking="persistent_auto", prefetch=True, prefetch_distance_factor=10)
+        )
+        assert config.persistent_chunking and config.prefetching
+        assert config.prefetch_distance_factor == 10
+        assert config.describe() == "dataflow+interleave+persistent-chunks+prefetch(d=10)"
+        assert not OptimizationConfig.from_run_config(RunConfig()).persistent_chunking
 
     def test_prefetch_requires_async(self):
         with pytest.raises(OP2BackendError):
             OptimizationConfig(async_tasking=False, prefetching=True)
-
-    def test_but_and_describe(self):
-        config = OptimizationConfig.full()
-        ablated = config.but(prefetching=False)
-        assert not ablated.prefetching and config.prefetching
-        assert "persistent-chunks" in config.describe()
-        assert "prefetch" in config.describe()
+        with pytest.raises(OP2BackendError):
+            hpx_context(prefetch=True, async_tasking=False)
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +152,13 @@ class TestChunkPlanner:
 
 
 class TestFutureArgsAndPrefetchIntegration:
-    def test_op_arg_dat_async_from_plain_dat(self):
-        cells = op_decl_set(10, "cells")
-        q = op_decl_dat(cells, 1, "double", None, "q")
-        arg = op_arg_dat_async(q, -1, OP_ID, 1, "double", OP_READ)
-        assert arg.is_ready
-        assert arg.get().dat is q
-
-    def test_op_arg_dat_async_from_future(self):
+    def test_op_arg_dat_from_shared_future(self):
+        """Fig. 7: ``op_arg_dat`` takes the future a previous loop returned."""
         cells = op_decl_set(10, "cells")
         q = op_decl_dat(cells, 1, "double", None, "q")
         future = make_ready_future(q).share()
-        arg = op_arg_dat_async(future, -1, OP_ID, 1, "double", OP_WRITE)
-        assert arg.get().dat is q
+        arg = op_arg_dat(future, -1, OP_ID, 1, "double", OP_WRITE)
+        assert arg.dat is q
 
     def test_build_prefetch_spec_defaults(self):
         spec = build_prefetch_spec(True)
@@ -229,10 +221,12 @@ class TestHPXContext:
             op_par_loop(bump, "bump", cells, op_arg_dat(q, -1, OP_ID, 1, "double", OP_RW))
         assert ctx.report().schedule.mode is ScheduleMode.BARRIER
 
-    def test_config_object_overrides_flags(self):
-        context = hpx_context(config=OptimizationConfig.full(), num_threads=2,
+    def test_run_config_is_the_only_config(self):
+        context = hpx_context(config=RunConfig(prefetch=True), num_threads=2,
                               machine="small-test")
-        assert context.config.prefetching
+        assert context.config.prefetching and context.run_config.num_threads == 2
+        with pytest.raises(OP2BackendError, match="must be a RunConfig"):
+            hpx_context(config=OptimizationConfig())  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

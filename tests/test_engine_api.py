@@ -1,4 +1,4 @@
-"""The pluggable execution-engine seam: registry, capabilities, RunConfig, shim.
+"""The pluggable execution-engine seam: registry, capabilities, RunConfig.
 
 Covers the four contracts of the engine API:
 
@@ -11,15 +11,13 @@ Covers the four contracts of the engine API:
 * **third-party execution** -- a toy engine written entirely in this file
   runs the Jacobi application serial-identically without modifying any
   ``repro`` module;
-* **deprecation shim** -- the legacy ``execution=`` kwarg still works,
-  emits exactly one :class:`~repro.errors.ReproDeprecationWarning`, and
-  produces identical results.
+* **one way to name an engine** -- ``engine=`` / ``RunConfig``;
+  ``execution=`` is rejected like any unknown keyword.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -36,7 +34,7 @@ from repro.engines import (
     register_engine,
     unregister_engine,
 )
-from repro.errors import OP2BackendError, ReproDeprecationWarning
+from repro.errors import OP2BackendError
 from repro.op2 import (
     OP_ID,
     OP_RW,
@@ -215,19 +213,12 @@ class TestRegistry:
             cwd=__file__.rsplit("/tests/", 1)[0],
         )
 
-    def test_legacy_execution_modes_tuple_still_importable(self):
-        """The tuple is registry-derived now and warns on access."""
-        import repro.op2.context as context_module
-
-        with pytest.warns(ReproDeprecationWarning):
-            modes = context_module.EXECUTION_MODES
-        assert modes == ("simulate", "threads", "processes", "compiled", "sharded")
-
     def test_context_module_rejects_unknown_attribute(self):
+        """The engine list is ``available_engines()``; there is no module tuple."""
         import repro.op2.context as context_module
 
-        with pytest.raises(AttributeError, match="no attribute 'BOGUS'"):
-            context_module.BOGUS
+        with pytest.raises(AttributeError, match="no attribute 'EXECUTION_MODES'"):
+            context_module.EXECUTION_MODES
 
 
 # ---------------------------------------------------------------------------
@@ -385,43 +376,17 @@ class TestThirdPartyEngine:
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shim
+# One way to name an engine
 # ---------------------------------------------------------------------------
-class TestLegacyExecutionShim:
-    def test_hpx_kwarg_warns_once_and_matches_new_api(self):
-        with pytest.warns(ReproDeprecationWarning) as record:
-            legacy, _ = _run_jacobi(hpx_context, num_threads=2, execution="threads")
-        assert len([w for w in record if w.category is ReproDeprecationWarning]) == 1
-        modern, _ = _run_jacobi(hpx_context, num_threads=2, engine="threads")
-        assert np.array_equal(legacy.u, modern.u)
-        assert legacy.u_max_history == modern.u_max_history
+class TestEngineIsTheOnlySpelling:
+    @pytest.mark.parametrize("factory", [hpx_context, openmp_context])
+    def test_execution_kwarg_is_rejected(self, factory):
+        with pytest.raises(TypeError, match="execution"):
+            factory(execution="threads")
 
-    def test_openmp_kwarg_warns(self):
-        with pytest.warns(ReproDeprecationWarning):
-            context = openmp_context(execution="threads")
-        assert context.run_config.engine == "threads"
-
-    def test_unknown_legacy_value_raises_uniform_error(self):
-        with pytest.warns(ReproDeprecationWarning):
-            with pytest.raises(OP2BackendError, match="unknown execution engine"):
-                hpx_context(execution="warp-drive")
-
-    def test_engine_and_execution_together_rejected(self):
-        with pytest.raises(OP2BackendError, match="not both"):
-            hpx_context(engine="threads", execution="threads")
-
-    def test_experiment_config_alias(self):
+    def test_experiment_config_names_engines_only(self):
         from repro.bench.harness import ExperimentConfig
 
-        with pytest.warns(ReproDeprecationWarning):
-            config = ExperimentConfig(backend="hpx", execution="threads")
-        assert config.engine == "threads"
-        assert config.execution is None
-        assert config.label().endswith("[threads]")
-
-    def test_new_api_emits_no_deprecation_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
-            hpx_context(engine="simulate")
-            openmp_context(engine="threads")
-            serial_context(config=RunConfig())
+        with pytest.raises(TypeError, match="execution"):
+            ExperimentConfig(backend="hpx", execution="threads")  # type: ignore[call-arg]
+        assert ExperimentConfig(backend="hpx", engine="threads").label().endswith("[threads]")
