@@ -3,8 +3,8 @@
 ``hpx_context(engine="processes")`` executes the same dependency-gated
 chunk DAG as the threaded engine, but on worker *processes*: every dat lives
 in a ``multiprocessing.shared_memory`` segment that workers gather/scatter
-into in place, chunks dispatch by registered kernel name, and the
-deterministic merge chain carries global reductions back to the parent.
+into in place, chunks dispatch by registered kernel name and commit where
+they run, and per-chunk partials carry global reductions back to the parent.
 Because each worker owns its own GIL, the NumPy kernels that keep the
 threaded engine serialised can genuinely overlap.
 

@@ -37,7 +37,7 @@ no changes to this module.
 
 The built-in engines: ``simulate`` models the DAG while loops run inline;
 ``threads`` runs chunks on a :class:`~repro.runtime.pool_executor.
-PoolExecutor` of OS workers with deterministic chunk-order merges;
+PoolExecutor` of OS workers, each chunk committing its own effects;
 ``processes`` runs them on worker processes over shared-memory dats
 (:class:`~repro.runtime.process_pool.ProcessChunkEngine`), past the GIL.
 """

@@ -30,8 +30,14 @@ Overlapping accesses ⇒ dependency, with one important exception:
 **increment-on-increment never orders** -- OP_INC accumulations commute, so
 two chunks that both increment a dat (whether they belong to the same loop
 or to consecutive accumulation loops such as ``res_calc`` followed by
-``bres_calc``) may run concurrently.  A later *reader* of the dat still
-depends on every chunk of the accumulation layer.
+``bres_calc``) may run concurrently in the model.  A later *reader* of the
+dat still depends on every chunk of the accumulation layer.  Real engines
+ask for ``strict_commit_order``, which orders increments of consecutive
+loops after all (see the class).
+
+An *owner chunk* (``owner=(parts, k)``) is summarised from the loop's
+:class:`~repro.op2.map.OwnerPlan`: its rows for what it reads, the targets
+it owns for what it increments.
 """
 
 from __future__ import annotations
@@ -106,15 +112,17 @@ class DependencyTracker:
         conservative ``[min, max]`` hull, reproducing the original tracker
         for comparison on renumbered meshes.
     strict_commit_order:
-        Extra edges the *threaded* engine needs because chunk effects really
-        commit asynchronously: (a) increment chunks depend on overlapping
-        increment chunks of *earlier loops* in the same accumulation layer
-        (same-loop increments still commute freely), keeping floating-point
-        accumulation in program order; (b) pure readers depend on overlapping
-        writers of the displaced layer, covering ranges the current layer has
-        not (yet) written.  The simulator leaves both off: increments commute
-        mathematically, and successive writer layers cover the dats they
-        rewrite, so the modelled makespans keep the paper's relaxed DAG.
+        Extra edges engines that really defer need, because every chunk
+        commits its own effects as it finishes: (a) increment chunks depend
+        on overlapping increment chunks of *earlier loops* in the same
+        accumulation layer (chunks of one loop own disjoint targets), keeping
+        floating-point accumulation in program order; (b) pure readers
+        depend on overlapping writers of the displaced layer, covering
+        ranges the current layer has not (yet) written; (c) overlapping
+        WRITE chunks of one loop keep chunk order (WAW).  The simulator
+        leaves them off: increments commute mathematically, and successive
+        writer layers cover the dats they rewrite, so the modelled makespans
+        keep the paper's relaxed DAG.
     algebra:
         The memoised interval algebra every union and overlap test goes
         through -- the owning session's when built by the pipeline; a
@@ -138,18 +146,17 @@ class DependencyTracker:
     def _history_for(self, dat_id: int) -> _DatHistory:
         return self._history.setdefault(dat_id, _DatHistory())
 
-    def _summary_for_arg(self, arg: OpArg, start: int, stop: int) -> IntervalSet:
-        """Element interval set of ``arg``'s dat touched by iterations [start, stop).
-
-        Direct arguments touch exactly ``[start, stop)``; indirect arguments
-        use the map's cached per-chunk summary, collapsed to its hull in
-        ``[min, max]`` mode.
+    def _summary_for_arg(
+        self, loop: ParLoop, arg: OpArg, start: int, stop: int, owner: Optional[tuple[int, int]]
+    ) -> Optional[IntervalSet]:
+        """:meth:`ParLoop.chunk_summary`, collapsed to its hull in
+        ``[min, max]`` mode -- for an owner chunk's increment, the hull of
+        every target its rows reach: a hull cannot say which of them it owns.
         """
-        if arg.is_direct:
-            return self.algebra.from_range(start, stop - 1)
-        assert arg.map is not None
-        summary = arg.map.chunk_summary(arg.map_index, start, stop)  # type: ignore[union-attr]
-        if self.interval_sets:
+        summary = loop.chunk_summary(
+            arg, start, stop, owner, self.algebra, reach=not self.interval_sets
+        )
+        if summary is None or self.interval_sets:
             return summary
         # interned by its endpoints: ``summary.hull()`` would be a new object
         # per call, and the memo is keyed on operand identity
@@ -163,7 +170,7 @@ class DependencyTracker:
         return "interval-set" if self.interval_sets else "minmax"
 
     def access_groups(
-        self, loop: ParLoop, start: int, stop: int
+        self, loop: ParLoop, start: int, stop: int, owner: Optional[tuple[int, int]] = None
     ) -> list[tuple[int, AccessMode, IntervalSet]]:
         """Public view of a chunk's merged per-``(dat, access)`` summaries.
 
@@ -173,10 +180,10 @@ class DependencyTracker:
         algebra, so asking again for a chunk already analysed costs one
         dictionary hit per argument.
         """
-        return self._access_groups(loop, start, stop)
+        return self._access_groups(loop, start, stop, owner)
 
     def _access_groups(
-        self, loop: ParLoop, start: int, stop: int
+        self, loop: ParLoop, start: int, stop: int, owner: Optional[tuple[int, int]] = None
     ) -> list[tuple[int, AccessMode, IntervalSet]]:
         """The chunk's accesses, merged per ``(dat, access mode)``.
 
@@ -196,7 +203,9 @@ class DependencyTracker:
                 continue
             assert arg.dat is not None
             key = (arg.dat.dat_id, arg.access)
-            summary = self._summary_for_arg(arg, start, stop)
+            summary = self._summary_for_arg(loop, arg, start, stop, owner)
+            if summary is None:
+                continue
             merged = groups.get(key)
             if merged is None:
                 groups[key] = summary
@@ -207,7 +216,13 @@ class DependencyTracker:
 
     # -- querying dependencies ----------------------------------------------------
     def chunk_dependencies(
-        self, loop: ParLoop, start: int, stop: int, *, loop_seq: int = -1
+        self,
+        loop: ParLoop,
+        start: int,
+        stop: int,
+        *,
+        loop_seq: int = -1,
+        owner: Optional[tuple[int, int]] = None,
     ) -> list[int]:
         """Task ids a chunk ``[start, stop)`` of ``loop`` must wait for.
 
@@ -220,7 +235,7 @@ class DependencyTracker:
         overtake while the current layer is still being laid down.
         """
         deps: set[int] = set()
-        for dat_id, access, summary in self._access_groups(loop, start, stop):
+        for dat_id, access, summary in self._access_groups(loop, start, stop, owner):
             history = self._history_for(dat_id)
             same_layer = history.writer_loop_seq == loop_seq and loop_seq >= 0
             if access is AccessMode.INC:
@@ -245,7 +260,11 @@ class DependencyTracker:
                 deps.update(self._matching(history.readers, summary))
                 continue
             if access.reads or access.writes:
-                if not (same_layer and access.writes and not access.reads):
+                if self.strict_commit_order or not (
+                    same_layer and access.writes and not access.reads
+                ):
+                    # (strict: a WRITE chunk also follows the overlapping
+                    # WRITE chunks of its own loop -- WAW in chunk order)
                     deps.update(self._matching(history.writers, summary))
                 if self.strict_commit_order and not access.writes:
                     # Pure readers also stay ordered against the displaced
@@ -278,7 +297,13 @@ class DependencyTracker:
 
     # -- recording a scheduled chunk -------------------------------------------------
     def record_chunk(
-        self, loop: ParLoop, loop_seq: int, start: int, stop: int, task_id: int
+        self,
+        loop: ParLoop,
+        loop_seq: int,
+        start: int,
+        stop: int,
+        task_id: int,
+        owner: Optional[tuple[int, int]] = None,
     ) -> None:
         """Record the accesses of a chunk just added to the task graph.
 
@@ -292,7 +317,7 @@ class DependencyTracker:
 
         Must be called *after* :meth:`chunk_dependencies` for the same chunk.
         """
-        for dat_id, access, summary in self._access_groups(loop, start, stop):
+        for dat_id, access, summary in self._access_groups(loop, start, stop, owner):
             history = self._history_for(dat_id)
             record = AccessRecord(task_id=task_id, intervals=summary, loop_seq=loop_seq)
             if access is AccessMode.INC:

@@ -34,6 +34,7 @@ engines, none of which need to touch a context class.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Any, Callable, Iterable, Optional
 
 from repro.core import grain
@@ -57,7 +58,7 @@ from repro.engines import ExecutionEngine, RunConfig, engine_capabilities, make_
 from repro.errors import OP2BackendError
 from repro.op2.context import BackendReport
 from repro.op2.dat import OpDat
-from repro.op2.par_loop import ParLoop
+from repro.op2.par_loop import LoopChunk, ParLoop, Partials
 from repro.runtime.future import HandleFuture, Promise, SharedFuture, make_ready_future
 from repro.session import LoopCostTable, Session
 from repro.sim.cost import ChunkCost, KernelCostModel
@@ -148,9 +149,9 @@ class LoopPipeline:
         )
         #: per-loop book-keeping records, in program order
         self.records: list[LoopRecord] = []
-        #: simulated task id -> (compute task id, merge task id) of the chunks
-        #: submitted since the last drain, engine mode only
-        self.pool_chunk_ids: dict[int, tuple[int, int]] = {}
+        #: simulated task id -> engine task id of the chunks submitted since
+        #: the last drain, engine mode only
+        self.pool_chunk_ids: dict[int, int] = {}
         self.loop_count = 0
         self.wall_seconds = 0.0
         self._wall_start: Optional[float] = None
@@ -258,6 +259,8 @@ class LoopPipeline:
                 dependency_count=analyzed.dependency_count,
                 submission=schedule.submission,
                 reason=schedule.reason,
+                chunking=lowered.chunking,
+                chunking_reason=lowered.chunking_reason,
             )
         )
         self._schedule_result = None  # invalidate any previous simulation
@@ -382,8 +385,8 @@ class LoopPipeline:
                         stop=chunk.chunk.stop,
                         sim_id=chunk.task_id,
                         sim_deps=tuple(chunk.deps),
-                        chain_start=self.policy.chain_start(lowered, position),
                         barrier_after=self.policy.barrier_after(lowered, position),
+                        owner=chunk.chunk.owner,
                     )
                 )
         return ChunkSchedule(
@@ -429,78 +432,99 @@ class LoopPipeline:
             slab_artifact = resolve_slab(
                 loop, self.session if self.session is not None else Session.current()
             )
-        last_merge_id: Optional[int] = None
-        for spec in schedule.tasks:
-            if spec.chain_start:
-                last_merge_id = None
-            # Dependents must observe a producer chunk's *committed* effects,
-            # so DAG edges target the producer's merge task.
+        # One task per chunk: each commits its own effects (the lowering
+        # only cuts chunks that never write the same element, the tracker
+        # orders the rest) and leaves its reduction partials here.
+        partials: list[Optional[Partials]] = [None] * len(schedule.tasks)
+        task_ids: list[int] = []
+        for position, spec in enumerate(schedule.tasks):
+            # Dependents must observe a producer chunk's committed effects,
+            # which its one task leaves behind.
             pool_deps = [
-                self.pool_chunk_ids[dep][1]
+                self.pool_chunk_ids[dep]
                 for dep in spec.sim_deps
                 if dep in self.pool_chunk_ids
             ]
-            if capabilities.needs_kernel_registry:
-                # By-name kernel dispatch: closures cannot cross the worker
-                # boundary, so the engine receives the loop itself.
-                compute_id, merge_id = engine.submit_loop_chunk(
-                    loop, spec.start, spec.stop, deps=pool_deps, after=last_merge_id
-                )
-            else:
-                compute_id, merge_id = engine.submit_chunk(
-                    self._make_prepare(loop, spec.start, spec.stop, slab_artifact),
-                    deps=pool_deps,
-                    after=last_merge_id,
-                )
-            self.pool_chunk_ids[spec.sim_id] = (compute_id, merge_id)
-            last_merge_id = merge_id
+            task = LoopChunk(
+                loop,
+                spec.start,
+                spec.stop,
+                spec.owner,
+                partials,
+                position,
+                self.prefer_vectorized,
+                self._slab_run(loop, spec, slab_artifact),
+            )
+            task_id = engine.submit(task, deps=pool_deps)
+            self.pool_chunk_ids[spec.sim_id] = task_id
+            task_ids.append(task_id)
             if spec.barrier_after:
                 self._drain(engine)
         loop._mark_outputs_modified()
         self._globals_in_flight.update(schedule.reduction.global_buffers)
+        future = self._finalize(engine, loop, task_ids, partials)
         if schedule.reduction.drain_after:
             self._drain(engine)
-        if not self._returns_future:
+        return future
+
+    @staticmethod
+    def _slab_run(
+        loop: ParLoop, spec: ChunkTaskSpec, slab_artifact: Any
+    ) -> Optional[Callable[[], Partials]]:
+        """The compiled slab for a row-range chunk, when there is one.
+
+        A slab privatises WRITE/RW scatters exactly like the vectorised path,
+        so blocks with duplicate scatter targets take the same per-chunk
+        elemental fallback (see ``ParLoop._scatter_conflicts``).
+        """
+        if (
+            slab_artifact is None
+            or spec.owner is not None
+            or spec.start == spec.stop
+            or loop._scatter_conflicts(spec.start, spec.stop)
+        ):
             return None
-        return self._deferred_future(loop.output_dat(), last_merge_id)
+        from repro.translator.slab import run_slab
 
-    def _make_prepare(
-        self, loop: ParLoop, start: int, stop: int, slab_artifact: Any = None
-    ) -> Callable[[], Callable[[], None]]:
-        prefer_vectorized = self.prefer_vectorized
+        return partial(run_slab, loop, slab_artifact, spec.start, spec.stop)
 
-        def prepare() -> Callable[[], None]:
-            # A slab privatises WRITE/RW scatters exactly like the vectorised
-            # path, so blocks with duplicate scatter targets take the same
-            # per-chunk elemental fallback (see ParLoop._scatter_conflicts).
-            if (
-                slab_artifact is not None
-                and start < stop
-                and not loop._scatter_conflicts(start, stop)
-            ):
-                from repro.translator.slab import make_slab_prepare
-
-                return make_slab_prepare(loop, slab_artifact, start, stop)
-            return loop.prepare_block(start, stop, prefer_vectorized=prefer_vectorized)
-
-        return prepare
-
-    def _deferred_future(
-        self, output: Optional[OpDat], last_merge_id: Optional[int]
-    ) -> SharedFuture[OpDat]:
-        promise: Promise[OpDat] = Promise()
-        future = HandleFuture.from_promise(output, promise)  # type: ignore[arg-type]
-        if last_merge_id is None:  # empty iteration set: nothing to wait for
-            promise.set_value(output)  # type: ignore[arg-type]
+    def _finalize(
+        self,
+        engine: ExecutionEngine,
+        loop: ParLoop,
+        task_ids: list[int],
+        partials: list[Optional[Partials]],
+    ) -> Optional[SharedFuture[OpDat]]:
+        """The loop's finalizer task, behind all of its chunks: folds the
+        reduction partials into the globals in chunk order, then fulfils the
+        loop's future (``None`` without a policy that produces futures)."""
+        output = loop.output_dat()
+        promise: Optional[Promise[OpDat]] = None
+        future: Optional[SharedFuture[OpDat]] = None
+        if self._returns_future:
+            promise = Promise()
+            future = HandleFuture.from_promise(output, promise)  # type: ignore[arg-type]
+        if not loop.has_global_reduction and promise is None:
+            return None
+        if not task_ids:  # empty iteration set: nothing to wait for
+            if promise is not None:
+                promise.set_value(output)  # type: ignore[arg-type]
             return future
-        assert self._executor is not None
-        # If the pool is poisoned before the finalizer runs, break the
+
+        def finalize() -> None:
+            for chunk_partials in partials:
+                if chunk_partials is not None:
+                    loop.fold_partials(chunk_partials)
+            if promise is not None:
+                promise.set_value(output)  # type: ignore[arg-type]
+
+        # If the engine is poisoned before the finalizer runs, break the
         # promise instead: consumers blocked in get()/wait() must wake with
         # an error, not hang forever.
-        self._executor.submit(
-            lambda: promise.set_value(output),  # type: ignore[arg-type]
-            deps=[last_merge_id],
-            on_skip=promise.break_promise,
+        engine.submit(
+            finalize,
+            deps=task_ids,
+            on_skip=None if promise is None else promise.break_promise,
         )
         return future
 
@@ -643,16 +667,16 @@ def build_dataflow_pipeline(
     """Pipeline for the HPX-style dataflow context."""
     capabilities = engine_capabilities(run_config.engine)
     cost_model = KernelCostModel(machine)
-    # Engines whose chunk effects commit asynchronously advertise
-    # strict_commit_order: the tracker then adds the extra edges
-    # (program-order increment accumulation, reader ordering against
-    # displaced writer layers) that keep results deterministic and
-    # serial-matching.
+    # On an engine that really defers, chunks commit their own effects as
+    # they finish: the tracker then adds the extra edges (program-order
+    # increment accumulation, reader ordering against displaced writer
+    # layers, same-loop WAW) that keep results deterministic and
+    # bit-identical to serial.
     owner = session if session is not None else Session.current()
     tracker = DependencyTracker(
         chunk_granularity=optimization.interleaving,
         interval_sets=run_config.interval_sets,
-        strict_commit_order=capabilities.strict_commit_order,
+        strict_commit_order=capabilities.deferred,
         algebra=owner.interval_algebra,
     )
     planner = ChunkPlanner(

@@ -1,11 +1,12 @@
 """Schedule policies: the *shape* of a run of the loop pipeline.
 
 * :class:`DataflowSchedulePolicy` -- the paper's design: chunk-size policies
-  from :mod:`repro.runtime.chunking`, chunk-granular tracker edges, one merge
-  chain per loop, futures as loop results, DATAFLOW simulation.
+  from :mod:`repro.runtime.chunking`, owner chunks for indirect increments,
+  chunk-granular tracker edges, futures as loop results, DATAFLOW
+  simulation.
 * :class:`ColorForkJoinSchedulePolicy` -- the OpenMP-style baseline:
   lowering by colouring plan, no tracker (colours are the concurrency
-  structure), merge chains and barriers per colour, BARRIER simulation.
+  structure), a barrier per colour, BARRIER simulation.
   Colouring is *a schedule policy*, not a separate code path.
 
 The serial reference has none (:class:`~repro.core.pipeline.LoopPipeline`).
@@ -44,8 +45,8 @@ class SchedulePolicy:
     """How a pipeline lowers, orders and times loops.
 
     A policy contributes the *shape* of the run -- how iteration ranges are
-    chunked, which dependency edges exist, where merge chains break and
-    barriers sit, and how the accumulated task graph is simulated.  The
+    chunked, which dependency edges exist, where barriers sit, and how the
+    accumulated task graph is simulated.  The
     pipeline contributes everything else (engine negotiation, drain points,
     the global-WRITE fallback, submission, records, reports), so both
     built-in policies -- and any future one -- share that machinery.
@@ -105,13 +106,17 @@ class SchedulePolicy:
     ) -> ChunkCost:
         """Modelled cost of one chunk task."""
         assert pipeline.cost_model is not None
-        total = max(lowered.iterations, 1)
+        if chunk.parts:  # an owner chunk spans its share of the targets
+            position = (chunk.index / chunk.parts, (chunk.index + 1) / chunk.parts)
+        else:
+            total = max(lowered.iterations, 1)
+            position = (chunk.start / total, chunk.stop / total)
         return pipeline.cost_model.chunk_cost(
             lowered.profile,
             chunk.size,
             prefetch=self.prefetch_spec(),
             chunk_index=chunk.index,
-            position=(chunk.start / total, chunk.stop / total),
+            position=position,
             spawn_overhead=self.spawn_overhead,
         )
 
@@ -120,10 +125,6 @@ class SchedulePolicy:
         return lowered.phase
 
     # -- schedule ----------------------------------------------------------------
-    def chain_start(self, lowered: LoweredLoop, position: int) -> bool:
-        """Whether the chunk at ``position`` opens a fresh merge chain."""
-        return position == 0
-
     def barrier_after(self, lowered: LoweredLoop, position: int) -> bool:
         """Whether the engine drains after the chunk at ``position``."""
         return False
@@ -141,7 +142,17 @@ class SchedulePolicy:
 
 
 class DataflowSchedulePolicy(SchedulePolicy):
-    """The paper's lowering: chunk policies + tracker edges + futures."""
+    """The paper's lowering: chunk policies + tracker edges + futures.
+
+    On an engine that really defers, every chunk is one task that commits
+    its own effects, so the lowering only cuts chunks that never write the
+    same element (:meth:`~repro.op2.par_loop.ParLoop.chunk_shape`): row
+    ranges; for a loop that only increments through a map, *owner chunks*
+    -- the planner's K chunks each own a contiguous range of the targets and
+    run every row touching it, so cut rows run twice (OP2's redundant halo
+    execution); and one chunk where neither is possible.  The tracker
+    orders the rest.  A modelling engine keeps the row ranges.
+    """
 
     name = "dataflow"
     returns_future = True
@@ -171,18 +182,29 @@ class DataflowSchedulePolicy(SchedulePolicy):
         sizes = self.planner.plan_chunks(
             loop, profile=profile, prefetch=self._prefetch_spec
         )
+        chunking, reason = "rows", None
+        if pipeline.capabilities.deferred and len(sizes) > 1:
+            chunking, reason = loop.chunk_shape(pipeline.prefer_vectorized)
         chunks: list[ChunkRange] = []
-        start = 0
-        for index, size in enumerate(sizes):
-            chunks.append(ChunkRange(index=index, start=start, stop=start + size))
-            start += size
-        return LoweredLoop(loop=loop, phase=phase, profile=profile, chunks=chunks)
+        if chunking == "owner":
+            plan = loop.owner_plan(len(sizes))
+            for k, rows in enumerate(plan.rows):
+                lo, hi = plan.bounds[k : k + 2]
+                chunks.append(ChunkRange(k, lo, hi, parts=plan.parts, rows=rows.size))
+        elif chunking == "single":
+            chunks.append(ChunkRange(index=0, start=0, stop=loop.iterset.size))
+        else:
+            start = 0
+            for index, size in enumerate(sizes):
+                chunks.append(ChunkRange(index=index, start=start, stop=start + size))
+                start += size
+        return LoweredLoop(loop, phase, profile, chunks, chunking=chunking, chunking_reason=reason)
 
     def chunk_dependencies(
         self, pipeline: "LoopPipeline", lowered: LoweredLoop, chunk: ChunkRange
     ) -> list[int]:
         return self.tracker.chunk_dependencies(
-            lowered.loop, chunk.start, chunk.stop, loop_seq=lowered.phase
+            lowered.loop, chunk.start, chunk.stop, loop_seq=lowered.phase, owner=chunk.owner
         )
 
     def record_chunk(
@@ -193,13 +215,15 @@ class DataflowSchedulePolicy(SchedulePolicy):
         task_id: int,
     ) -> None:
         self.tracker.record_chunk(
-            lowered.loop, lowered.phase, chunk.start, chunk.stop, task_id
+            lowered.loop, lowered.phase, chunk.start, chunk.stop, task_id, owner=chunk.owner
         )
 
     def access_groups(
         self, pipeline: "LoopPipeline", lowered: LoweredLoop, chunk: ChunkRange
     ) -> Optional[list]:
-        return self.tracker.access_groups(lowered.loop, chunk.start, chunk.stop)
+        return self.tracker.access_groups(
+            lowered.loop, chunk.start, chunk.stop, owner=chunk.owner
+        )
 
     def simulate(
         self, task_graph: TaskGraph, machine: Machine, num_threads: int
@@ -225,6 +249,7 @@ class DataflowSchedulePolicy(SchedulePolicy):
             # which loops the interval-set tracker relieves of false edges
             "dependency_edges_by_loop": edges,
             "tracked_dats": self.tracker.tracked_dats(),
+            "owner": _owner_details(records),
         }
         # Engines without a shared address space hold dats in an arena of
         # shared segments; surface its shape when one exists.
@@ -235,13 +260,33 @@ class DataflowSchedulePolicy(SchedulePolicy):
         return details
 
 
+def _owner_details(records: Sequence[Any]) -> dict[str, dict[str, Any]]:
+    """Per lowered loop (the latest record of each name): its chunk count,
+    the rows its chunks run against its iteration set (owner chunks run cut
+    rows twice), and whether it is one chunk and why."""
+    details: dict[str, dict[str, Any]] = {}
+    for record in records:
+        if record.chunking is None:
+            continue
+        rows = sum(record.chunk_sizes)
+        details[record.name] = {
+            "chunking": record.chunking,
+            "chunks": record.num_chunks,
+            "rows": rows,
+            "iterations": record.iterations,
+            "redundancy": rows / record.iterations if record.iterations else 1.0,
+            "one_chunk": record.chunking == "single",
+            "reason": record.chunking_reason,
+        }
+    return details
+
+
 class ColorForkJoinSchedulePolicy(SchedulePolicy):
     """OpenMP-style lowering: colouring plan, per-colour fork/join barriers.
 
-    Blocks of one colour never write the same indirect element, so their
-    compute parts run concurrently; each colour's merges are chained in block
-    order (results identical to sequential colour-by-colour execution) and
-    the drain closing each colour is the implicit OpenMP barrier.  Every
+    Blocks of one colour never write the same indirect element, so they run
+    -- and commit -- concurrently, and the drain closing each colour is the
+    implicit OpenMP barrier.  Every
     colour is its own simulated fork/join phase, later timed in ``BARRIER``
     mode -- colouring is a *schedule policy* here, not a separate code path.
     """
@@ -315,16 +360,13 @@ class ColorForkJoinSchedulePolicy(SchedulePolicy):
     def sim_phase(self, lowered: LoweredLoop, chunk: ChunkRange) -> int:
         return self._phase_base + chunk.color
 
-    def chain_start(self, lowered: LoweredLoop, position: int) -> bool:
-        return (
-            position == 0
-            or lowered.chunks[position].color != lowered.chunks[position - 1].color
-        )
-
     def barrier_after(self, lowered: LoweredLoop, position: int) -> bool:
-        # The implicit barrier closing the parallel region of each colour.
+        # The implicit barrier closing the parallel region of each colour --
+        # or of each block, when a WRITE/RW global must observe every prior
+        # iteration.
         return (
-            position == len(lowered.chunks) - 1
+            lowered.loop.has_global_write
+            or position == len(lowered.chunks) - 1
             or lowered.chunks[position + 1].color != lowered.chunks[position].color
         )
 

@@ -7,8 +7,9 @@ artifacts below:
 ``lower``
     :class:`LoweredLoop` -- the validated loop bound to its kernel profile
     and split into :class:`ChunkRange` s by the active chunk-size policy
-    (:mod:`repro.runtime.chunking`) or, for the fork/join policy, by the
-    colouring plan.
+    (:mod:`repro.runtime.chunking`) -- row ranges, owner chunks or one
+    chunk, as the loop's writes allow -- or, for the fork/join policy, by
+    the colouring plan.
 ``analyze``
     :class:`AnalyzedLoop` -- one :class:`AnalyzedChunk` per chunk: its
     simulated task id, its chunk-granular dependency edges from the
@@ -17,7 +18,7 @@ artifacts below:
     summaries the edges were derived from.
 ``schedule``
     :class:`ChunkSchedule` -- engine-ready task specs
-    (:class:`ChunkTaskSpec`) with merge-chain and barrier structure, plus the
+    (:class:`ChunkTaskSpec`, one engine task per chunk) with barriers, plus the
     :class:`ReductionPlan` describing global-reduction drain points, and
     the submission -- engine tasks, or the parent when the engine defers
     nothing or cannot host a WRITE/RW global -- all derived from the
@@ -70,17 +71,28 @@ class ChunkRange:
     policy (blocks of one colour never write the same indirect element);
     the dataflow policy puts every chunk in colour ``0`` and lets the
     dependency tracker decide concurrency instead.
+
+    An *owner chunk* (``parts > 0``) is chunk ``index`` of ``parts`` of
+    :meth:`~repro.op2.par_loop.ParLoop.owner_plan`: ``[start, stop)`` is the
+    target range it owns and ``rows`` the number of iterations it runs.
     """
 
     index: int
     start: int
     stop: int
     color: int = 0
+    parts: int = 0
+    rows: int = 0
 
     @property
     def size(self) -> int:
         """Number of iterations of the chunk."""
-        return self.stop - self.start
+        return self.rows if self.parts else self.stop - self.start
+
+    @property
+    def owner(self) -> Optional[tuple[int, int]]:
+        """``(parts, index)`` of an owner chunk, ``None`` for a row range."""
+        return (self.parts, self.index) if self.parts else None
 
 
 @dataclass
@@ -94,6 +106,11 @@ class LoweredLoop:
     chunks: list[ChunkRange]
     #: number of colour groups (1 unless the fork/join policy coloured)
     num_colors: int = 1
+    #: how the chunks cut the loop: "rows", "owner" or "single"
+    #: (:meth:`~repro.op2.par_loop.ParLoop.chunk_shape`)
+    chunking: str = "rows"
+    #: why a "single" loop is one chunk
+    chunking_reason: Optional[str] = None
 
     @property
     def name(self) -> str:
@@ -156,11 +173,9 @@ class AnalyzedLoop:
 class ChunkTaskSpec:
     """Stage-3 artifact for one chunk: how it is handed to the engine.
 
-    ``chain_start`` opens a fresh merge chain (the dataflow policy chains all
-    merges of a loop; the fork/join policy restarts the chain per colour so
-    each colour is its own fork/join phase).  ``barrier_after`` drains the
-    engine after the chunk's submission -- the implicit barrier closing a
-    fork/join colour.
+    A chunk is one engine task that commits its own effects.
+    ``barrier_after`` drains the engine after the chunk's submission -- the
+    implicit barrier closing a fork/join colour.
     """
 
     chunk_index: int
@@ -170,8 +185,9 @@ class ChunkTaskSpec:
     sim_id: int
     #: simulated task ids of the chunks this one waits for
     sim_deps: tuple[int, ...]
-    chain_start: bool = False
     barrier_after: bool = False
+    #: ``(parts, k)`` of an owner chunk, ``None`` for the rows [start, stop)
+    owner: Optional[tuple[int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -232,6 +248,9 @@ class LoopRecord:
     #: why an "inline" loop took the route: "serial", "gate" (both without
     #: stages or chunks), "model" or "global_write"
     reason: Optional[str] = None
+    #: :attr:`LoweredLoop.chunking` and its reason (``None`` when not lowered)
+    chunking: Optional[str] = None
+    chunking_reason: Optional[str] = None
 
     @property
     def num_chunks(self) -> int:

@@ -13,7 +13,7 @@ design rationale):
 A custom engine is one ``register_engine`` call away::
 
     register_engine("my-engine", MyEngine,
-                    capabilities=EngineCapabilities(strict_commit_order=True))
+                    capabilities=EngineCapabilities(shared_address_space=True))
 
 after which ``hpx_context(engine="my-engine")`` (and benchmark sweeps over
 ``RunConfig`` replacements) pick it up with no changes to any ``repro``

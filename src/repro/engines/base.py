@@ -11,9 +11,9 @@ module.
 
 Contexts never ask *which* engine is active; they ask what it *can do*.
 :class:`EngineCapabilities` is that capability record: the HPX context
-derives its strict-commit tracker edges, its global-write parent fallback and
-its drain points from it, and the OpenMP baseline rejects engines by
-capability (it needs a shared address space) instead of by name.
+derives its chunking and strict-commit tracker edges, its global-write parent
+fallback and its drain points from it, and the OpenMP baseline rejects
+engines by capability (it needs a shared address space) instead of by name.
 
 :class:`RunConfig` is the typed, frozen description of one run -- engine
 name, worker count, chunking policy, prefetch settings -- that contexts are
@@ -48,28 +48,25 @@ class EngineCapabilities:
     Contexts branch on these flags -- never on engine names -- so a new
     substrate plugs in by describing itself truthfully:
 
-    * ``deferred``: chunks really run on the engine.  ``False`` means the
-      engine models a run whose numerics execute eagerly in the parent (the
-      ``simulate`` engine); contexts then never submit anything.
+    * ``deferred``: chunks really run on the engine, each committing its own
+      effects, so the dependency tracker adds the strict-commit edges
+      (program-order increment accumulation, reader ordering against
+      displaced writer layers, same-loop WAW) that keep results
+      bit-identical to serial.  ``False`` means the engine models a run
+      whose numerics execute eagerly in the parent (the ``simulate``
+      engine); contexts then never submit anything.
     * ``shared_address_space``: workers see the parent's live arrays, so
       closure submission works and in-place scatters need no marshalling.
       The OpenMP baseline requires this (its defining property is the
       shared-memory barrier per loop).
     * ``needs_kernel_registry``: work must be dispatched by registered
-      kernel *name* (closures cannot reach the workers); the loop runner
-      then calls ``submit_loop_chunk(loop, ...)`` instead of
-      ``submit_chunk(prepare, ...)``.
+      kernel *name* (closures cannot reach the workers); the engine's
+      ``submit`` then ships each :class:`~repro.op2.par_loop.LoopChunk` task
+      by name instead of calling it.
     * ``supports_global_write``: loops writing a non-reduction global
       (``OP_WRITE``/``OP_RW`` on ``op_arg_gbl``) can execute on the engine.
       When ``False`` the context drains the engine and runs such loops
       inline in the parent, which owns the live global value.
-    * ``strict_commit_order``: chunk effects commit asynchronously, so the
-      dependency tracker must add the strict-commit edges (program-order
-      increment accumulation, reader ordering against displaced writer
-      layers) that keep results deterministic and serial-matching.
-    * ``separate_merge_channel``: merges travel on a channel of their own,
-      so the chunk-ordered merge chain never queues behind a long compute
-      (reported for observability; no context branches on it today).
     * ``compiled_kernels``: the engine wants loops lowered through the
       kernel pipeline (capture → parse → IR → emit) and dispatched as
       compiled slab functions; loops (or kernels) the pipeline cannot lower
@@ -85,8 +82,6 @@ class EngineCapabilities:
     shared_address_space: bool = True
     needs_kernel_registry: bool = False
     supports_global_write: bool = True
-    strict_commit_order: bool = True
-    separate_merge_channel: bool = False
     compiled_kernels: bool = False
     partitioned_dats: bool = False
 
@@ -104,12 +99,10 @@ class ExecutionEngine(Protocol):
     tasks that must complete first, the first task failure poisons the engine
     (skipped tasks fire ``on_skip``), and ``wait_all`` drains and re-raises.
 
-    Engines with ``needs_kernel_registry=False`` receive chunks through
-    ``submit_chunk`` (a closure pair); engines with it ``True`` receive the
-    loop object through ``submit_loop_chunk`` and dispatch by kernel name.
-    Either way the return value is ``(compute_id, merge_id)`` and ``after``
-    chains the merge behind the previous chunk's merge, keeping commit order
-    deterministic.
+    Every chunk of a loop is one task: a callable
+    :class:`~repro.op2.par_loop.LoopChunk` that runs the chunk and commits
+    its own effects.  An engine with ``needs_kernel_registry=True`` ships it
+    to a worker by kernel name instead of calling it.
     """
 
     #: capability record contexts negotiate against

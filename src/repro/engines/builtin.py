@@ -9,7 +9,7 @@
 * ``processes`` -- the shared-memory multiprocess chunk engine
   (:class:`~repro.runtime.process_pool.ProcessChunkEngine`): no shared
   address space, kernel dispatch by registered name, no in-engine global
-  writes, merges on a dedicated channel.
+  writes.
 * ``sharded`` -- the distributed-memory variant of ``processes``
   (:class:`~repro.runtime.sharding.ShardedChunkEngine`): each set is
   partitioned into per-worker owned shards, every dat gets one segment per
@@ -52,10 +52,7 @@ __all__ = [
 ]
 
 #: eager parent execution; only the DAG is modelled, so no strict edges
-SIMULATE_CAPABILITIES = EngineCapabilities(
-    deferred=False,
-    strict_commit_order=False,
-)
+SIMULATE_CAPABILITIES = EngineCapabilities(deferred=False)
 
 #: one interpreter, OS threads: closures work, globals live in-process
 THREADS_CAPABILITIES = PoolExecutor.capabilities
@@ -115,19 +112,6 @@ class InlineEngine:
         self.executed += 1
         return next(self._ids)
 
-    def submit_chunk(
-        self,
-        prepare: Callable[[], Callable[[], None]],
-        *,
-        deps: Iterable[int] = (),
-        after: Optional[int] = None,
-    ) -> tuple[int, int]:
-        """Compute then merge immediately; returns ``(compute_id, merge_id)``."""
-        holder: dict[str, Callable[[], None]] = {}
-        compute_id = self.submit(lambda: holder.__setitem__("merge", prepare()), deps=deps)
-        merge_id = self.submit(lambda: holder.pop("merge")())
-        return compute_id, merge_id
-
     def wait_all(self, timeout: Optional[float] = None) -> None:
         """Nothing is ever outstanding."""
 
@@ -152,7 +136,6 @@ def _make_processes(config: RunConfig) -> ExecutionEngine:
         config.num_threads,
         name="hpx-chunk-procs",
         trace=True,
-        prefer_vectorized=config.prefer_vectorized,
     )
 
 
@@ -172,7 +155,6 @@ def _make_sharded(config: RunConfig) -> ExecutionEngine:
         config.num_threads,
         name="hpx-chunk-shards",
         trace=True,
-        prefer_vectorized=config.prefer_vectorized,
         algebra=Session.current().interval_algebra,
     )
 

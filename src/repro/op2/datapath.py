@@ -3,8 +3,11 @@
 Every vectorised block of a parallel loop -- :meth:`ParLoop._prepare_vectorized`
 and the translator's slabs alike -- moves indirect data through this module:
 a :class:`BlockStage` hands out the block's map columns, gathered copies and
-private scatter buffers, and :meth:`BlockStage.committer` returns the closure
-that commits them (in deterministic chunk order on the deferred engines).
+private scatter buffers, and commits them argument by argument in row order
+(:meth:`BlockStage.commit`, or the closure :meth:`BlockStage.committer`
+returns).  An owner chunk (:class:`~repro.op2.map.OwnerPlan`) runs the rows
+touching the targets it owns and commits only those targets, so every target
+receives the additions a whole-set commit gives it.
 
 Three things are deliberately confined here (``tests/test_chunk_data_path.py``
 greps ``src/`` for strays):
@@ -62,6 +65,7 @@ from repro.op2.access import AccessMode
 
 if TYPE_CHECKING:  # pragma: no cover - args imports map, which imports this module
     from repro.op2.args import OpArg
+    from repro.op2.map import OwnerPlan
 
 __all__ = [
     "COMPUTE_BLOCK_ROWS",
@@ -69,8 +73,10 @@ __all__ = [
     "SCRATCH_MIN_ROWS",
     "STAGING_POOL_BYTES",
     "BlockStage",
+    "fold_reduction",
     "gather_rows",
     "kernel_scratch",
+    "neutral",
     "occurrence_ranks",
     "stage_scatter_add",
 ]
@@ -312,7 +318,7 @@ def _scatter_add_rounds(
     Ranks ascend in row order per target, so within a block equal targets
     carry different ranks (each rank's rows are conflict-free) and blocks in
     row order keep every target's increments in order.  A block whose ranks
-    are all zero -- most of them on a mesh -- is a single round.  Every
+    are all equal -- most of them on a mesh -- is a single round.  Every
     temporary but a round's row list lives in the committing thread's
     scratch, sized by the block -- or, for a buffer of fewer than
     :data:`SCRATCH_MIN_ROWS` rows, in a throwaway one.
@@ -333,7 +339,8 @@ def _scatter_add_rounds(
         np.copyto(targets, index[block])
         increments = buffer[block]
         last = 0 if ranks is None else int(ranks[block].max())
-        if last == 0:
+        if last == 0 or int(ranks[block].min()) == last:  # type: ignore[index]
+            # one rank throughout: the block's targets are distinct
             _add_distinct(data, targets, increments, current)
             continue
         assert ranks is not None
@@ -376,7 +383,7 @@ def stage_scatter_add(
     return partial(_scatter_add_rounds, data, index, buffer, ranks_of())
 
 
-def _neutral(access: AccessMode, like: np.ndarray) -> np.ndarray:
+def neutral(access: AccessMode, like: np.ndarray) -> np.ndarray:
     """A buffer shaped like ``like`` holding the neutral element of ``access``."""
     if access is AccessMode.INC:
         return np.zeros(like.shape, like.dtype)
@@ -385,7 +392,8 @@ def _neutral(access: AccessMode, like: np.ndarray) -> np.ndarray:
     return buffer
 
 
-def _fold_reduction(access: AccessMode, target: np.ndarray, buffer: np.ndarray) -> None:
+def fold_reduction(access: AccessMode, target: np.ndarray, buffer: np.ndarray) -> None:
+    """Fold a reduction partial ``buffer`` into ``target``."""
     if access is AccessMode.INC:
         target += buffer
     elif access is AccessMode.MIN:
@@ -394,9 +402,14 @@ def _fold_reduction(access: AccessMode, target: np.ndarray, buffer: np.ndarray) 
         np.maximum(target, buffer, out=target)
 
 
-def _equal_pieces(start: int, stop: int, most: int) -> list[tuple[int, int]]:
+def _equal_pieces(
+    start: int, stop: int, most: int, split: Optional[int] = None
+) -> list[tuple[int, int]]:
     """``[lo, hi)`` pieces of ``[start, stop)``: as few as hold at most
-    ``most`` rows each, their sizes equal to a row."""
+    ``most`` rows each, their sizes equal to a row -- or, given ``split``,
+    those of ``[start, split)`` followed by those of ``[split, stop)``."""
+    if split is not None:
+        return _equal_pieces(start, split, most) + _equal_pieces(split, stop, most)
     count = -(-(stop - start) // most)
     if count == 1:  # the common case, a chunk of one sub-block: no generator
         return [(start, stop)]
@@ -404,24 +417,85 @@ def _equal_pieces(start: int, stop: int, most: int) -> list[tuple[int, int]]:
     return [(start + rows * k // count, start + rows * (k + 1) // count) for k in range(count)]
 
 
-def _commit(commits: list[Callable[[], None]], pooled: list[np.ndarray]) -> None:
+def _commit(
+    commits: list[Callable[[], None]], pooled: list[np.ndarray], folds: list[tuple]
+) -> None:
     for commit in commits:
         commit()
     commits.clear()
+    for access, target, buffer in folds:
+        fold_reduction(access, target, buffer)
     if pooled:
         _staging.give(pooled)
         pooled.clear()
+
+
+def _map_rows(
+    column: tuple[np.ndarray, int], rows: np.ndarray, scratch: Optional[_Scratch]
+) -> np.ndarray:
+    """``values[rows, slot]`` for ``column = (values, slot)`` and ascending
+    ``rows``: a view of the column for consecutive rows, else a gather into
+    ``scratch``'s ``"index"`` buffer (when given).
+
+    Taken from the flat values: ``np.take`` copies a strided source -- a map
+    column -- whole before it gathers.
+    """
+    values, slot = column
+    if rows[-1] - rows[0] == rows.size - 1:
+        return values[rows[0] : rows[-1] + 1, slot]
+    if scratch is None:
+        return values.reshape(-1).take(rows * values.shape[1] + slot)
+    offsets, index = scratch.carve("offsets", (rows.shape, np.intp), (rows.shape, np.intp))
+    np.multiply(rows, values.shape[1], out=offsets)
+    offsets += slot
+    return np.take(values.reshape(-1), offsets, out=index, mode="clip")
+
+
+def _owned_scatter_add(
+    data: np.ndarray,
+    buffer: np.ndarray,
+    values: np.ndarray,
+    plan: "OwnerPlan",
+    part: int,
+    slot: int,
+) -> None:
+    """Owner chunk ``part``'s commit of the increments in ``buffer`` through
+    ``slot``: the rows whose targets it owns, in row order, picked and
+    scatter-added block by block (each block with its own schedule,
+    :meth:`~repro.op2.map.OwnerPlan.ranks`).  A block of consecutive rows --
+    most of a chunk on a well-numbered mesh -- is sliced, not picked."""
+    j = plan.slots.index(slot)
+    positions, rows, homes = plan.commits[part][j], plan.rows[part], plan.homes[part]
+    scratch = _thread_scratch() if positions.size >= SCRATCH_MIN_ROWS else _Scratch()
+    for lo in range(0, positions.size, _ROUND_BLOCK_ROWS):
+        chosen = positions[lo : lo + _ROUND_BLOCK_ROWS]
+        # ordered by row, hence by position among home or among guest rows
+        first, last = int(chosen[0]), int(chosen[-1])
+        if last - first == chosen.size - 1 and (chosen.max() < homes or chosen.min() >= homes):
+            picked, at = buffer[first : last + 1], rows[first : last + 1]
+        else:
+            picked, at = scratch.carve(
+                "picked",
+                ((chosen.size, *buffer.shape[1:]), buffer.dtype),
+                ((chosen.size,), rows.dtype),
+            )
+            np.take(buffer, chosen, axis=0, out=picked, mode="clip")
+            np.take(rows, chosen, out=at, mode="clip")
+        targets = _map_rows((values, slot), at, scratch)  # ``at`` ascends
+        ranks_of = partial(plan.ranks, values, part, j, lo, lo + _ROUND_BLOCK_ROWS)
+        stage_scatter_add(data, targets, picked, ranks_of)()
 
 
 class BlockStage:
     """Private staging of the indirect and global arguments of one block.
 
     The caller declares, per argument and in argument order, what its kernel
-    form consumes, runs the kernel, and hands :meth:`committer`'s closure to
-    whoever orders the commits.  The closure keeps the scatter buffers alive,
-    nothing else of the stage, and returns pooled staging to the free-list
-    after its last commit; a stage that is never committed (an aborted
-    context) never returns its buffers.
+    form consumes, runs the kernel, and then either commits at once
+    (:meth:`commit`, which hands back the global-reduction partials) or
+    hands :meth:`committer`'s closure to whoever orders the commits.  The
+    closure keeps the scatter buffers alive, nothing else of the stage, and
+    returns pooled staging to the free-list after its last commit; a stage
+    that is never committed (an aborted context) never returns its buffers.
 
     Two kinds of caller.  The compiled slab takes whole-chunk pieces --
     :meth:`index`, and the buffers :meth:`private` and :meth:`reduction`
@@ -432,32 +506,49 @@ class BlockStage:
     the chunk.  Either way the commit is the whole chunk's, argument by
     argument in row order.
 
-    A chunk of fewer than :data:`SCRATCH_MIN_ROWS` rows is *eager*: it uses
-    no scratch, so its READ gathers are made as they are declared and its
-    one sub-block gets the declared views as they are -- every chunk of a
-    light request.
+    An *owner chunk* (``owner=(plan, k)``, an
+    :class:`~repro.op2.map.OwnerPlan` part) runs the rows ``plan.rows[k]``
+    instead of ``[start, stop)``: its only writes are indirect INC, every
+    view is a gather, and each INC argument commits only the targets the
+    chunk owns.  Its global reductions see the home rows only: the guest
+    rows run in sub-blocks of their own against throwaway buffers.
+
+    A contiguous chunk of fewer than :data:`SCRATCH_MIN_ROWS` rows is
+    *eager*: it uses no scratch, so its READ gathers are made as they are
+    declared and its one sub-block gets the declared views as they are --
+    every chunk of a light request.
 
     Lifetimes: a gathered READ view and ``_idx`` live until the block form
     returns (the next sub-block reuses their scratch); staging lives until
     its commit.
     """
 
-    def __init__(self, start: int, stop: int) -> None:
+    def __init__(self, start: int, stop: int, owner: Optional[tuple] = None) -> None:
+        #: the chunk's rows for an owner chunk, ``None`` for ``[start, stop)``
+        self.rows: Optional[np.ndarray] = None
+        self._owner = owner
+        if owner is not None:
+            plan, part = owner
+            self.rows = plan.rows[part]
+            start, stop = 0, self.rows.size  # positions in ``rows``
         self.start = start
         self.stop = stop
         #: views are built as declared: the chunk needs no scratch
-        self.eager = stop - start < SCRATCH_MIN_ROWS
+        self.eager = owner is None and stop - start < SCRATCH_MIN_ROWS
         self._commits: list[Callable[[], None]] = []
         #: staging buffers the committer returns to the free-list
         self._pooled: list[np.ndarray] = []
         #: per declared argument: the array of the chunk's rows a sub-block
         #: slices, a global's array, or ``(data, column)``: a gather made per
-        #: sub-block
+        #: sub-block -- for an owner chunk ``column`` is ``(values, slot)``
+        #: of the map, or ``None`` for a direct argument
         self._views: list = []
         #: positions of live globals in ``_views``
         self._live: list[int] = []
         #: (position in ``_views``, access, chunk buffer) per global reduction
         self._reductions: list[tuple[int, AccessMode, np.ndarray]] = []
+        #: (access, global, chunk buffer) per global reduction, for the committer
+        self._global_folds: list[tuple[AccessMode, np.ndarray, np.ndarray]] = []
 
     def index(self, arg: OpArg) -> np.ndarray:
         """The block's targets of an indirect argument: a view of the map column."""
@@ -471,14 +562,22 @@ class BlockStage:
         self._views.append(arg.gbl_data)
 
     def direct(self, arg: OpArg) -> None:
-        """Direct dat, any access: the ``dat.data[lo:hi]`` view."""
+        """Direct dat, any access: the ``dat.data[lo:hi]`` view (a gather of
+        the rows, made per sub-block, for an owner chunk: it only reads)."""
         assert arg.dat is not None
-        self._views.append(arg.dat.data[self.start : self.stop])
+        if self.rows is not None:
+            self._views.append((arg.dat.data, None))
+        else:
+            self._views.append(arg.dat.data[self.start : self.stop])
 
     def gathered(self, arg: OpArg) -> None:
         """Indirect READ: a gathered ``(rows, dim)`` copy, made per sub-block."""
         assert arg.dat is not None and arg.map is not None
-        data, column = arg.dat.data, arg.map.values[:, arg.map_index]  # type: ignore[union-attr]
+        values = arg.map.values  # type: ignore[union-attr]
+        if self.rows is not None:
+            self._views.append((arg.dat.data, (values, arg.map_index)))
+            return
+        data, column = arg.dat.data, values[:, arg.map_index]
         if self.eager:
             self._views.append(gather_rows(data, column[self.start : self.stop]))
         else:
@@ -487,13 +586,14 @@ class BlockStage:
     def private(self, arg: OpArg) -> np.ndarray:
         """Indirect INC/WRITE/RW: the whole-chunk buffer the kernel works on.
 
-        INC gets zeros, scatter-added at commit; WRITE/RW get the gathered
-        rows, assigned back at commit (callers only vectorise blocks whose
-        WRITE/RW targets are distinct).  From :data:`SCRATCH_MIN_ROWS` rows
-        up the buffer is a pooled one, zero-filled or gathered into.
+        INC gets zeros, scatter-added at commit (an owner chunk adds the rows
+        whose targets it owns, slot by slot in row order); WRITE/RW get the
+        gathered rows, assigned back at commit (callers only vectorise blocks
+        whose WRITE/RW targets are distinct).  From :data:`SCRATCH_MIN_ROWS`
+        rows up the buffer is a pooled one, zero-filled or gathered into.
         """
         assert arg.dat is not None and arg.map is not None
-        data, index = arg.dat.data, self.index(arg)
+        data = arg.dat.data
         shape = (self.stop - self.start, arg.dim)
         pooled = shape[0] >= SCRATCH_MIN_ROWS
         buffer = _staging.take(shape, arg.dat.dtype) if pooled else None
@@ -502,11 +602,20 @@ class BlockStage:
                 buffer = np.zeros(shape, dtype=arg.dat.dtype)
             else:
                 buffer.fill(0)
-            ranks_of = partial(
-                arg.map.scatter_ranks, arg.map_index, self.start, self.stop  # type: ignore[union-attr]
-            )
-            self._commits.append(stage_scatter_add(data, index, buffer, ranks_of))
+            opmap, slot = arg.map, arg.map_index
+            if self._owner is None:
+                ranks_of = partial(
+                    opmap.scatter_ranks, slot, self.start, self.stop  # type: ignore[union-attr]
+                )
+                commit = stage_scatter_add(data, self.index(arg), buffer, ranks_of)
+            else:
+                plan, part = self._owner
+                values = opmap.values  # type: ignore[union-attr]
+                commit = partial(_owned_scatter_add, data, buffer, values, plan, part, slot)
+            self._commits.append(commit)
         else:
+            assert self._owner is None, "owner chunks only increment"
+            index = self.index(arg)
             if buffer is None:
                 buffer = gather_rows(data, index)
             else:  # in pieces, so the index copy stays block-sized
@@ -521,7 +630,7 @@ class BlockStage:
         return buffer
 
     def reduction(self, arg: OpArg) -> np.ndarray:
-        """Global INC/MIN/MAX: a neutral buffer folded into the global at commit.
+        """Global INC/MIN/MAX: a neutral buffer, the chunk's partial result.
 
         A sub-block works on a neutral buffer of its own, folded into the
         chunk's in row order, so a block form may assign its partial result
@@ -529,40 +638,57 @@ class BlockStage:
         that is the whole chunk works on the chunk's buffer itself.
         """
         assert arg.gbl_data is not None
-        buffer = _neutral(arg.access, arg.gbl_data)
-        self._commits.append(partial(_fold_reduction, arg.access, arg.gbl_data, buffer))
+        buffer = neutral(arg.access, arg.gbl_data)
         self._reductions.append((len(self._views), arg.access, buffer))
+        self._global_folds.append((arg.access, arg.gbl_data, buffer))
         self._views.append(buffer)
         return buffer
 
-    def _sub_block_views(self, lo: int, hi: int, scratch: Optional[_Scratch]) -> list:
+    def _sub_block_views(
+        self, lo: int, hi: int, scratch: Optional[_Scratch], guest: bool = False
+    ) -> list:
         """The views of rows ``[lo, hi)``: slices of the chunk's rows, gathers
         made now (into ``scratch`` unless it is ``None``), globals whole, and
-        neutral reduction buffers unless the rows are the whole chunk."""
+        neutral reduction buffers unless the rows are the whole chunk (and
+        not guests)."""
         first, last = lo - self.start, hi - self.start
+        # an owner chunk's rows ascend within a sub-block (home, guests apart)
+        rows = None if self.rows is None else self.rows[lo:hi]
         views = []
         for position, view in enumerate(self._views):
             if type(view) is not tuple:
                 view = view[first:last]
-            elif scratch is None:
-                view = gather_rows(view[0], view[1][lo:hi])
             else:
                 data, column = view
-                out = scratch.buffer(("gathered", position), (hi - lo, *data.shape[1:]), data.dtype)
-                view = _take_rows(scratch, data, column[lo:hi], out)
+                if rows is None:
+                    index = column[lo:hi]
+                elif column is None:  # a direct argument (read only)
+                    if rows[-1] - rows[0] == rows.size - 1:  # consecutive rows
+                        views.append(data[rows[0] : rows[-1] + 1])
+                        continue
+                    index = rows
+                else:
+                    index = _map_rows(column, rows, scratch)
+                if scratch is None:
+                    view = gather_rows(data, index)
+                else:
+                    shape = (hi - lo, *data.shape[1:])
+                    out = scratch.buffer(("gathered", position), shape, data.dtype)
+                    view = _take_rows(scratch, data, index, out)
             views.append(view)
         for position in self._live:
             views[position] = self._views[position]
-        whole = (lo, hi) == (self.start, self.stop)
+        whole = (lo, hi) == (self.start, self.stop) and not guest
         for position, access, buffer in self._reductions:
-            views[position] = buffer if whole else _neutral(access, buffer)
+            views[position] = buffer if whole else neutral(access, buffer)
         return views
 
     def sub_blocks(self) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
         """``(_idx, views)`` per sub-block: as few as hold at most
-        :data:`COMPUTE_BLOCK_ROWS` rows each, of equal size to a row.
+        :data:`COMPUTE_BLOCK_ROWS` rows each, of equal size to a row (an
+        owner chunk's home and guest rows apart).
 
-        ``_idx`` is the sub-block's global iteration range, ``views`` one
+        ``_idx`` is the sub-block's global iteration rows, ``views`` one
         entry per declared argument.  The consumer runs the block form on
         them before asking for the next item: from :data:`SCRATCH_MIN_ROWS`
         rows up, ``_idx`` and the gathered views are the thread's scratch,
@@ -571,19 +697,36 @@ class BlockStage:
         16 384 and a 2 656-row tail.
         """
         chunk = (self.start, self.stop)
-        for lo, hi in _equal_pieces(self.start, self.stop, COMPUTE_BLOCK_ROWS):
+        homes = None
+        if self._owner is not None:  # each part ascending: a run is a slice
+            plan, part = self._owner
+            homes = plan.homes[part]
+        for lo, hi in _equal_pieces(self.start, self.stop, COMPUTE_BLOCK_ROWS, homes):
+            guest = homes is not None and lo >= homes
             if self.eager and (lo, hi) == chunk:  # as declared
                 views, idx = self._views, np.arange(lo, hi)
             else:
                 scratch = _thread_scratch() if hi - lo >= SCRATCH_MIN_ROWS else None
-                views = self._sub_block_views(lo, hi, scratch)  # gathers before _idx
-                idx = np.arange(lo, hi) if scratch is None else scratch.arange(lo, hi)
+                views = self._sub_block_views(lo, hi, scratch, guest)  # gathers before _idx
+                if self.rows is not None:
+                    idx = self.rows[lo:hi]
+                else:
+                    idx = np.arange(lo, hi) if scratch is None else scratch.arange(lo, hi)
             yield idx, views
+            if guest:  # a guest row's reductions count in its home chunk
+                continue
             for position, access, buffer in self._reductions:
                 if views[position] is not buffer:
-                    _fold_reduction(access, buffer, views[position])
+                    fold_reduction(access, buffer, views[position])
 
     def committer(self) -> Callable[[], None]:
-        """The closure applying every staged effect, in argument order, then
-        returning the pooled staging to the free-list."""
-        return partial(_commit, self._commits, self._pooled)
+        """The closure applying every staged effect, in argument order, and
+        folding the global reductions into their globals, then returning the
+        pooled staging to the free-list."""
+        return partial(_commit, self._commits, self._pooled, self._global_folds)
+
+    def commit(self) -> list[np.ndarray]:
+        """Apply the staged dat effects now; return the global-reduction
+        partials, in declaration order, for the caller to fold."""
+        _commit(self._commits, self._pooled, [])
+        return [buffer for _position, _access, buffer in self._reductions]

@@ -20,7 +20,7 @@ from repro.op2.datapath import occurrence_ranks
 from repro.op2.intervals import IntervalSet
 from repro.op2.set import OpSet
 
-__all__ = ["OpMap", "op_decl_map"]
+__all__ = ["OpMap", "OwnerPlan", "op_decl_map"]
 
 _map_ids = itertools.count()
 
@@ -47,6 +47,7 @@ class OpMap:
         "_scatter_ranks",
         "_scatter_ranks_bytes",
         "_scatter_ranks_lock",
+        "_owner_plans",
     )
 
     def __init__(
@@ -82,6 +83,8 @@ class OpMap:
         self._scatter_ranks: dict[tuple[int, int, int, int], Optional[np.ndarray]] = {}
         self._scatter_ranks_bytes = 0
         self._scatter_ranks_lock = threading.Lock()
+        #: (version, slots, parts) -> owner-computes partition of the targets
+        self._owner_plans: dict[tuple[int, tuple[int, ...], int], OwnerPlan] = {}
 
     def _validated(self, values: Sequence[int] | np.ndarray) -> np.ndarray:
         array = np.asarray(values, dtype=np.int64)
@@ -180,10 +183,26 @@ class OpMap:
                     self._scatter_ranks_bytes += cost
         return ranks  # type: ignore[return-value]
 
+    def owner_plan(self, slots: tuple[int, ...], parts: int) -> "OwnerPlan":
+        """The owner-computes partition of the targets of ``slots`` into
+        ``parts`` ranges (:class:`OwnerPlan`), built once per connectivity.
+
+        Every process builds its own from its view of ``values``: a worker
+        needs only ``(slots, parts)`` to find a chunk's rows.
+        """
+        key = (self._version, slots, parts)
+        plan = self._owner_plans.get(key)
+        if plan is None:
+            plan = OwnerPlan(self, slots, parts)
+            if len(self._owner_plans) >= 8:  # a handful of chunk counts per map
+                self._owner_plans.clear()
+            self._owner_plans[key] = plan
+        return plan
+
     def set_values(self, values: Sequence[int] | np.ndarray) -> None:
         """Replace the connectivity (validated); bumps the version so cached
-        execution plans, chunk summaries and scatter schedules computed from
-        the old connectivity are recomputed.
+        execution plans, chunk summaries, scatter schedules and owner plans
+        computed from the old connectivity are recomputed.
 
         Deferred engines gather through the *live* ``values`` array when a
         chunk executes, so replacing it must be ordered after every loop
@@ -220,6 +239,101 @@ class OpMap:
             f"OpMap(name={self.name!r}, {self.from_set.name}->{self.to_set.name}, "
             f"dim={self.dim})"
         )
+
+
+class OwnerPlan:
+    """Owner-computes partition of a map's targets into ``parts`` ranges.
+
+    Target ``t`` belongs to range ``t * parts // size``, so range ``k`` is
+    ``[bounds[k], bounds[k + 1])``.  Chunk ``k`` of a loop incrementing
+    through ``slots`` of the map runs every row that touches range ``k``
+    and commits only the targets in it:
+
+    * ``rows[k]``: its *home* rows -- those whose target through
+      ``slots[0]`` lies in range ``k``, so every row has exactly one home
+      chunk -- then its *guest* rows, each part ascending; ``homes[k]``
+      counts the home rows.  A row's global-reduction contribution comes
+      from its home chunk only.
+    * ``commits[k][j]``: for ``slots[j]``, the positions in ``rows[k]``
+      whose target lies in range ``k``, ordered by row.  Committing slot by
+      slot in this order gives every target the sequence of additions a
+      whole-set commit gives it; :meth:`ranks` schedules the commit in
+      blocks.
+
+    Rows and positions are ``int32`` while the map's entries can be counted
+    in it.  The plan keeps no reference to the map's values (an arena may
+    replace the array, same content): methods that read them take them.
+    """
+
+    __slots__ = (
+        "target_set", "slots", "parts", "bounds", "rows", "homes", "commits",
+        "_ranks", "_summaries",
+    )
+
+    def __init__(self, opmap: OpMap, slots: tuple[int, ...], parts: int) -> None:
+        size = opmap.to_set.size
+        values = opmap.values
+        dtype = np.int32 if values.size < 2**31 else np.intp
+        self.target_set = opmap.to_set
+        self.slots = slots
+        self.parts = parts
+        self.bounds = [-(-k * size // parts) for k in range(parts + 1)]
+        owners = [values[:, slot] * parts // max(size, 1) for slot in slots]
+        self.rows: list[np.ndarray] = []
+        self.homes: list[int] = []
+        self.commits: list[list[np.ndarray]] = []
+        for part in range(parts):
+            home = owners[0] == part
+            touch = home.copy()
+            for owner in owners[1:]:
+                touch |= owner == part
+            home_rows = np.flatnonzero(home)
+            rows = np.concatenate([home_rows, np.flatnonzero(touch & ~home)]).astype(dtype)
+            commits = []
+            for owner in owners:
+                positions = np.flatnonzero(owner[rows] == part).astype(dtype)
+                commits.append(positions[np.argsort(rows[positions], kind="stable")])
+            self.rows.append(rows)
+            self.homes.append(home_rows.size)
+            self.commits.append(commits)
+        self._ranks: dict[tuple[int, int, int], Optional[np.ndarray]] = {}
+        self._summaries: dict[tuple, Optional[IntervalSet]] = {}
+
+    def targets(
+        self, values: np.ndarray, part: int, j: int, lo: int = 0, hi: Optional[int] = None
+    ) -> np.ndarray:
+        """Targets in the map's ``values`` of commit entries ``[lo, hi)`` of
+        chunk ``part`` through ``slots[j]``."""
+        positions = self.commits[part][j][lo:hi]
+        return values[self.rows[part][positions], self.slots[j]]
+
+    def ranks(
+        self, values: np.ndarray, part: int, j: int, lo: int, hi: int
+    ) -> Optional[np.ndarray]:
+        """Occurrence ranks of :meth:`targets` ``(values, part, j, lo, hi)``
+        -- the scatter schedule of one block of the commit (``None``: no
+        target repeats) -- built once, by the process that commits it."""
+        key = (part, j, lo)
+        if key not in self._ranks:
+            self._ranks[key] = occurrence_ranks(self.targets(values, part, j, lo, hi))
+        return self._ranks[key]
+
+    def summary(
+        self, part: int, opmap: Optional[OpMap] = None, slot: int = 0, owned: bool = False
+    ) -> Optional[IntervalSet]:
+        """What chunk ``part`` touches (``None``: nothing), built once: its
+        rows, without ``opmap``; else the targets its rows reach through
+        ``slot`` of ``opmap`` -- or, ``owned``, those of them it commits."""
+        key = (part, None if opmap is None else (opmap.map_id, opmap.version), slot, owned)
+        if key not in self._summaries:
+            if opmap is None:
+                touched = self.rows[part]
+            elif owned:
+                touched = self.targets(opmap.values, part, self.slots.index(slot))
+            else:
+                touched = opmap.values[self.rows[part], slot]
+            self._summaries[key] = IntervalSet.from_targets(touched) if touched.size else None
+        return self._summaries[key]
 
 
 def op_decl_map(

@@ -11,6 +11,8 @@ HPX-style).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -20,12 +22,17 @@ from repro.op2.access import AccessMode
 from repro.op2.args import OpArg
 from repro.op2.context import get_active_context
 from repro.op2.dat import OpDat
-from repro.op2.datapath import BlockStage
+from repro.op2.datapath import BlockStage, fold_reduction, neutral
+from repro.op2.intervals import IntervalAlgebra, IntervalSet
 from repro.op2.kernel import Kernel
+from repro.op2.map import OpMap, OwnerPlan
 from repro.op2.set import OpSet
 from repro.sim.cost import KernelProfile
 
-__all__ = ["ParLoop", "op_par_loop"]
+__all__ = ["LoopChunk", "ParLoop", "op_par_loop"]
+
+#: a partial result of a chunk: (argument position, reduction buffer)
+Partials = list[tuple[int, np.ndarray]]
 
 #: the global accesses a block stages as a reduction
 _REDUCTIONS = (AccessMode.INC, AccessMode.MIN, AccessMode.MAX)
@@ -105,6 +112,98 @@ class ParLoop:
         """Dats the loop modifies."""
         return list(self._written)
 
+    @property
+    def reduction_positions(self) -> list[int]:
+        """Positions of the global reduction (INC/MIN/MAX) arguments."""
+        return [
+            position
+            for position, arg in enumerate(self.args)
+            if arg.is_global and arg.access in _REDUCTIONS
+        ]
+
+    # -- chunking ----------------------------------------------------------------------
+    @cached_property
+    def _increments(self) -> tuple[Optional[tuple[OpMap, tuple[int, ...]]], Optional[str]]:
+        """Whether chunks may own the targets of the loop's indirect INC:
+        the map and slots they partition by (``None`` when nothing is
+        incremented through a map), and why they cannot (``None``: they can).
+        """
+        increments = [a for a in self.args if a.is_indirect and a.access is AccessMode.INC]
+        others = [a for a in self.args if not a.is_global and a not in increments]
+        if not increments:
+            return None, None
+        opmap = increments[0].map
+        assert isinstance(opmap, OpMap)
+        owner = (opmap, tuple(dict.fromkeys(arg.map_index for arg in increments)))
+        incremented = {arg.dat.dat_id for arg in increments}  # type: ignore[union-attr]
+        if any(arg.access.writes for arg in others):
+            return owner, "mixed_writes"
+        if any(arg.map is not opmap for arg in increments):
+            return owner, "inc_maps"
+        if any(arg.dat.dat_id in incremented for arg in others):  # type: ignore[union-attr]
+            return owner, "read_inc"
+        return owner, None
+
+    def chunk_shape(self, prefer_vectorized: bool = True) -> tuple[str, Optional[str]]:
+        """How the loop's iterations may be cut into chunks that commit
+        their own effects: ``("rows", None)`` -- contiguous row ranges;
+        ``("owner", None)`` -- owner chunks (:meth:`owner_plan`), for a loop
+        whose only dat writes are indirect INC through one map; or
+        ``("single", reason)`` -- one chunk, because a WRITE/RW global must
+        observe every prior iteration (``"global_write"``), or the loop
+        increments through a map but cannot own its targets: INC mixed with
+        another dat write (``"mixed_writes"``), INC through several maps
+        (``"inc_maps"``), a dat both read and incremented (``"read_inc"``),
+        or no block form to run owner rows with (``"no_block_form"``).
+        """
+        if self.has_global_write:
+            return "single", "global_write"
+        owner, reason = self._increments
+        if owner is None:
+            return "rows", None
+        if reason is not None:
+            return "single", reason
+        if self.kernel.vectorized is None or not prefer_vectorized:
+            return "single", "no_block_form"
+        return "owner", None
+
+    def owner_plan(self, parts: int) -> OwnerPlan:
+        """The owner-computes partition of the incremented targets into
+        ``parts`` chunks (built by, and cached on, the map)."""
+        owner, _reason = self._increments
+        assert owner is not None
+        opmap, slots = owner
+        return opmap.owner_plan(slots, parts)
+
+    def chunk_summary(
+        self,
+        arg: OpArg,
+        start: int,
+        stop: int,
+        owner: Optional[tuple[int, int]],
+        algebra: IntervalAlgebra,
+        *,
+        reach: bool = False,
+    ) -> Optional[IntervalSet]:
+        """Elements of ``arg``'s dat a chunk touches (``None``: none).
+
+        Rows ``[start, stop)`` touch one run of a direct dat (interned by
+        ``algebra``) and the map's cached summary of an indirect one.  Owner
+        chunk ``owner = (parts, k)`` touches what its rows read and the
+        targets it increments -- with ``reach``, every target its rows reach
+        through the map, owned or not.
+        """
+        if owner is None:
+            if arg.is_direct:
+                return algebra.from_range(start, stop - 1)
+            return arg.map.chunk_summary(arg.map_index, start, stop)  # type: ignore[union-attr]
+        parts, part = owner
+        plan = self.owner_plan(parts)
+        if arg.is_direct:
+            return plan.summary(part)
+        owned = arg.access is AccessMode.INC and not reach
+        return plan.summary(part, arg.map, arg.map_index, owned)  # type: ignore[arg-type]
+
     # -- cost model -------------------------------------------------------------------
     def kernel_profile(self) -> KernelProfile:
         """Derive the machine-model profile of one loop iteration."""
@@ -148,7 +247,7 @@ class ParLoop:
         if start == stop:
             return
         if self._use_vectorized(start, stop, prefer_vectorized):
-            self._prepare_vectorized(start, stop)()
+            self._prepare_vectorized(start, stop).committer()()
         else:
             self._execute_block_elemental(start, stop)
 
@@ -178,10 +277,16 @@ class ParLoop:
         return False
 
     # elemental path ------------------------------------------------------------------
-    def _execute_block_elemental(self, start: int, stop: int) -> None:
+    def _execute_block_elemental(
+        self, start: int, stop: int, partials: Partials = ()  # type: ignore[assignment]
+    ) -> None:
+        """Element by element; reductions go into ``partials``' buffers
+        instead of the live globals when given."""
         kernel = self.kernel.elemental
         for element in range(start, stop):
             views = [self._element_view(arg, element) for arg in self.args]
+            for position, buffer in partials:
+                views[position] = buffer
             kernel(*views)
 
     @staticmethod
@@ -197,8 +302,11 @@ class ParLoop:
         return arg.dat.data[target]
 
     # vectorised path ------------------------------------------------------------------
-    def _prepare_vectorized(self, start: int, stop: int) -> Callable[[], None]:
-        """Run the block form into private buffers; return the merge closure.
+    def _prepare_vectorized(
+        self, start: int, stop: int, owner: Optional[tuple[int, int]] = None
+    ) -> BlockStage:
+        """Run the block form over rows ``[start, stop)`` -- or owner chunk
+        ``owner = (parts, k)`` -- into private buffers; return the staged block.
 
         The block form is called once per sub-block of the chunk -- row ranges
         ``[lo, hi)`` of :data:`repro.op2.datapath.COMPUTE_BLOCK_ROWS` rows, in
@@ -224,12 +332,15 @@ class ParLoop:
           afterwards (so INC sums are grouped by sub-block and chunk: equal to
           the elemental path's to rounding, MIN/MAX exactly).
 
-        The returned closure applies the whole chunk's indirect scatters and
-        global reductions; calling it immediately reproduces plain block
-        execution, while the threaded engines defer it so merges happen in
-        deterministic chunk order (see :meth:`prepare_block`).
+        The returned stage's :meth:`~BlockStage.committer` applies the whole
+        chunk's indirect scatters and global reductions; :meth:`run_chunk`
+        commits the scatters and hands the reductions back.  An owner chunk
+        gathers its direct arguments too, and commits only its own targets.
         """
-        stage = BlockStage(start, stop)
+        if owner is None:
+            stage = BlockStage(start, stop)
+        else:
+            stage = BlockStage(0, 0, (self.owner_plan(owner[0]), owner[1]))
         for arg in self.args:
             if arg.is_global:
                 if arg.access in _REDUCTIONS:
@@ -247,26 +358,56 @@ class ParLoop:
         assert block_form is not None
         for idx, views in stage.sub_blocks():
             block_form(idx, *views)
-        return stage.committer()
+        return stage
 
-    # deferred execution (threaded engines) ---------------------------------------------
+    # chunks --------------------------------------------------------------------------
+    def run_chunk(
+        self,
+        start: int,
+        stop: int,
+        owner: Optional[tuple[int, int]] = None,
+        *,
+        prefer_vectorized: bool = True,
+    ) -> Partials:
+        """Run one chunk and commit its dat effects now; return its
+        global-reduction partials, ``(argument position, buffer)``, for the
+        caller to fold in chunk order.
+
+        The chunk is rows ``[start, stop)`` or, given ``owner = (parts, k)``,
+        owner chunk ``k`` of :meth:`owner_plan` ``(parts)``.  This is what an
+        engine task runs: the lowering only cuts chunks that can commit
+        concurrently (:meth:`chunk_shape`), and the dependency edges order
+        the rest.
+        """
+        positions = self.reduction_positions
+        if owner is not None or self._use_vectorized(start, stop, prefer_vectorized):
+            if owner is None and start == stop:
+                return []
+            return list(zip(positions, self._prepare_vectorized(start, stop, owner).commit()))
+        partials = [
+            (p, neutral(self.args[p].access, self.args[p].gbl_data))  # type: ignore[arg-type]
+            for p in positions
+        ]
+        self._execute_block_elemental(start, stop, partials)
+        return partials
+
+    def fold_partials(self, partials: Partials) -> None:
+        """Fold one chunk's :meth:`run_chunk` partials into the globals."""
+        for position, buffer in partials:
+            arg = self.args[position]
+            fold_reduction(arg.access, arg.gbl_data, buffer)  # type: ignore[arg-type]
+
     def prepare_block(
         self, start: int, stop: int, *, prefer_vectorized: bool = True
     ) -> Callable[[], None]:
-        """Compute ``[start, stop)`` now where safe; return the merge closure.
+        """Compute ``[start, stop)`` now where safe; return the commit closure.
 
-        This is the primitive of the threaded execution engines: the compute
-        part (gather + kernel) may run concurrently with other chunks of the
-        same loop because all scatters and reductions are staged in private
-        buffers, and the returned closure -- which commits those effects --
-        must be invoked in ascending chunk order so results stay identical to
-        sequential block execution.
-
-        Blocks that cannot be privatised (no vectorised form, a global
-        WRITE/RW argument whose kernel must observe prior iterations, or
-        duplicate WRITE/RW scatter targets) return a closure performing the
-        *entire* block execution, pushing the compute into the ordered merge
-        phase where it is race-free.
+        The compute part (gather + kernel) stages every scatter and reduction
+        in private buffers, and the returned closure commits them; calling
+        it at once is plain block execution.  Blocks that cannot be
+        privatised (no vectorised form, a global WRITE/RW argument whose
+        kernel must observe prior iterations, or duplicate WRITE/RW scatter
+        targets) return a closure performing the *entire* block execution.
         """
         if start == stop:
             return lambda: None
@@ -274,7 +415,7 @@ class ParLoop:
             return lambda: self.execute_block(
                 start, stop, prefer_vectorized=prefer_vectorized
             )
-        return self._prepare_vectorized(start, stop)
+        return self._prepare_vectorized(start, stop).committer()
 
     def execute_all(self, *, prefer_vectorized: bool = True) -> None:
         """Execute the full iteration range (the pipeline's inline route)."""
@@ -298,6 +439,42 @@ class ParLoop:
             f"ParLoop({self.name!r}, over={self.iterset.name!r}, "
             f"args={[arg.describe() for arg in self.args]})"
         )
+
+
+@dataclass(eq=False)
+class LoopChunk:
+    """One chunk of a loop as one engine task: it runs, commits its own dat
+    effects and leaves its reduction partials in ``partials[position]``.
+
+    Engines that run closures call it; engines that dispatch by kernel name
+    ship ``(loop, start, stop, owner)`` to a worker and hand the reply to
+    :meth:`deliver`.  ``owner`` is ``(parts, k)`` for owner chunk ``k``;
+    ``run`` replaces ``loop.run_chunk`` in process (a compiled slab).
+    """
+
+    loop: ParLoop
+    start: int
+    stop: int
+    owner: Optional[tuple[int, int]]
+    partials: list[Optional[Partials]]
+    position: int
+    prefer_vectorized: bool = True
+    run: Optional[Callable[[], Partials]] = None
+
+    def __call__(self) -> None:
+        if self.run is not None:
+            self.deliver(self.run())
+        else:
+            self.deliver(
+                self.loop.run_chunk(
+                    self.start, self.stop, self.owner, prefer_vectorized=self.prefer_vectorized
+                )
+            )
+
+    def deliver(self, partials: Optional[Partials]) -> None:
+        """Record the chunk's partials (folded later, in chunk order)."""
+        if partials:
+            self.partials[self.position] = partials
 
 
 def op_par_loop(kernel: Kernel, name: str, iterset: OpSet, *args: OpArg) -> Any:

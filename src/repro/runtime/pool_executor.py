@@ -22,9 +22,9 @@ Design notes
   completed-id watermark), so the pool's live state is bounded by the
   unfinished frontier even when the pool is reused across many barriers.
 * **Tasks never block inside the pool.**  The loop runners express ordering
-  (including the deterministic chunk-order merge chains) purely as
-  dependency edges, so a worker that picks up a task can always run it to
-  completion -- no turnstiles, no risk of deadlock with a single worker.
+  purely as dependency edges, so a worker that picks up a task can always
+  run it to completion -- no turnstiles, no risk of deadlock with a single
+  worker.
 * **Task groups.**  ``submit(..., group=...)`` tags a task with an opaque
   group object (the service layer's engine leases).  Groups scope both
   synchronisation and failure: :meth:`wait_group` drains one group's tasks
@@ -105,7 +105,7 @@ class PoolExecutor:
     """
 
     #: engine-seam capability record: one interpreter, OS threads -- shared
-    #: address space, closures welcome, asynchronous (strict-order) commits
+    #: address space, closures (chunk tasks) called in place
     capabilities = EngineCapabilities()
 
     def __init__(
@@ -222,15 +222,15 @@ class PoolExecutor:
         after: Optional[int] = None,
         group: Optional[Any] = None,
     ) -> tuple[int, int]:
-        """Submit one loop chunk as a compute task plus a chained merge task.
+        """Submit a compute task plus a chained commit task.
 
-        ``prepare`` runs on the pool once ``deps`` completed (gather + kernel
-        into private buffers) and returns the closure committing its effects;
-        the merge task invokes that closure after both the compute task and
-        ``after`` (the previous chunk's merge task) completed.  Chaining the
-        merges keeps commit order deterministic -- the invariant both the
-        dataflow runner and the pooled OpenMP backend rely on.  Returns
-        ``(compute_id, merge_id)``.
+        ``prepare`` runs on the pool once ``deps`` completed and returns a
+        closure; the second task invokes it after both the compute task and
+        ``after`` (an earlier pair's second task) completed, so the closures
+        of a chain run in submission order.  Returns ``(compute_id,
+        merge_id)``.  The loop pipeline submits every chunk as one task
+        instead; this two-task shape is kept for callers that stage and
+        commit apart.
         """
         holder: dict[str, Callable[[], None]] = {}
 
@@ -428,12 +428,16 @@ class PoolExecutor:
                     node.fn()
             except BaseException as exc:  # noqa: BLE001 - routed to the drains
                 with self._cond:
-                    state = self._group_state(node.group)
-                    if state.failure is None:
-                        state.failure = exc
-                    # Ungrouped failures poison the pool (the historical
-                    # contract); grouped failures stay scoped to wait_group.
-                    if node.group is None and self._failure is None:
+                    # Ungrouped failures poison the pool until wait_all
+                    # delivers them (the historical contract); grouped
+                    # failures stay scoped to wait_group.  Latching an
+                    # ungrouped one into a group state too would outlive
+                    # that delivery and skip every later ungrouped task.
+                    if node.group is not None:
+                        state = self._group_state(node.group)
+                        if state.failure is None:
+                            state.failure = exc
+                    elif self._failure is None:
                         self._failure = exc
             with self._cond:
                 del self._tasks[task_id]  # release the closure and staged buffers

@@ -15,13 +15,12 @@ numerics across the process boundary:
   workers attach by segment name once and gather/scatter in place.  Task
   messages carry a kernel *name*, segment-backed object ids and an iteration
   range -- never array payloads.
-* **The DAG stays in the parent.**  Dependency gating, the deterministic
-  chunk-order merge chain and failure poisoning are delegated to an internal
-  :class:`PoolExecutor` whose tasks are small RPC stubs: a *compute* stub
-  leases an idle worker and asks it to gather + run the kernel into private
-  buffers; the chained *merge* stub asks **the same worker** (the staged
-  buffers live in its address space) to commit scatters, and carries any
-  global-reduction contribution back to the parent as a small array.
+* **The DAG stays in the parent.**  Dependency gating and failure poisoning
+  are delegated to an internal :class:`PoolExecutor` whose tasks are small
+  RPC stubs: one stub per chunk leases an idle worker and asks it to run the
+  chunk -- gather, kernel, commit -- and carries any global-reduction
+  partial back to the parent as a small array.  An owner chunk travels as
+  ``(parts, k)``: the worker finds its rows in its own map's owner plan.
 * **Kernels dispatch by registered name.**  Kernel objects hold arbitrary
   Python callables which cannot cross a process boundary; workers resolve
   names against :mod:`repro.op2.kernel`'s registry -- inherited wholesale
@@ -31,13 +30,12 @@ numerics across the process boundary:
 :class:`ProcessChunkEngine` is the backend-facing facade combining the pool
 with a :class:`~repro.op2.shm.SharedMemoryArena`; it speaks the same
 ``submit`` / ``wait_all`` / ``shutdown`` protocol as :class:`PoolExecutor`
-plus a ``submit_loop_chunk`` entry point the dataflow loop runner uses in
-place of closure submission.
+and ships the :class:`~repro.op2.par_loop.LoopChunk` tasks it receives to
+the workers by kernel name.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import pickle
 import queue
@@ -50,6 +48,7 @@ import numpy as np
 from repro.engines.base import EngineCapabilities
 from repro.errors import OP2BackendError, SchedulerError
 from repro.op2.intervals import copy_runs
+from repro.op2.par_loop import LoopChunk
 from repro.runtime.pool_executor import PoolExecutor
 
 __all__ = ["ProcessPool", "ProcessChunkEngine"]
@@ -63,59 +62,6 @@ def _default_start_method() -> str:
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
-class _WorkerLoop:
-    """Worker-side state for one registered loop."""
-
-    __slots__ = ("loop", "reduction_indices", "has_globals")
-
-    def __init__(self, loop: Any, reduction_indices: list[int]) -> None:
-        self.loop = loop
-        self.reduction_indices = reduction_indices
-        self.has_globals = any(arg.is_global for arg in loop.args)
-
-    def chunk_instance(self) -> "_WorkerLoop":
-        """A per-chunk view of the loop, private where two worker threads
-        could collide.
-
-        Workers run computes and merges on separate threads; the only shared
-        mutable state between the two phases of different chunks is the
-        loop's global buffers, so loops carrying globals get a clone with
-        fresh buffers per chunk.  Dat arrays stay shared by design -- the
-        parent's dependency DAG orders those accesses.
-        """
-        if not self.has_globals:
-            return self
-        from repro.op2.args import ArgKind, OpArg
-        from repro.op2.par_loop import ParLoop
-
-        args = [
-            arg
-            if not arg.is_global
-            else OpArg(
-                kind=ArgKind.GBL,
-                access=arg.access,
-                dim=arg.dim,
-                type_name=arg.type_name,
-                gbl_data=np.empty_like(arg.gbl_data),
-            )
-            for arg in self.loop.args
-        ]
-        clone = ParLoop(self.loop.kernel, self.loop.name, self.loop.iterset, args)
-        return _WorkerLoop(clone, self.reduction_indices)
-
-
-def _neutral_fill(array: np.ndarray, access: Any) -> None:
-    """Reset a reduction buffer to its neutral element (0 / +inf / -inf)."""
-    from repro.op2.access import AccessMode
-
-    if access is AccessMode.MIN:
-        array[...] = np.inf
-    elif access is AccessMode.MAX:
-        array[...] = -np.inf
-    else:
-        array[...] = 0
-
-
 class _WorkerState:
     """Everything one worker process keeps between messages."""
 
@@ -123,17 +69,12 @@ class _WorkerState:
         self.sets: dict[int, Any] = {}
         self.dats: dict[int, Any] = {}
         self.maps: dict[int, Any] = {}
-        self.loops: dict[str, _WorkerLoop] = {}
-        #: task_key -> (loop entry, gbl snapshot, staged merge closure)
-        self.staged: dict[int, tuple[_WorkerLoop, Sequence, Callable[[], None]]] = {}
+        self.loops: dict[str, Any] = {}
         self.segments: list[Any] = []
         #: sharded engine only: dat_id -> family declaration spec (all shard
         #: segment names), plus lazily attached peer-shard views
         self.peer_specs: dict[int, dict] = {}
         self.peer_views: dict[tuple[int, int], np.ndarray] = {}
-        #: guards the peer caches: the compute and merge service threads both
-        #: apply halo entries
-        self.peer_lock = threading.Lock()
 
     def declare(self, specs: Iterable[dict]) -> None:
         from repro.op2 import shm
@@ -148,15 +89,11 @@ class _WorkerState:
                     spec, self.sets, self.segments
                 )
                 if spec.get("segments"):
-                    with self.peer_lock:
-                        self.peer_specs[spec["dat_id"]] = spec
-                        # Re-adoption replaced the whole segment family:
-                        # views of the old family must never serve halo
-                        # copies again.
-                        for key in [
-                            k for k in self.peer_views if k[0] == spec["dat_id"]
-                        ]:
-                            del self.peer_views[key]
+                    self.peer_specs[spec["dat_id"]] = spec
+                    # Re-adoption replaced the whole segment family: views
+                    # of the old family must never serve halo copies again.
+                    for key in [k for k in self.peer_views if k[0] == spec["dat_id"]]:
+                        del self.peer_views[key]
             elif spec["kind"] == "map":
                 self.maps[spec["map_id"]] = shm.attach_map(
                     spec, self.sets, self.segments
@@ -187,12 +124,9 @@ class _WorkerState:
         the source runs are committed and that no concurrent fetch targets
         overlapping runs, so an unsynchronised row copy is race-free.
         """
-        if not entries:
-            return
-        with self.peer_lock:
-            for dat_id, src_shard, starts, stops in entries:
-                dst = self.dats[dat_id].data
-                copy_runs(dst, self._peer_view(dat_id, src_shard), starts, stops)
+        for dat_id, src_shard, starts, stops in entries:
+            dst = self.dats[dat_id].data
+            copy_runs(dst, self._peer_view(dat_id, src_shard), starts, stops)
 
     def register_loop(self, key: str, spec: dict) -> None:
         from repro.op2.access import OP_ID, AccessMode
@@ -222,8 +156,7 @@ class _WorkerState:
             self.sets[iterset_spec["set_id"]] = iterset
 
         args: list[OpArg] = []
-        reduction_indices: list[int] = []
-        for position, arg_spec in enumerate(spec["args"]):
+        for arg_spec in spec["args"]:
             access = AccessMode(arg_spec["access"])
             if arg_spec["kind"] == "dat":
                 dat = self.dats[arg_spec["dat_id"]]
@@ -252,8 +185,6 @@ class _WorkerState:
                         f"cannot execute in a worker process"
                     )
                 buffer = np.zeros(tuple(arg_spec["shape"]), dtype=np.dtype(arg_spec["dtype"]))
-                if access.is_reduction:
-                    reduction_indices.append(position)
                 args.append(
                     OpArg(
                         kind=ArgKind.GBL,
@@ -263,59 +194,30 @@ class _WorkerState:
                         gbl_data=buffer,
                     )
                 )
-        loop = ParLoop(kernel, spec["name"], iterset, args)
-        self.loops[key] = _WorkerLoop(loop, reduction_indices)
+        self.loops[key] = ParLoop(kernel, spec["name"], iterset, args)
 
-    def _restore_globals(self, entry: _WorkerLoop, gbl_values: Sequence) -> None:
-        for index, value in gbl_values:
-            entry.loop.args[index].gbl_data[...] = value
-        for index in entry.reduction_indices:
-            arg = entry.loop.args[index]
-            _neutral_fill(arg.gbl_data, arg.access)
-
-    def compute(
+    def run(
         self,
-        task_key: int,
         loop_key: str,
         start: int,
         stop: int,
+        owner: Optional[tuple[int, int]],
         gbl_values: Sequence,
         prefer_vectorized: bool,
         halo: Sequence[tuple] = (),
-    ) -> None:
-        # Halo runs land before the gather below reads them.
-        self.apply_halo(halo)
-        # A chunk-private instance: the merge thread may commit this chunk
-        # while the compute thread is already preparing the next one.
-        entry = self.loops[loop_key].chunk_instance()
-        # Globals are re-established both here (vectorised kernels run now)
-        # and at merge time (serialised blocks run then) from the call
-        # snapshot.
-        self._restore_globals(entry, gbl_values)
-        closure = entry.loop.prepare_block(
-            start, stop, prefer_vectorized=prefer_vectorized
-        )
-        self.staged[task_key] = (entry, gbl_values, closure)
-
-    def merge(
-        self, task_key: int, halo: Sequence[tuple] = ()
     ) -> Optional[list[tuple[int, np.ndarray]]]:
-        # Increment halo runs must carry the latest committed base values, so
-        # they land here -- the merge chain orders this after every earlier
-        # chunk's commit -- not at compute time.
+        """Run one chunk and commit it; reply with its reduction partials.
+
+        Halo runs land before the gathers read them (increment bases
+        included: the chunk commits right here).  Global READ values are
+        re-established from the call snapshot.
+        """
         self.apply_halo(halo)
-        entry, gbl_values, closure = self.staged.pop(task_key)
-        self._restore_globals(entry, gbl_values)
-        closure()
-        if not entry.reduction_indices:
-            return None
-        # Starting from the neutral element, the post-merge buffer *is* this
-        # chunk's contribution; the parent folds it into the live global in
-        # deterministic chunk order.
-        return [
-            (index, entry.loop.args[index].gbl_data.copy())
-            for index in entry.reduction_indices
-        ]
+        loop = self.loops[loop_key]
+        for index, value in gbl_values:
+            loop.args[index].gbl_data[...] = value
+        partials = loop.run_chunk(start, stop, owner, prefer_vectorized=prefer_vectorized)
+        return partials or None
 
 
 def _serve_channel(channel: Any, handlers: dict[str, Callable[..., Any]]) -> None:
@@ -358,71 +260,50 @@ def _serve_channel(channel: Any, handlers: dict[str, Callable[..., Any]]) -> Non
             channel.send(("ok", result))
 
 
-def _worker_main(conn: Any, merge_conn: Any) -> None:
-    """Entry point of one worker process.
-
-    Two service threads share the worker state: the main thread handles
-    declarations, loop registration and chunk *computes*; a second thread
-    handles *merges* on a dedicated channel.  A merge commit (the
-    :class:`~repro.op2.datapath.BlockStage` scatter rounds + reduction fold,
-    a sizeable share of a chunk) therefore never queues
-    behind a long compute running on the same worker -- without the split,
-    the chunk-ordered merge chain would inherit every compute it happens to
-    be pinned behind, serialising the whole DAG.
-    """
+def _worker_main(conn: Any) -> None:
+    """Entry point of one worker process: one thread serves declarations,
+    loop registrations and chunk runs, in the order they arrive."""
     state = _WorkerState()
-    merge_thread = threading.Thread(
-        target=_serve_channel,
-        args=(merge_conn, {"merge": state.merge}),
-        name="merge-server",
-        daemon=True,
-    )
-    merge_thread.start()
     try:
         _serve_channel(
             conn,
             {
                 "declare": state.declare,
                 "register_loop": state.register_loop,
-                "compute": state.compute,
+                "run": state.run,
             },
         )
     finally:
-        merge_thread.join(timeout=5.0)
         from repro.op2 import shm
 
         shm.detach_all(state.segments)
         conn.close()
-        merge_conn.close()
 
 
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
 class _WorkerHandle:
-    """Parent-side endpoint of one worker process (two RPC channels)."""
+    """Parent-side endpoint of one worker process (one RPC channel)."""
 
-    __slots__ = ("process", "conn", "merge_conn", "lock", "merge_lock", "dead", "pending")
+    __slots__ = ("process", "conn", "lock", "dead", "pending")
 
-    def __init__(self, process: Any, conn: Any, merge_conn: Any) -> None:
+    def __init__(self, process: Any, conn: Any) -> None:
         self.process = process
         self.conn = conn
-        self.merge_conn = merge_conn
-        #: per-channel locks: one in-flight RPC per channel, so a merge can
-        #: proceed while the same worker's compute thread is busy
+        #: one in-flight RPC per worker
         self.lock = threading.Lock()
-        self.merge_lock = threading.Lock()
         self.dead = False
         #: deferred messages (declares/registrations) batched onto the next
-        #: compute-channel RPC instead of paying one round trip each
+        #: RPC instead of paying one round trip each
         self.pending: list[tuple] = []
 
 
 class ProcessPool:
     """Run dependency-gated chunk tasks on ``num_workers`` OS processes.
 
-    The dependency protocol (ids, ``deps``, chained merges, poisoning,
-    ``wait_all`` barriers) is exactly the :class:`PoolExecutor` one -- an
+    The dependency protocol (ids, ``deps``, poisoning, ``wait_all``
+    barriers) is exactly the :class:`PoolExecutor` one -- an
     internal gate pool of RPC stubs provides it, so task ids returned here
     interoperate with :meth:`submit`-ed parent-side tasks (e.g. the loop
     runner's future finalizers).
@@ -455,27 +336,21 @@ class ProcessPool:
         self._workers: list[_WorkerHandle] = []
         for index in range(num_workers):
             parent_conn, child_conn = context.Pipe()
-            parent_merge, child_merge = context.Pipe()
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, child_merge),
+                args=(child_conn,),
                 name=f"{name}-{index}",
                 daemon=True,
             )
             process.start()
             child_conn.close()
-            child_merge.close()
-            self._workers.append(_WorkerHandle(process, parent_conn, parent_merge))
-        # Enough gate threads for every worker to have one compute *and* one
-        # merge RPC in flight (workers serve the two on separate threads), so
-        # the chunk-ordered merge chain never waits for a dispatch slot.
-        self._gate = PoolExecutor(
-            max(2 * num_workers, num_workers + 2), name=f"{name}-gate", trace=trace
-        )
+            self._workers.append(_WorkerHandle(process, parent_conn))
+        # A gate thread per worker RPC in flight, plus room for the
+        # parent-side finalizers.
+        self._gate = PoolExecutor(num_workers + 2, name=f"{name}-gate", trace=trace)
         self._idle: "queue.SimpleQueue[int]" = queue.SimpleQueue()
         for index in range(num_workers):
             self._idle.put(index)
-        self._task_keys = itertools.count()
         self._workers_stopped = False
 
     # -- introspection ---------------------------------------------------------------
@@ -495,14 +370,13 @@ class ProcessPool:
         return self._gate.is_shutdown
 
     # -- RPC ----------------------------------------------------------------------------
-    def _call(self, index: int, message: tuple, *, merge: bool = False) -> Any:
+    def _call(self, index: int, message: tuple) -> Any:
         handle = self._workers[index]
-        lock = handle.merge_lock if merge else handle.lock
-        conn = handle.merge_conn if merge else handle.conn
-        with lock:
+        conn = handle.conn
+        with handle.lock:
             if handle.dead:
                 raise OP2BackendError(f"worker process {index} already died")
-            if not merge and handle.pending:
+            if handle.pending:
                 # Flush the worker's deferred messages ahead of this RPC in
                 # one round trip; a failure in any of them surfaces here.
                 message = ("batch", [*handle.pending, message])
@@ -530,8 +404,8 @@ class ProcessPool:
 
     def queue_message(self, index: int, message: tuple) -> None:
         """Defer ``message`` to worker ``index``: it rides ahead of the next
-        compute-channel RPC as part of a batch instead of paying its own
-        round trip.  Errors it raises surface on that flushing RPC."""
+        RPC as part of a batch instead of paying its own round trip.  Errors
+        it raises surface on that flushing RPC."""
         handle = self._workers[index]
         with handle.lock:
             handle.pending.append(message)
@@ -558,66 +432,39 @@ class ProcessPool:
         start: int,
         stop: int,
         *,
+        owner: Optional[tuple[int, int]] = None,
         gbl_values: Sequence = (),
         prefer_vectorized: bool = True,
         deps: Iterable[int] = (),
-        after: Optional[int] = None,
-        on_deltas: Optional[Callable[[list], None]] = None,
+        on_partials: Optional[Callable[[Any], None]] = None,
         worker: Optional[int] = None,
         halo: Sequence[tuple] = (),
-        merge_halo: Sequence[tuple] = (),
-        extra_merge_deps: Iterable[int] = (),
-    ) -> tuple[int, int]:
-        """Submit one chunk of a registered loop as compute + chained merge.
+    ) -> int:
+        """Submit one chunk of a registered loop as one RPC stub task.
 
-        The compute stub leases any idle worker -- or, with ``worker=``, pins
-        the chunk to that shard's process; the merge stub -- gated on the
-        compute stub, ``after`` (the previous chunk's merge) and any
-        ``extra_merge_deps`` -- targets the *same* worker, where the staged
-        buffers live, and hands any reduction contributions to ``on_deltas``
-        in deterministic chunk order.  ``halo`` / ``merge_halo`` entries ride
-        inside the compute / merge RPCs and are applied worker-side before
-        the gather / commit.  Returns ``(compute_id, merge_id)``.
+        The stub leases any idle worker -- or, with ``worker=``, pins the
+        chunk to that shard's process -- which applies the ``halo`` entries,
+        runs the chunk and commits it; the reply's reduction partials go to
+        ``on_partials``.  Returns the task id.
         """
-        task_key = next(self._task_keys)
-        holder: dict[str, int] = {}
+        message = ("run", loop_key, start, stop, owner, gbl_values, prefer_vectorized, halo)
 
-        def compute() -> None:
+        def run() -> None:
             if worker is None:
                 index = self._idle.get()
                 try:
-                    self._call(
-                        index,
-                        ("compute", task_key, loop_key, start, stop, gbl_values,
-                         prefer_vectorized, halo),
-                    )
+                    partials = self._call(index, message)
                 finally:
                     self._idle.put(index)
             else:
-                # Pinned chunks bypass the idle lease: the per-channel lock
-                # serialises the shard's computes, and other shards' workers
+                # Pinned chunks bypass the idle lease: the worker's lock
+                # serialises the shard's chunks, and other shards' workers
                 # stay available to their own chunks.
-                index = worker
-                self._call(
-                    index,
-                    ("compute", task_key, loop_key, start, stop, gbl_values,
-                     prefer_vectorized, halo),
-                )
-            holder["worker"] = index
+                partials = self._call(worker, message)
+            if partials and on_partials is not None:
+                on_partials(partials)
 
-        def merge() -> None:
-            index = holder.pop("worker", None)
-            if index is None:  # compute was skipped (poisoned pool)
-                return
-            deltas = self._call(index, ("merge", task_key, merge_halo), merge=True)
-            if deltas and on_deltas is not None:
-                on_deltas(deltas)
-
-        compute_id = self._gate.submit(compute, deps=deps)
-        merge_deps = [compute_id] if after is None else [compute_id, after]
-        merge_deps.extend(extra_merge_deps)
-        merge_id = self._gate.submit(merge, deps=merge_deps)
-        return compute_id, merge_id
+        return self._gate.submit(run, deps=deps)
 
     # -- synchronisation ------------------------------------------------------------------
     def wait_all(self, timeout: Optional[float] = None) -> None:
@@ -647,9 +494,6 @@ class ProcessPool:
             if handle.dead:
                 continue
             try:
-                with handle.merge_lock:
-                    handle.merge_conn.send(("exit",))
-                    handle.merge_conn.recv()
                 with handle.lock:
                     handle.conn.send(("exit",))
                     handle.conn.recv()
@@ -661,7 +505,6 @@ class ProcessPool:
                 handle.process.terminate()
                 handle.process.join(timeout=1.0)
             handle.conn.close()
-            handle.merge_conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -672,20 +515,20 @@ class ProcessChunkEngine:
 
     Adopts every dat/map a loop touches into the shared-memory arena (and
     declares it to all workers), registers each distinct loop shape once by
-    kernel name, and turns the loop runner's chunk submissions into worker
-    RPCs.  Exposes the :class:`PoolExecutor` surface the HPX context and the
-    dataflow runner already speak (``submit`` / ``wait_all`` /
-    ``cancel_pending`` / ``shutdown`` / ``is_shutdown`` / ``trace_events``).
+    kernel name, and turns the loop runner's chunk tasks
+    (:class:`~repro.op2.par_loop.LoopChunk`) into worker RPCs.  Exposes the
+    :class:`PoolExecutor` surface the HPX context and the dataflow runner
+    already speak (``submit`` / ``wait_all`` / ``cancel_pending`` /
+    ``shutdown`` / ``is_shutdown`` / ``trace_events``).
     """
 
     #: engine-seam capability record: worker processes on shared-memory
     #: segments -- no shared address space, kernel dispatch by registered
-    #: name, global writes stay in the parent, merges on their own channel
+    #: name, global writes stay in the parent
     capabilities = EngineCapabilities(
         shared_address_space=False,
         needs_kernel_registry=True,
         supports_global_write=False,
-        separate_merge_channel=True,
     )
 
     def __init__(
@@ -695,7 +538,6 @@ class ProcessChunkEngine:
         name: str = "hpx-chunk-procs",
         trace: bool = False,
         start_method: Optional[str] = None,
-        prefer_vectorized: bool = True,
     ) -> None:
         from repro.op2.shm import SharedMemoryArena
 
@@ -703,11 +545,10 @@ class ProcessChunkEngine:
         self.pool = ProcessPool(
             num_workers, name=name, trace=trace, start_method=start_method
         )
-        self.prefer_vectorized = prefer_vectorized
         #: loop signature -> registered key (loops recur every time step)
         self._loop_keys: dict[tuple, str] = {}
         #: the loop currently being expanded into chunks, with its call state
-        self._active: Optional[tuple[Any, str, list, Callable[[list], None]]] = None
+        self._active: Optional[tuple[Any, str, list]] = None
 
     # -- PoolExecutor surface -------------------------------------------------------
     @property
@@ -732,7 +573,11 @@ class ProcessChunkEngine:
         deps: Iterable[int] = (),
         on_skip: Optional[Callable[[], None]] = None,
     ) -> int:
-        """Parent-side task submission (future finalizers and the like)."""
+        """Submit a task: a :class:`~repro.op2.par_loop.LoopChunk` runs on a
+        worker, anything else (future finalizers and the like) in the
+        parent."""
+        if isinstance(fn, LoopChunk):
+            return self._submit_chunk(fn, deps)
         return self.pool.submit(fn, deps=deps, on_skip=on_skip)
 
     def wait_all(self, timeout: Optional[float] = None) -> None:
@@ -784,7 +629,7 @@ class ProcessChunkEngine:
         """Deliver one loop-shape registration to the workers."""
         self.pool.broadcast(("register_loop", loop_key, spec))
 
-    def _prepare_loop(self, loop: Any) -> tuple[str, list, Callable[[list], None]]:
+    def _prepare_loop(self, loop: Any) -> tuple[str, list]:
         """Adopt/declare the loop's data, register its shape, snapshot globals."""
         from repro.op2.kernel import resolve_kernel
 
@@ -826,24 +671,7 @@ class ProcessChunkEngine:
             for index, arg in enumerate(loop.args)
             if arg.is_global and not arg.access.is_reduction
         ]
-
-        from repro.op2.access import AccessMode
-
-        def apply_deltas(deltas: list) -> None:
-            # Runs inside the (chunk-order chained) merge stub: identical
-            # floating-point fold order to the threaded engine's in-place
-            # reduction commits.
-            for index, delta in deltas:
-                arg = loop.args[index]
-                assert arg.gbl_data is not None
-                if arg.access is AccessMode.INC:
-                    arg.gbl_data += delta
-                elif arg.access is AccessMode.MIN:
-                    np.minimum(arg.gbl_data, delta, out=arg.gbl_data)
-                elif arg.access is AccessMode.MAX:
-                    np.maximum(arg.gbl_data, delta, out=arg.gbl_data)
-
-        return loop_key, gbl_values, apply_deltas
+        return loop_key, gbl_values
 
     def _loop_spec(self, loop: Any) -> dict:
         args = []
@@ -886,32 +714,24 @@ class ProcessChunkEngine:
         }
 
     # -- chunk submission --------------------------------------------------------------
-    def submit_loop_chunk(
-        self,
-        loop: Any,
-        start: int,
-        stop: int,
-        *,
-        deps: Iterable[int] = (),
-        after: Optional[int] = None,
-    ) -> tuple[int, int]:
-        """Submit one chunk of ``loop``; returns ``(compute_id, merge_id)``.
+    def _submit_chunk(self, task: LoopChunk, deps: Iterable[int]) -> int:
+        """Ship one chunk task to a worker; returns its task id.
 
         The first chunk of each loop call registers/declares whatever the
         workers have not seen yet and snapshots the call's global inputs;
         subsequent chunks of the same call reuse that state.
         """
+        loop = task.loop
         if self._active is None or self._active[0] is not loop:
-            loop_key, gbl_values, apply_deltas = self._prepare_loop(loop)
-            self._active = (loop, loop_key, gbl_values, apply_deltas)
-        _, loop_key, gbl_values, apply_deltas = self._active
+            self._active = (loop, *self._prepare_loop(loop))
+        _, loop_key, gbl_values = self._active
         return self.pool.submit_loop_chunk(
             loop_key,
-            start,
-            stop,
+            task.start,
+            task.stop,
+            owner=task.owner,
             gbl_values=gbl_values,
-            prefer_vectorized=self.prefer_vectorized,
+            prefer_vectorized=task.prefer_vectorized,
             deps=deps,
-            after=after,
-            on_deltas=apply_deltas,
+            on_partials=task.deliver,
         )

@@ -10,7 +10,8 @@ summaries into a distributed-memory execution model on the same seam:
 
 * **Partitioning** (:class:`ShardPartition`): each :class:`~repro.op2.set.OpSet`
   is cut into ``num_workers`` contiguous *owned* ranges; a chunk is pinned to
-  the worker owning its start index.  Ownership is advisory placement -- data
+  the worker owning its start index -- an owner chunk to the worker owning
+  the start of its target range.  Ownership is advisory placement -- data
   freshness follows actual writes, so chunks straddling cuts and indirect
   dats need no special-casing.
 * **Per-shard storage** (:class:`~repro.op2.shm.ShardedArena`): every dat gets
@@ -21,29 +22,28 @@ summaries into a distributed-memory execution model on the same seam:
 * **Interval-exact halo exchange** (:class:`HaloDirectory`): the parent keeps,
   per dat, which shard holds the freshest copy of every run (``fresh``) and
   which runs each shard has locally valid (``valid``).  A chunk's missing
-  runs -- and only those -- ride inside its compute/merge RPC as *halo
-  entries*, batched with any deferred declarations, and are applied
-  worker-side before the gather/commit.  READ/RW halo lands at compute time
-  (WAR edges protect the source until the reader commits); increment halo
-  lands at *merge* time, because same-loop increment chunks are ordered only
-  by the merge chain and the fetched base values must already include every
-  earlier commit.
+  runs -- and only those -- ride inside its RPC as *halo entries*, batched
+  with any deferred declarations, and are applied worker-side before the
+  chunk runs: READ/RW gathers and increment bases alike, since a chunk
+  commits where it computes (no two chunks of a loop write one element, and
+  the tracker orders increments of consecutive loops).
 
-The engine is bit-identical to serial execution: chunk decomposition, merge
-chaining and reduction fold order are exactly the ``processes`` engine's, and
-halo copies move committed values only, along dependency edges the tracker
-already enforces.
+The engine is bit-identical to serial execution: chunk decomposition and
+reduction fold order are exactly the ``processes`` engine's, and halo copies
+move committed values only, along dependency edges the tracker already
+enforces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
 from repro.engines.base import EngineCapabilities
 from repro.op2.intervals import IntervalAlgebra, IntervalSet, copy_runs
+from repro.op2.par_loop import LoopChunk
 from repro.runtime.process_pool import ProcessChunkEngine, ProcessPool
 
 __all__ = ["ShardPartition", "HaloDirectory", "ShardedChunkEngine"]
@@ -101,7 +101,7 @@ class HaloDirectory:
 
     * ``fresh``: a partition of ``[0, size)`` into entries ``(runs, holder,
       ready)`` -- the shard holding the latest committed value of each run
-      and the merge task that commits it.  Initially everything is fresh on
+      and the task that commits it.  Initially everything is fresh on
       the *home* shard (the parent's segment).
     * ``valid[shard]``: entries ``(runs, ready)`` -- runs whose local copy on
       ``shard`` matches ``fresh`` (either written there or fetched), current
@@ -201,16 +201,16 @@ class HaloDirectory:
         )
 
     def record_write(
-        self, dat_id: int, shard: int, runs: IntervalSet, merge_id: Optional[int]
+        self, dat_id: int, shard: int, runs: IntervalSet, ready: Optional[int]
     ) -> None:
-        """``shard`` commits ``runs`` at ``merge_id``: freshness moves there."""
+        """``shard`` commits ``runs`` in task ``ready``: freshness moves there."""
         difference = self.algebra.difference
         fresh = []
         for entry in self._fresh.get(dat_id, []):
             remainder = difference(entry.runs, runs)
             if remainder is not None:
                 fresh.append(_FreshEntry(remainder, entry.holder, entry.ready))
-        fresh.append(_FreshEntry(runs, shard, merge_id))
+        fresh.append(_FreshEntry(runs, shard, ready))
         self._fresh[dat_id] = fresh
         valid = self._valid.setdefault(dat_id, {})
         for other, entries in valid.items():
@@ -221,7 +221,7 @@ class HaloDirectory:
                 for entry in entries
                 if (remainder := difference(entry.runs, runs)) is not None
             ]
-        valid.setdefault(shard, []).append(_ValidEntry(runs, merge_id))
+        valid.setdefault(shard, []).append(_ValidEntry(runs, ready))
 
     def fresh_remote(self, dat_id: int) -> list[tuple[int, IntervalSet]]:
         """Fresh runs *not* held by home: what a parent sync must copy in."""
@@ -302,7 +302,6 @@ class ShardedChunkEngine(ProcessChunkEngine):
         shared_address_space=False,
         needs_kernel_registry=True,
         supports_global_write=False,
-        separate_merge_channel=True,
         partitioned_dats=True,
     )
 
@@ -313,7 +312,6 @@ class ShardedChunkEngine(ProcessChunkEngine):
         name: str = "hpx-chunk-shards",
         trace: bool = False,
         start_method: Optional[str] = None,
-        prefer_vectorized: bool = True,
         algebra: Optional[IntervalAlgebra] = None,
     ) -> None:
         from repro.op2.shm import ShardedArena
@@ -323,9 +321,8 @@ class ShardedChunkEngine(ProcessChunkEngine):
         self.pool = ProcessPool(
             num_workers, name=name, trace=trace, start_method=start_method
         )
-        self.prefer_vectorized = prefer_vectorized
         self._loop_keys: dict[tuple, str] = {}
-        self._active: Optional[tuple[Any, str, list, Callable[[list], None]]] = None
+        self._active: Optional[tuple[Any, str, list]] = None
         self.partition = ShardPartition(num_workers)
         self.directory = HaloDirectory(num_workers, algebra)
         #: dat_id -> live OpDat (sync targets, byte accounting)
@@ -403,102 +400,68 @@ class ShardedChunkEngine(ProcessChunkEngine):
                     self._expected_versions[dat_id] += 1
 
     # -- chunk submission --------------------------------------------------------
-    def _arg_summary(self, arg: Any, start: int, stop: int) -> IntervalSet:
-        if arg.is_indirect:
-            return arg.map.chunk_summary(arg.map_index, start, stop)
-        return self.directory.algebra.from_range(start, stop - 1)
-
-    def submit_loop_chunk(
-        self,
-        loop: Any,
-        start: int,
-        stop: int,
-        *,
-        deps: Iterable[int] = (),
-        after: Optional[int] = None,
-    ) -> tuple[int, int]:
-        from repro.op2.access import AccessMode
-
+    def _submit_chunk(self, task: LoopChunk, deps: Iterable[int]) -> int:
+        loop, start, stop, owner = task.loop, task.start, task.stop, task.owner
         if self._active is None or self._active[0] is not loop:
             self._finish_active_loop()
-            loop_key, gbl_values, apply_deltas = self._prepare_loop(loop)
+            self._active = (loop, *self._prepare_loop(loop))
             self._track_dats(loop)
-            self._active = (loop, loop_key, gbl_values, apply_deltas)
-        _, loop_key, gbl_values, apply_deltas = self._active
+        _, loop_key, gbl_values = self._active
 
-        iterset = loop.iterset
-        shard = self.partition.shard_of(iterset.set_id, iterset.size, start)
+        if owner is None:
+            placed = loop.iterset
+        else:  # on the shard owning the start of its target range
+            placed = loop.owner_plan(owner[0]).target_set
+        shard = self.partition.shard_of(placed.set_id, placed.size, start)
 
-        # Per-dat access footprints of this chunk, split by *when* the halo
-        # must land: READ/RW gathers happen at compute time, increment bases
-        # at merge time, WRITE-only footprints fetch nothing.
-        union = self.directory.algebra.union
-        compute_needs: dict[int, IntervalSet] = {}
-        merge_needs: dict[int, IntervalSet] = {}
+        # Per-dat access footprints of this chunk: READ/RW gathers and
+        # increment bases are fetched before it runs; WRITE-only footprints
+        # fetch nothing.
+        algebra = self.directory.algebra
+        needs: dict[int, IntervalSet] = {}
         writes: dict[int, IntervalSet] = {}
         for arg in loop.args:
-            if arg.dat is None or start >= stop:
+            if arg.dat is None or (owner is None and start >= stop):
                 continue
-            summary = self._arg_summary(arg, start, stop)
+            summary = loop.chunk_summary(arg, start, stop, owner, algebra)
+            if summary is None:
+                continue
             dat_id = arg.dat.dat_id
-            access = arg.access
-            if access in (AccessMode.READ, AccessMode.RW):
-                held = compute_needs.get(dat_id)
-                compute_needs[dat_id] = summary if held is None else union(held, summary)
-            if access.is_reduction:
-                held = merge_needs.get(dat_id)
-                merge_needs[dat_id] = summary if held is None else union(held, summary)
-            if access.writes:
+            if arg.access.reads:
+                held = needs.get(dat_id)
+                needs[dat_id] = summary if held is None else algebra.union(held, summary)
+            if arg.access.writes:
                 held = writes.get(dat_id)
-                writes[dat_id] = summary if held is None else union(held, summary)
+                writes[dat_id] = summary if held is None else algebra.union(held, summary)
 
-        compute_deps: set[int] = set(deps)
-        merge_deps: set[int] = set()
+        task_deps: set[int] = set(deps)
         halo: list[tuple] = []
-        merge_halo: list[tuple] = []
-        mark_compute: list[tuple[int, IntervalSet]] = []
-        mark_merge: list[tuple[int, IntervalSet]] = []
-        for dat_id, needed in compute_needs.items():
-            fetches, plan_deps, missing = self.directory.plan_read(
-                dat_id, shard, needed
-            )
-            compute_deps |= plan_deps
+        fetched: list[tuple[int, IntervalSet]] = []
+        for dat_id, needed in needs.items():
+            fetches, plan_deps, missing = self.directory.plan_read(dat_id, shard, needed)
+            task_deps |= plan_deps
             halo.extend(_wire_entries(dat_id, fetches))
             self._account(dat_id, fetches)
             if missing is not None:
-                mark_compute.append((dat_id, missing))
-        for dat_id, needed in merge_needs.items():
-            fetches, plan_deps, missing = self.directory.plan_read(
-                dat_id, shard, needed
-            )
-            merge_deps |= plan_deps
-            merge_halo.extend(_wire_entries(dat_id, fetches))
-            self._account(dat_id, fetches)
-            if missing is not None:
-                mark_merge.append((dat_id, missing))
+                fetched.append((dat_id, missing))
 
-        compute_id, merge_id = self.pool.submit_loop_chunk(
+        task_id = self.pool.submit_loop_chunk(
             loop_key,
             start,
             stop,
+            owner=owner,
             gbl_values=gbl_values,
-            prefer_vectorized=self.prefer_vectorized,
-            deps=sorted(compute_deps),
-            after=after,
-            on_deltas=apply_deltas,
+            prefer_vectorized=task.prefer_vectorized,
+            deps=sorted(task_deps),
+            on_partials=task.deliver,
             worker=shard,
             halo=tuple(halo),
-            merge_halo=tuple(merge_halo),
-            extra_merge_deps=sorted(merge_deps),
         )
-
-        for dat_id, missing in mark_compute:
-            self.directory.mark_valid(dat_id, shard, missing, compute_id)
-        for dat_id, missing in mark_merge:
-            self.directory.mark_valid(dat_id, shard, missing, merge_id)
+        for dat_id, missing in fetched:
+            self.directory.mark_valid(dat_id, shard, missing, task_id)
         for dat_id, written in writes.items():
-            self.directory.record_write(dat_id, shard, written, merge_id)
-        return compute_id, merge_id
+            self.directory.record_write(dat_id, shard, written, task_id)
+        return task_id
 
     def _account(self, dat_id: int, fetches: list[tuple[int, IntervalSet]]) -> None:
         if not fetches:

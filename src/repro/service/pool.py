@@ -15,7 +15,7 @@ The object a lease hands back, :class:`EngineLease`, speaks the full
 and contexts use it unchanged -- but it scopes every operation to the
 tenant's own *task group* on the shared engine:
 
-* ``submit``/``submit_chunk`` tag tasks with the lease (whose ``tenant``
+* ``submit`` tags tasks with the lease (whose ``tenant``
   attribute keys the fair ready queue),
 * ``wait_all`` drains only the tenant's group -- a small tenant's barrier
   never waits on a long chain another tenant has in flight,
@@ -116,22 +116,6 @@ class EngineLease:
         if self._grouped:
             return self._engine.submit(fn, deps=deps, on_skip=on_skip, group=self)
         return self._engine.submit(fn, deps=deps, on_skip=on_skip)
-
-    def submit_chunk(
-        self,
-        prepare: Callable[[], Callable[[], None]],
-        *,
-        deps: Iterable[int] = (),
-        after: Optional[int] = None,
-    ) -> tuple[int, int]:
-        if self._grouped:
-            return self._engine.submit_chunk(prepare, deps=deps, after=after, group=self)
-        return self._engine.submit_chunk(prepare, deps=deps, after=after)
-
-    def submit_loop_chunk(self, *args: Any, **kwargs: Any) -> tuple[int, int]:
-        # By-name dispatch engines (processes) have no group support; plain
-        # delegation keeps them working behind a shared pool.
-        return self._engine.submit_loop_chunk(*args, **kwargs)
 
     # -- synchronisation (group-scoped) ---------------------------------------------
     def wait_all(self, timeout: Optional[float] = None) -> None:

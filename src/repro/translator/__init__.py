@@ -45,7 +45,7 @@ from repro.translator.slab import (
     SlabArg,
     build_slab,
     emit_slab_module,
-    make_slab_prepare,
+    run_slab,
     slab_signature,
 )
 
@@ -65,7 +65,7 @@ __all__ = [
     "slab_signature",
     "emit_slab_module",
     "build_slab",
-    "make_slab_prepare",
+    "run_slab",
     "BlockForm",
     "block_form",
     "generate_openmp_module",

@@ -29,6 +29,8 @@ Flat-argument convention, one group per ``op_arg`` (position ``j``):
 Global WRITE/RW cannot be privatised (the kernel must observe prior
 iterations) and is a lowering error here; the pipeline never dispatches such
 loops to a slab, mirroring :meth:`ParLoop.prepare_block`'s serialisation.
+Slabs run contiguous row ranges only: an owner chunk
+(:meth:`ParLoop.run_chunk`) runs the loop's block form.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ __all__ = [
     "slab_signature",
     "emit_slab_module",
     "build_slab",
-    "make_slab_prepare",
     "resolve_slab",
+    "run_slab",
 ]
 
 #: access-mode names a slab can privatise per argument kind
@@ -300,16 +302,16 @@ def resolve_slab(loop: "ParLoop", session: "Session") -> Optional["KernelArtifac
 _lowering_warned: set[str] = set()
 
 
-def make_slab_prepare(
+def run_slab(
     loop: "ParLoop", artifact: KernelArtifact, start: int, stop: int
-) -> Callable[[], None]:
-    """Run the slab over ``[start, stop)``; return the merge closure.
+) -> list[tuple[int, np.ndarray]]:
+    """Run the slab over ``[start, stop)`` and commit its dat effects; return
+    the global-reduction partials, like :meth:`ParLoop.run_chunk`.
 
-    The staging and the returned commit are
+    The staging and its commit are
     :class:`repro.op2.datapath.BlockStage`'s, shared with
-    :meth:`ParLoop._prepare_vectorized` -- private buffers for indirect
-    INC/WRITE/RW and global reductions, committed in deterministic chunk
-    order by the caller -- so slab execution composes with the same
+    :meth:`ParLoop.run_chunk` -- private buffers for indirect INC/WRITE/RW
+    and global reductions -- so slab execution composes with the same
     scheduling machinery as the interpreted paths.
 
     Deliberately not sub-blocked (:meth:`BlockStage.sub_blocks`): the slab
@@ -334,4 +336,4 @@ def make_slab_prepare(
             flat.append(stage.private(arg))
 
     artifact.slab(start, stop, *flat)
-    return stage.committer()
+    return list(zip(loop.reduction_positions, stage.commit()))

@@ -33,16 +33,16 @@ class _ChunkIdLog(dict):
 
     def __init__(self) -> None:
         super().__init__()
-        self.seen: dict[int, tuple[int, int]] = {}
+        self.seen: dict[int, int] = {}
 
-    def __setitem__(self, sim_id: int, pool_ids: tuple[int, int]) -> None:
-        super().__setitem__(sim_id, pool_ids)
-        self.seen[sim_id] = pool_ids
+    def __setitem__(self, sim_id: int, pool_id: int) -> None:
+        super().__setitem__(sim_id, pool_id)
+        self.seen[sim_id] = pool_id
 
 
 @pytest.fixture
 def log_chunk_ids():
-    """Install a whole-run ``sim id -> (compute id, merge id)`` log on a context.
+    """Install a whole-run ``sim id -> engine task id`` log on a context.
 
     The pipeline drops the ids of completed chunks at every drain; the
     DAG-enforcement tests check every edge of the run, so they log the ids

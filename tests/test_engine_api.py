@@ -46,6 +46,7 @@ from repro.op2 import (
     op_decl_set,
     op_par_loop,
 )
+from repro.op2.par_loop import LoopChunk
 from repro.op2.backends.hpx import hpx_context
 from repro.op2.backends.openmp import openmp_context
 from repro.op2.backends.serial import serial_context
@@ -87,21 +88,11 @@ class ToyInlineEngine:
         deps: Iterable[int] = (),
         on_skip: Optional[Callable[[], None]] = None,
     ) -> int:
+        # every chunk of a loop is one task that commits its own effects
+        if isinstance(fn, LoopChunk):
+            self.chunks_submitted += 1
         fn()
         return next(self._ids)
-
-    def submit_chunk(
-        self,
-        prepare: Callable[[], Callable[[], None]],
-        *,
-        deps: Iterable[int] = (),
-        after: Optional[int] = None,
-    ) -> tuple[int, int]:
-        self.chunks_submitted += 1
-        commit = prepare()
-        compute_id = next(self._ids)
-        commit()
-        return compute_id, next(self._ids)
 
     def wait_all(self, timeout: Optional[float] = None) -> None:
         self.wait_all_calls += 1
@@ -151,7 +142,6 @@ class TestRegistry:
         processes = engine_capabilities("processes")
         assert processes.needs_kernel_registry is True
         assert processes.supports_global_write is False
-        assert processes.separate_merge_channel is True
 
     def test_round_trip(self, toy_engine):
         name, instances = toy_engine
@@ -352,7 +342,7 @@ class TestCapabilityNegotiation:
         details = context.report().details
         assert details["execution"] == name
         assert details["engine"] == name
-        assert details["engine_capabilities"]["strict_commit_order"] is True
+        assert details["engine_capabilities"]["deferred"] is True
 
 
 # ---------------------------------------------------------------------------

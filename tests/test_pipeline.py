@@ -95,9 +95,9 @@ class TestStageArtifacts:
 
     def test_chunk_task_spec_is_frozen(self):
         spec = ChunkTaskSpec(
-            chunk_index=0, start=0, stop=8, sim_id=3, sim_deps=(1,), chain_start=True
+            chunk_index=0, start=0, stop=8, sim_id=3, sim_deps=(1,), barrier_after=True
         )
-        assert spec.barrier_after is False
+        assert spec.owner is None
         with pytest.raises(AttributeError):
             spec.sim_id = 9  # type: ignore[misc]
 
@@ -315,11 +315,6 @@ class TestPipelineHooks:
                     or chunks[position + 1].color != chunks[position].color
                 )
                 assert spec.barrier_after == last_of_color
-                first_of_color = (
-                    position == 0
-                    or chunks[position].color != chunks[position - 1].color
-                )
-                assert spec.chain_start == first_of_color
 
     def test_policies_exposed_by_contexts(self):
         assert isinstance(hpx_context().pipeline.policy, DataflowSchedulePolicy)
@@ -461,6 +456,32 @@ def _fz_gbl_rw_vec(_idx, u, acc):
 FZ_GBL_RW = Kernel(name="fz_gbl_rw", elemental=_fz_gbl_rw, vectorized=_fz_gbl_rw_vec)
 
 
+def _fz_inc_gbl(a, d1, d2, count):
+    d1[0] += a[0]
+    d2[0] += 0.5 * a[0]
+    count[0] += 1.0
+
+
+def _fz_inc_gbl_vec(_idx, a, d1, d2, count):
+    d1[:, 0] += a[:, 0]
+    d2[:, 0] += 0.5 * a[:, 0]
+    count[0] += float(a.shape[0])
+
+
+FZ_INC_GBL = Kernel(name="fz_inc_gbl", elemental=_fz_inc_gbl, vectorized=_fz_inc_gbl_vec)
+
+
+def _fz_read_inc(u_read, u_inc):
+    u_inc[0] += 0.25 * u_read[0]
+
+
+def _fz_read_inc_vec(_idx, u_read, u_inc):
+    u_inc[:, 0] += 0.25 * u_read[:, 0]
+
+
+FZ_READ_INC = Kernel(name="fz_read_inc", elemental=_fz_read_inc, vectorized=_fz_read_inc_vec)
+
+
 def _fuzz_chain(ops, problem, trace):
     """Run the op sequence on ``problem``; exact-safe reductions go to ``trace``."""
     for op in ops:
@@ -517,6 +538,26 @@ def _fuzz_chain(ops, problem, trace):
                 op_arg_gbl(acc, 1, "double", OP_RW),
             )
             trace.append(("gbl_rw", float(acc[0])))
+        elif op == "inc_gbl":
+            # indirect INC through both slots plus a global INC: owner chunks
+            # run cut rows twice, and each row counts in its home chunk only
+            # (a count is exact in any order)
+            count = np.zeros(1, dtype=np.float64)
+            op_par_loop(
+                FZ_INC_GBL, "fz_inc_gbl", problem.edges,
+                op_arg_dat(problem.p_A, -1, OP_ID, 1, "double", OP_READ),
+                op_arg_dat(problem.p_du, 0, problem.ppedge, 1, "double", OP_INC),
+                op_arg_dat(problem.p_du, 1, problem.ppedge, 1, "double", OP_INC),
+                op_arg_gbl(count, 1, "double", OP_INC),
+            )
+            trace.append(("inc_gbl", float(count[0])))
+        elif op == "read_inc":
+            # the same dat read and incremented: one chunk
+            op_par_loop(
+                FZ_READ_INC, "fz_read_inc", problem.edges,
+                op_arg_dat(problem.p_u, 0, problem.ppedge, 1, "double", OP_READ),
+                op_arg_dat(problem.p_u, 1, problem.ppedge, 1, "double", OP_INC),
+            )
         elif op == "renumber":
             # mid-run renumbering: set_values drains in-flight loops first
             problem.ppedge.set_values(np.roll(problem.ppedge.values, 5, axis=0))
@@ -525,7 +566,10 @@ def _fuzz_chain(ops, problem, trace):
 
 
 FUZZ_OPS = st.sampled_from(
-    ["edge_inc", "dup_inc", "update", "scale", "edge_rw", "indirect_rw", "gbl_rw", "renumber"]
+    [
+        "edge_inc", "dup_inc", "update", "scale", "edge_rw", "indirect_rw", "gbl_rw",
+        "renumber", "inc_gbl", "read_inc",
+    ]
 )
 
 

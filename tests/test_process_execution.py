@@ -86,8 +86,8 @@ class TestHPXProcesses:
         assert report.makespan_seconds > 0.0
 
     def test_airfoil_bit_identical_to_threaded_engine(self):
-        """Same chunk plan, same deterministic merge chain, same numbers --
-        the process boundary must not change a single bit."""
+        """Same chunk plan, same commits, same numbers -- the process
+        boundary must not change a single bit."""
         threaded, _ = _run_airfoil(hpx_context, num_threads=4, engine="threads")
         processed, _ = _run_airfoil(hpx_context, num_threads=4, engine="processes")
         assert np.array_equal(processed.q, threaded.q)
@@ -119,8 +119,8 @@ class TestHPXProcesses:
         )
 
     def test_dag_edges_enforced_at_runtime(self, log_chunk_ids):
-        """For every DAG edge the producer's merge RPC stub must have
-        finished before the consumer's compute RPC stub started."""
+        """For every DAG edge the producer's RPC stub (its chunk ran and
+        committed) must have finished before the consumer's stub started."""
         _, context = _run_airfoil(
             hpx_context, prepare=log_chunk_ids, num_threads=4, engine="processes"
         )
@@ -133,13 +133,11 @@ class TestHPXProcesses:
         for task in context.task_graph.tasks:
             if task.task_id not in pool_ids:
                 continue
-            compute_id, _merge_id = pool_ids[task.task_id]
             for dep in task.deps:
                 if dep not in pool_ids:
                     continue
-                _dep_compute, dep_merge = pool_ids[dep]
-                assert done_at[dep_merge] < start_at[compute_id], (
-                    f"chunk {task.name} started before producer merge {dep}"
+                assert done_at[pool_ids[dep]] < start_at[pool_ids[task.task_id]], (
+                    f"chunk {task.name} started before producer {dep}"
                 )
                 checked += 1
         assert checked > 100

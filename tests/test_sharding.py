@@ -387,9 +387,9 @@ class TestHaloDirectory:
         directory.register_dat(7, 100)
         directory.mark_valid(7, 1, IntervalSet.from_range(0, 99), ready=None)
         written = IntervalSet.from_range(40, 59)
-        directory.record_write(7, 0, written, merge_id=9)
+        directory.record_write(7, 0, written, ready=9)
         # Shard 1 lost validity of the written runs and must fetch them
-        # from the writer, depending on the writer's merge.
+        # from the writer, depending on the writer's task.
         fetches, deps, missing = directory.plan_read(
             7, 1, IntervalSet.from_range(50, 69)
         )
@@ -409,8 +409,8 @@ class TestHaloDirectory:
     def test_fresh_remote_and_parent_sync(self):
         directory = HaloDirectory(2)
         directory.register_dat(7, 100)
-        directory.record_write(7, 0, IntervalSet.from_range(0, 49), merge_id=1)
-        directory.record_write(7, 1, IntervalSet.from_range(50, 99), merge_id=2)
+        directory.record_write(7, 0, IntervalSet.from_range(0, 49), ready=1)
+        directory.record_write(7, 1, IntervalSet.from_range(50, 99), ready=2)
         remote = {
             holder: _elements(runs) for holder, runs in directory.fresh_remote(7)
         }
@@ -428,7 +428,7 @@ class TestHaloDirectory:
         directory.register_dat(7, 100)
         for base in range(0, 40, 10):
             directory.record_write(
-                7, 0, IntervalSet.from_range(base, base + 9), merge_id=base
+                7, 0, IntervalSet.from_range(base, base + 9), ready=base
             )
         directory.quiesce()
         remote = dict(directory.fresh_remote(7))

@@ -103,9 +103,10 @@ class TestHPXThreads:
         """No chunk ever starts before its producer chunks completed.
 
         Uses the pool's event trace: for every dependency edge of the
-        simulated chunk DAG, the producer's merge task must have finished
-        before the consumer's compute task started (e.g. an INC consumer
-        chunk never runs before the chunks that accumulated its inputs).
+        simulated chunk DAG, the producer's task (which commits its effects)
+        must have finished before the consumer's task started (e.g. an INC
+        consumer chunk never runs before the chunks that accumulated its
+        inputs).
         """
         _, context = _run_airfoil(
             hpx_context, prepare=log_chunk_ids, num_threads=4, engine="threads"
@@ -119,13 +120,11 @@ class TestHPXThreads:
         for task in context.task_graph.tasks:
             if task.task_id not in pool_ids:
                 continue
-            compute_id, _merge_id = pool_ids[task.task_id]
             for dep in task.deps:
                 if dep not in pool_ids:
                     continue
-                _dep_compute, dep_merge = pool_ids[dep]
-                assert done_at[dep_merge] < start_at[compute_id], (
-                    f"chunk {task.name} started before producer merge {dep}"
+                assert done_at[pool_ids[dep]] < start_at[pool_ids[task.task_id]], (
+                    f"chunk {task.name} started before producer {dep}"
                 )
                 checked += 1
         assert checked > 100  # the airfoil DAG has plenty of edges

@@ -21,7 +21,7 @@ from repro.translator import (
     emit_slab_module,
     generate_hpx_module,
     generate_openmp_module,
-    make_slab_prepare,
+    run_slab,
     op2_translate,
     parse_kernel,
     parse_source,
@@ -460,13 +460,12 @@ class TestSlabParity:
                               fingerprint="parity")
 
         res0, g0 = res.data.copy(), gmax.copy()
-        for merge in (loop._prepare_vectorized(0, 7), loop._prepare_vectorized(7, 14)):
+        for merge in (loop.prepare_block(0, 7), loop.prepare_block(7, 14)):
             merge()
         res_vec, g_vec = res.data.copy(), gmax.copy()
 
         res.data[:], gmax[:] = res0, g0
-        for merge in (make_slab_prepare(loop, artifact, 0, 7),
-                      make_slab_prepare(loop, artifact, 7, 14)):
-            merge()
+        for start, stop in ((0, 7), (7, 14)):
+            loop.fold_partials(run_slab(loop, artifact, start, stop))
         assert np.array_equal(res.data, res_vec)
         assert np.array_equal(gmax, g_vec)
