@@ -94,11 +94,6 @@ class AeroResult:
     phi: np.ndarray
     residual_history: list[float] = field(default_factory=list)
 
-    @property
-    def final_residual(self) -> float:
-        """Residual after the last sweep (0.0 when no sweeps ran)."""
-        return self.residual_history[-1] if self.residual_history else 0.0
-
 
 def build_grid_problem(nx: int = 32, ny: int = 32, *, seed: int = 11) -> AeroProblem:
     """Build an ``nx x ny``-cell structured quad grid with random stiffness."""

@@ -59,7 +59,7 @@ from repro.errors import OP2BackendError
 from repro.op2.context import BackendReport
 from repro.op2.dat import OpDat
 from repro.op2.par_loop import LoopChunk, ParLoop, Partials
-from repro.runtime.future import HandleFuture, Promise, SharedFuture, make_ready_future
+from repro.runtime.future import HandleFuture, Promise, SharedFuture
 from repro.session import LoopCostTable, Session
 from repro.sim.cost import ChunkCost, KernelCostModel
 from repro.sim.machine import Machine
@@ -294,7 +294,7 @@ class LoopPipeline:
         """What a loop that already ran to completion in the parent returns."""
         if not self._returns_future:
             return None
-        return make_ready_future(loop.output_dat()).share()  # type: ignore[arg-type]
+        return SharedFuture.ready(loop.output_dat())  # type: ignore[arg-type]
 
     # -- stage 2: analyze --------------------------------------------------------
     def _analyze(self, lowered: LoweredLoop) -> AnalyzedLoop:

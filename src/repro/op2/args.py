@@ -29,12 +29,19 @@ class ArgKind(enum.Enum):
     GBL = "gbl"
 
 
+#: stub-key letters by access value (hashing an enum member is a Python call)
+_GLOBAL_CODES = {"inc": "s", "min": "n", "max": "x"}
+_INDIRECT_CODES = {"read": "r", "inc": "i"}
+#: the accesses that modify their data (``AccessMode.writes``)
+_WRITES = (AccessMode.WRITE, AccessMode.RW, AccessMode.INC, AccessMode.MIN, AccessMode.MAX)
+
+
 class OpArg:
     """A fully validated loop argument."""
 
     __slots__ = (
         "kind", "dat", "map", "map_index", "dim", "type_name", "access", "gbl_data",
-        "is_global", "is_direct", "is_indirect",
+        "is_global", "is_direct", "is_indirect", "code",
     )
 
     def __init__(
@@ -65,6 +72,13 @@ class OpArg:
         #: True for dat arguments accessed through a real map
         self.is_indirect = (
             kind is ArgKind.DAT and not self.is_direct and isinstance(map_, OpMap)
+        )
+        #: its letter of the loop's stub key: ``d`` direct dat; indirect ``r`` READ,
+        #: ``i`` INC, ``w`` WRITE/RW; global ``g`` READ/WRITE/RW, ``s`` INC, ``n`` MIN, ``x`` MAX
+        self.code = (
+            _GLOBAL_CODES.get(access._value_, "g") if self.is_global
+            else "d" if self.is_direct
+            else _INDIRECT_CODES.get(access._value_, "w")
         )
 
     # -- helpers -------------------------------------------------------------------
@@ -119,7 +133,15 @@ def op_arg_dat(
     :class:`~repro.runtime.future.HandleFuture` exposes the dat's identity
     eagerly, so the argument is built *without blocking* (the dependency DAG
     orders the actual data accesses); any other future is awaited here.
+
+    A valid argument is memoised on the dat, keyed by the other inputs (the
+    map by identity, the access mode by value: hashing an enum member is a
+    Python call), so a repeated call returns the same :class:`OpArg`.
     """
+    if dat.__class__ is OpDat and access.__class__ is AccessMode and type_name.__class__ is str:
+        arg = dat._args.get((idx, id(map_), dim, type_name, access._value_))
+        if arg is not None:
+            return arg
     if not isinstance(dat, OpDat):
         if hasattr(dat, "get") and hasattr(dat, "is_ready"):
             handle = getattr(dat, "handle", None)
@@ -158,15 +180,10 @@ def op_arg_dat(
             )
     else:
         raise OP2AccessError(f"map argument must be OP_ID or an OpMap, got {map_!r}")
-    return OpArg(
-        kind=ArgKind.DAT,
-        access=access,
-        dim=dim,
-        type_name=str(type_name),
-        dat=dat,
-        map_=map_,
-        map_index=idx,
-    )
+    arg = OpArg(ArgKind.DAT, access, dim, str(type_name), dat, map_, idx)
+    if type_name.__class__ is str:
+        dat._memoise((idx, id(map_), dim, type_name, access._value_), arg)  # keeps map_ alive
+    return arg
 
 
 def op_arg_gbl(
@@ -175,27 +192,37 @@ def op_arg_gbl(
     type_name: str,
     access: AccessMode,
 ) -> OpArg:
-    """Build a global argument (C API: ``op_arg_gbl``), e.g. a reduction target."""
-    if not isinstance(access, AccessMode):
+    """Build a global argument (C API: ``op_arg_gbl``), e.g. a reduction target:
+    a 1-D copy of a scalar or sequence (read only), or the caller's own array
+    (0-d as one value), which must hold the declared type if writable."""
+    if access.__class__ is not AccessMode:
         raise OP2AccessError(f"invalid access mode {access!r}")
-    dtype = DTYPE_ALIASES.get(str(type_name).lower())
-    if dtype is None:
-        raise OP2AccessError(f"unknown OP2 type string {type_name!r}")
-    array = np.asarray(data, dtype=dtype)
-    if array.ndim == 0:
-        array = array.reshape(1)
-    if array.size != dim:
+    try:
+        dtype = DTYPE_ALIASES[type_name]
+    except (KeyError, TypeError):
+        dtype = DTYPE_ALIASES.get(str(type_name).lower())
+        if dtype is None:
+            raise OP2AccessError(f"unknown OP2 type string {type_name!r}") from None
+    writes = access in _WRITES
+    if data.__class__ is not np.ndarray and not isinstance(data, np.ndarray):
+        if writes:
+            raise OP2AccessError(
+                "writable global arguments must be NumPy arrays so the result is "
+                "visible to the caller"
+            )
+        data = np.asarray(data, dtype=dtype)
+    storage = data.reshape(1) if data.ndim == 0 else data
+    if storage.ndim != 1:
+        raise OP2AccessError(f"a global argument is 1-D, got an array of shape {data.shape}")
+    if writes and storage.dtype != dtype:
         raise OP2AccessError(
-            f"global argument has {array.size} values but declared dim {dim}"
+            f"declared type {type_name!r} does not match the writable global's "
+            f"dtype {storage.dtype.name}"
         )
-    if access.writes and not isinstance(data, np.ndarray):
+    if storage.size != dim:
         raise OP2AccessError(
-            "writable global arguments must be NumPy arrays so the result is "
-            "visible to the caller"
+            f"global argument has {storage.size} values but declared dim {dim}"
         )
-    # Keep a reference to the caller's array for write access so reductions
-    # land where the application expects them.
-    storage = data if isinstance(data, np.ndarray) else array
     return OpArg(
         kind=ArgKind.GBL,
         access=access,

@@ -10,7 +10,8 @@ when building the loop-interleaving dependency graph.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence, Union
+import sys
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,10 +47,26 @@ def _resolve_dtype(type_name: Union[str, np.dtype, type]) -> np.dtype:
         raise OP2DeclarationError(f"cannot interpret dtype {type_name!r}") from exc
 
 
+_memoising: dict[int, "OpDat"] = {}  # the dats holding memoised op_arg_dat arguments
+
+
+def _sweep_memos() -> None:
+    """Drop the memo of every dat only its own memoised arguments refer to: a
+    dat and its memo form a reference cycle, which would hold a dropped mesh's
+    arrays until the cyclic collector ran, so each declaration sweeps first."""
+    swept = list(_memoising.values())  # a dict: concurrent sweeps keep no duplicate
+    _memoising.clear()
+    for held in swept:  # references: swept, held, getrefcount's argument, the memo
+        if sys.getrefcount(held) > 3 + len(held._args):
+            _memoising[id(held)] = held
+        else:
+            held._args.clear()
+
+
 class OpDat:
     """Data of dimension ``dim`` on every element of ``dataset``."""
 
-    __slots__ = ("dat_id", "dataset", "dim", "dtype", "data", "name", "_version")
+    __slots__ = ("dat_id", "dataset", "dim", "dtype", "data", "name", "_version", "_args")
 
     def __init__(
         self,
@@ -63,6 +80,7 @@ class OpDat:
             raise OP2DeclarationError("op_dat must be declared on an OpSet")
         if dim <= 0:
             raise OP2DeclarationError(f"dat dimension must be positive, got {dim}")
+        _sweep_memos()
         dtype = _resolve_dtype(type_name)
         if data is None:
             array = np.zeros((dataset.size, dim), dtype=dtype)
@@ -75,6 +93,14 @@ class OpDat:
         self.data = array
         self.name = name or f"dat_{self.dat_id}"
         self._version = 0
+        #: ``op_arg_dat``'s memo of the validated arguments over this dat
+        self._args: dict[tuple, Any] = {}
+
+    def _memoise(self, key: tuple, arg: Any) -> None:
+        """Keep ``op_arg_dat``'s validated ``arg`` for ``key`` (:func:`_sweep_memos`)."""
+        if not self._args:
+            _memoising[id(self)] = self
+        self._args[key] = arg
 
     # -- versioning (used by the dataflow backend) -------------------------------
     @property

@@ -1,13 +1,13 @@
 """The chunk data path: indirect gathers, private staging, the ordered commit.
 
-Every vectorised block of a parallel loop -- :meth:`ParLoop._prepare_vectorized`
-and the translator's slabs alike -- moves indirect data through this module:
-a :class:`BlockStage` hands out the block's map columns, gathered copies and
-private scatter buffers, and commits them argument by argument in row order
-(:meth:`BlockStage.commit`, or the closure :meth:`BlockStage.committer`
-returns).  An owner chunk (:class:`~repro.op2.map.OwnerPlan`) runs the rows
-touching the targets it owns and commits only those targets, so every target
-receives the additions a whole-set commit gives it.
+Every vectorised block of a loop -- :meth:`ParLoop._prepare_vectorized`, a small
+chunk's host stub, a slab -- moves indirect data through this module: a
+:class:`BlockStage` (a stub calls its helpers straight-line) hands out the
+block's map columns, gathered copies and private scatter buffers, and commits
+them argument by argument in row order (:meth:`BlockStage.commit`, or the
+closure :meth:`BlockStage.committer` returns).  An owner chunk
+(:class:`~repro.op2.map.OwnerPlan`) runs the rows touching the targets it owns
+and commits only those, so every target receives a whole-set commit's additions.
 
 Three things are deliberately confined here (``tests/test_chunk_data_path.py``
 greps ``src/`` for strays):
@@ -377,8 +377,12 @@ def stage_scatter_add(
     call.  ``ranks_of`` supplies :func:`occurrence_ranks` of ``index`` and is
     consulted now -- together with the index, so the two cannot drift apart
     -- and only for blocks of at least :data:`SCATTER_ROUNDS_MIN_SIZE` entries.
+    A single column goes through NumPy's 1-D ``add.at``, the same additions
+    in the same order at a third of the cost of the 2-D one.
     """
     if buffer.size < SCATTER_ROUNDS_MIN_SIZE:
+        if buffer.shape[1:] == (1,):
+            return partial(np.add.at, data[:, 0], index, buffer[:, 0])
         return partial(np.add.at, data, index, buffer)
     return partial(_scatter_add_rounds, data, index, buffer, ranks_of())
 
@@ -514,9 +518,9 @@ class BlockStage:
     rows run in sub-blocks of their own against throwaway buffers.
 
     A contiguous chunk of fewer than :data:`SCRATCH_MIN_ROWS` rows is
-    *eager*: it uses no scratch, so its READ gathers are made as they are
-    declared and its one sub-block gets the declared views as they are --
-    every chunk of a light request.
+    *eager* -- every chunk of a light request: its loop runs it through the
+    kernel's host stub (:func:`repro.translator.blockform.host_stub`), and
+    the stage only takes the stub's effects (:meth:`adopt`) to commit later.
 
     Lifetimes: a gathered READ view and ``_idx`` live until the block form
     returns (the next sub-block reuses their scratch); staging lives until
@@ -533,7 +537,7 @@ class BlockStage:
             start, stop = 0, self.rows.size  # positions in ``rows``
         self.start = start
         self.stop = stop
-        #: views are built as declared: the chunk needs no scratch
+        #: the chunk runs through its loop's host stub
         self.eager = owner is None and stop - start < SCRATCH_MIN_ROWS
         self._commits: list[Callable[[], None]] = []
         #: staging buffers the committer returns to the free-list
@@ -577,11 +581,7 @@ class BlockStage:
         if self.rows is not None:
             self._views.append((arg.dat.data, (values, arg.map_index)))
             return
-        data, column = arg.dat.data, values[:, arg.map_index]
-        if self.eager:
-            self._views.append(gather_rows(data, column[self.start : self.stop]))
-        else:
-            self._views.append((data, column))
+        self._views.append((arg.dat.data, values[:, arg.map_index]))
 
     def private(self, arg: OpArg) -> np.ndarray:
         """Indirect INC/WRITE/RW: the whole-chunk buffer the kernel works on.
@@ -696,28 +696,29 @@ class BlockStage:
         that scratch small: a 19 040-row chunk is two of 9 520 rows, not
         16 384 and a 2 656-row tail.
         """
-        chunk = (self.start, self.stop)
         homes = None
         if self._owner is not None:  # each part ascending: a run is a slice
             plan, part = self._owner
             homes = plan.homes[part]
         for lo, hi in _equal_pieces(self.start, self.stop, COMPUTE_BLOCK_ROWS, homes):
             guest = homes is not None and lo >= homes
-            if self.eager and (lo, hi) == chunk:  # as declared
-                views, idx = self._views, np.arange(lo, hi)
+            scratch = _thread_scratch() if hi - lo >= SCRATCH_MIN_ROWS else None
+            views = self._sub_block_views(lo, hi, scratch, guest)  # gathers before _idx
+            if self.rows is not None:
+                idx = self.rows[lo:hi]
             else:
-                scratch = _thread_scratch() if hi - lo >= SCRATCH_MIN_ROWS else None
-                views = self._sub_block_views(lo, hi, scratch, guest)  # gathers before _idx
-                if self.rows is not None:
-                    idx = self.rows[lo:hi]
-                else:
-                    idx = np.arange(lo, hi) if scratch is None else scratch.arange(lo, hi)
+                idx = np.arange(lo, hi) if scratch is None else scratch.arange(lo, hi)
             yield idx, views
             if guest:  # a guest row's reductions count in its home chunk
                 continue
             for position, access, buffer in self._reductions:
                 if views[position] is not buffer:
                     fold_reduction(access, buffer, views[position])
+
+    def adopt(self, commits: list[Callable[[], None]], folds: list[tuple]) -> None:
+        """Take a host stub's staged dat commits and ``(access, global, partial)`` folds."""
+        self._commits = commits
+        self._global_folds = folds
 
     def committer(self) -> Callable[[], None]:
         """The closure applying every staged effect, in argument order, and
@@ -729,4 +730,4 @@ class BlockStage:
         """Apply the staged dat effects now; return the global-reduction
         partials, in declaration order, for the caller to fold."""
         _commit(self._commits, self._pooled, [])
-        return [buffer for _position, _access, buffer in self._reductions]
+        return [buffer for _access, _target, buffer in self._global_folds]

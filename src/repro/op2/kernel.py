@@ -38,6 +38,7 @@ import hashlib
 import inspect
 import textwrap
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import OP2Error, TranslatorError
@@ -110,7 +111,6 @@ class Kernel:
             raise OP2Error(f"kernel {self.name!r}: reuse_fraction must be in [0, 1]")
         if not 0.0 <= self.imbalance < 1.0:
             raise OP2Error(f"kernel {self.name!r}: imbalance must be in [0, 1)")
-        self._fingerprint: Optional[str] = None
         self._ir: Any = None
         self._ir_error: Optional[TranslatorError] = None
         register_kernel(self)
@@ -136,7 +136,7 @@ class Kernel:
         except (OSError, TypeError):
             return None
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
         """Content hash of the elemental source.
 
@@ -146,16 +146,14 @@ class Kernel:
         unrecoverable the hash falls back to the qualified name, which still
         distinguishes kernels but cannot detect in-place redefinition.
         """
-        if self._fingerprint is None:
-            text = self.captured_source
-            if text is None:
-                text = (
-                    "qualname:"
-                    f"{self.defining_module}:"
-                    f"{getattr(self.elemental, '__qualname__', self.name)}"
-                )
-            self._fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return self._fingerprint
+        text = self.captured_source
+        if text is None:
+            text = (
+                "qualname:"
+                f"{self.defining_module}:"
+                f"{getattr(self.elemental, '__qualname__', self.name)}"
+            )
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def kernel_ir(self) -> Any:
         """Parse the elemental form into a :class:`KernelIR` (memoized).

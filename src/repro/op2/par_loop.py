@@ -46,9 +46,9 @@ class ParLoop:
     """A validated parallel loop invocation."""
 
     def __init__(self, kernel: Kernel, name: str, iterset: OpSet, args: Sequence[OpArg]) -> None:
-        if not isinstance(kernel, Kernel):
+        if kernel.__class__ is not Kernel and not isinstance(kernel, Kernel):
             raise OP2Error(f"op_par_loop needs a Kernel, got {kernel!r}")
-        if not isinstance(iterset, OpSet):
+        if iterset.__class__ is not OpSet and not isinstance(iterset, OpSet):
             raise OP2Error(f"op_par_loop needs an OpSet to iterate over, got {iterset!r}")
         if not args:
             raise OP2Error(f"loop {name!r}: at least one argument is required")
@@ -65,7 +65,9 @@ class ParLoop:
         #: some global argument is WRITE/RW: its kernel must observe prior
         #: iterations, so the loop's blocks cannot be privatised
         self.has_global_write = False
+        key = ""
         for position, arg in enumerate(self.args):
+            key += arg.code
             access = arg.access
             if arg.is_global:
                 self.has_global_reduction |= access in _WRITES
@@ -74,12 +76,14 @@ class ParLoop:
             if (arg.dat.dataset if arg.is_direct else arg.map.from_set) is not iterset:  # type: ignore[union-attr]
                 self._validate(position, arg)
             if access in _WRITES:
-                written.append(arg.dat)  # type: ignore[arg-type]
+                written += (arg.dat,)  # type: ignore[arg-type]
                 if arg.is_indirect and access in _ASSIGNS:
                     assigned.append(arg)
         self._written = tuple(written)
         #: indirect WRITE/RW arguments, whose duplicate targets serialise a block
         self._assigned_scatters = tuple(assigned)
+        #: the argument signature the kernel's host stub is generated for
+        self.stub_key = key
 
     # -- validation -------------------------------------------------------------
     def _validate(self, position: int, arg: OpArg) -> None:
@@ -107,10 +111,6 @@ class ParLoop:
             arg.is_indirect and arg.access in (AccessMode.INC, AccessMode.RW, AccessMode.WRITE)
             for arg in self.args
         )
-
-    def dats_written(self) -> list[OpDat]:
-        """Dats the loop modifies."""
-        return list(self._written)
 
     @property
     def reduction_positions(self) -> list[int]:
@@ -246,10 +246,14 @@ class ParLoop:
             )
         if start == stop:
             return
-        if self._use_vectorized(start, stop, prefer_vectorized):
-            self._prepare_vectorized(start, stop).committer()()
-        else:
+        if not self._use_vectorized(start, stop, prefer_vectorized):
             self._execute_block_elemental(start, stop)
+            return
+        stage = BlockStage(start, stop)
+        if stage.eager:  # the stub applies its effects as it goes
+            self._host_stub()(None, start, stop, *self.args)
+        else:
+            self._run_sub_blocks(stage).committer()()
 
     def _use_vectorized(self, start: int, stop: int, prefer_vectorized: bool) -> bool:
         return (
@@ -336,11 +340,29 @@ class ParLoop:
         chunk's indirect scatters and global reductions; :meth:`run_chunk`
         commits the scatters and hands the reductions back.  An owner chunk
         gathers its direct arguments too, and commits only its own targets.
+        An eager chunk (:attr:`BlockStage.eager`) runs through the kernel's
+        host stub instead: the same views, commits and folds, straight-line.
         """
         if owner is None:
             stage = BlockStage(start, stop)
         else:
             stage = BlockStage(0, 0, (self.owner_plan(owner[0]), owner[1]))
+        if stage.eager:
+            self._host_stub()(stage, start, stop, *self.args)
+            return stage
+        return self._run_sub_blocks(stage)
+
+    def _host_stub(self) -> Callable[..., None]:
+        """The kernel's host stub for this loop: ``stub(stage, start, stop, *args)``."""
+        stub = getattr(self.kernel.vectorized, "stubs", {}).get(self.stub_key)
+        if stub is None:
+            from repro.translator.blockform import host_stub  # imports this module
+            stub = host_stub(self.kernel.vectorized, self.stub_key)  # type: ignore[arg-type]
+        return stub
+
+    def _run_sub_blocks(self, stage: BlockStage) -> BlockStage:
+        """Declare the arguments to ``stage`` and run the block form over
+        its sub-blocks; the generic route of a chunk."""
         for arg in self.args:
             if arg.is_global:
                 if arg.access in _REDUCTIONS:
@@ -420,7 +442,8 @@ class ParLoop:
     def execute_all(self, *, prefer_vectorized: bool = True) -> None:
         """Execute the full iteration range (the pipeline's inline route)."""
         self.execute_block(0, self.iterset.size, prefer_vectorized=prefer_vectorized)
-        self._mark_outputs_modified()
+        for dat in self._written:
+            dat.bump_version()
 
     def _mark_outputs_modified(self) -> None:
         for dat in self._written:

@@ -349,6 +349,7 @@ def attach_dat(
     # Thread the parent's dat version through so worker-side signature and
     # cache keys match the parent's across address spaces.
     dat._version = spec["version"]
+    dat._args = {}
     return dat
 
 

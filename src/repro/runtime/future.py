@@ -251,6 +251,11 @@ class SharedFuture(Generic[T]):
     def __init__(self, state: Optional[_SharedState[T]] = None) -> None:
         self._state = state if state is not None else _SharedState()
 
+    @classmethod
+    def ready(cls, value: T) -> "SharedFuture[T]":
+        """``make_ready_future(value).share()`` without the consumed future."""
+        return cls(_SharedState.ready(value))
+
     def valid(self) -> bool:
         """Shared futures always remain valid."""
         return True

@@ -62,7 +62,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import threading
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.errors import OP2Error, RuntimeStateError
 
@@ -191,16 +191,15 @@ class LoopCostTable:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: dict[tuple, tuple[float, int]] = {}
+        #: ``lookup(key)``: ``(min seconds, samples)`` of ``key``, or ``None``
+        #: when never run -- the entries' own ``get``, one C call per loop
+        self.lookup: Callable[[tuple], Optional[tuple[float, int]]] = self._entries.get
 
     def record(self, key: tuple, seconds: float) -> None:
         """Fold one measured execution into the entry of ``key``."""
         with self._lock:
             best, samples = self._entries.get(key, (seconds, 0))
             self._entries[key] = (min(best, seconds), samples + 1)
-
-    def lookup(self, key: tuple) -> Optional[tuple[float, int]]:
-        """``(min seconds, samples)`` of ``key``, or ``None`` when never run."""
-        return self._entries.get(key)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -440,10 +439,6 @@ class Session:
     def artifact_cache_stats(self) -> dict[str, int]:
         """Hit/miss/size counters of the kernel-artifact cache."""
         return self.artifact_cache.stats()
-
-    def clear_artifact_cache(self) -> None:
-        """Drop every compiled kernel artifact (invalidated like plans)."""
-        self.artifact_cache.clear()
 
     # -- shared-memory arenas ------------------------------------------------------
     def track_arena(self, arena: "SharedMemoryArena") -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 
@@ -146,8 +146,3 @@ class EventQueue:
                 raise SimulationError(
                     f"event budget exceeded ({max_events}); runaway simulation?"
                 )
-
-    def drain_times(self) -> Iterator[float]:
-        """Yield the timestamps of remaining events in order (for debugging)."""
-        for event in sorted(e for e in self._heap if not e.cancelled):
-            yield event.time

@@ -127,12 +127,6 @@ class TaskGraph:
         self.tasks.append(task)
         return task_id
 
-    def add_task(self, task: SimTask) -> int:
-        """Add a pre-built task (its ``task_id`` is reassigned)."""
-        return self.add(
-            task.name, task.loop_name, task.phase, task.chunk_index, task.cost, task.deps
-        )
-
     def phases(self) -> list[int]:
         """Sorted phase indices present in the graph."""
         return sorted({t.phase for t in self.tasks})
@@ -210,13 +204,6 @@ class ScheduleResult:
         if self.makespan_seconds <= 0:
             return 0.0
         return self.total_bytes / self.makespan_seconds / 1e9
-
-    @property
-    def average_parallelism(self) -> float:
-        """Busy worker-seconds divided by makespan."""
-        if self.makespan_seconds <= 0:
-            return 0.0
-        return self.trace.busy_seconds() / self.makespan_seconds
 
 
 def _estimate_contention(

@@ -77,13 +77,6 @@ class LoopDependenceGraph:
                     pairs.append((a, b))
         return pairs
 
-    def is_chainable(self, producer: int, consumer: int) -> bool:
-        """True when the consumer loop reads a dat the producer loop wrote."""
-        return any(
-            edge.producer == producer and edge.consumer == consumer and edge.kind == "raw"
-            for edge in self.edges
-        )
-
     def critical_chain(self) -> list[int]:
         """The longest chain of directly dependent loops (by loop count)."""
         count = len(self.program.loops)

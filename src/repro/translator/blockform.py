@@ -29,6 +29,13 @@ construct outside this subset raises
 (the build lowers the kernel once with every argument a dat); a store to a
 global other than the two reductions raises on the first call that passes a
 global there.
+
+:func:`host_stub` gives a loop the *host stub* OP2's translator emits per
+``op_par_loop`` (Figs 8-9): per argument signature (``OpArg.code`` letters)
+one straight-line ``stub(stage, start, stop, *args)`` -- views of rows
+``[start, stop)``, the specialised block form, then commits and folds
+through :mod:`repro.op2.datapath` in the generic path's order, so no dat
+changes by a bit; with a ``stage`` it hands the effects over instead.
 """
 
 from __future__ import annotations
@@ -37,17 +44,26 @@ import ast
 import builtins
 import heapq
 import importlib
+import operator
+from functools import partial
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
 from repro.errors import TranslatorLoweringError
-from repro.op2.datapath import kernel_scratch
+from repro.op2.access import AccessMode
+from repro.op2.datapath import (
+    fold_reduction,
+    gather_rows,
+    kernel_scratch,
+    neutral,
+    stage_scatter_add,
+)
 from repro.translator.analysis import _function_def, analyse_kernel
 from repro.translator.ir import KernelIR
 from repro.translator.parser import parse_kernel
 
-__all__ = ["BlockForm", "block_form"]
+__all__ = ["BlockForm", "block_form", "host_stub"]
 
 
 class _Uni:
@@ -699,16 +715,77 @@ class _Lowering:
         return "\n".join(lines) + "\n"
 
 
+_STUB_NAMESPACE = {  # what a stub's code refers to
+    "_np": np, "_partial": partial, "_setitem": operator.setitem,
+    "_gather_rows": gather_rows, "_stage_scatter_add": stage_scatter_add,
+    "_neutral": neutral, "_fold_reduction": fold_reduction,
+    "_INC": AccessMode.INC, "_MIN": AccessMode.MIN, "_MAX": AccessMode.MAX,
+}
+_FOLDS = {"s": "_INC", "n": "_MIN", "x": "_MAX"}
+
+
+def _stub_ranks(key: str) -> tuple[int, ...]:
+    """The block form's view ranks under stub key ``key``."""
+    if not key or key.strip("drigsnxw"):
+        raise TranslatorLoweringError(f"not a loop stub key: {key!r}")
+    return tuple([1 if code in "gsnx" else 2 for code in key])
+
+
+def _render_stub(key: str) -> str:
+    """Source of ``stub_<key>(_form, _stage, _start, _stop, *args)``."""
+    params = [f"a{i}" for i in range(len(_stub_ranks(key)))]
+    lines = [
+        f"def stub_{key}({', '.join(['_form', '_stage', '_start', '_stop', *params])}):",
+        "    _idx = _np.arange(_start, _stop)",
+    ]
+    staged, folds = [], []
+    for i, (code, a) in enumerate(zip(key, params)):
+        rows = f"{a}.map.values[_start:_stop, {a}.map_index]"
+        if code == "d":
+            lines.append(f"    v{i} = {a}.dat.data[_start:_stop]")
+        elif code == "r":
+            lines.append(f"    v{i} = _gather_rows({a}.dat.data, {rows})")
+        elif code == "i":
+            lines.append(f"    v{i} = _np.zeros((_stop - _start, {a}.dim), {a}.dat.dtype)")
+            ranks = f"_partial({a}.map.scatter_ranks, {a}.map_index, _start, _stop)"
+            staged.append((i, f"_stage_scatter_add({a}.dat.data, {rows}, v{i}, {ranks})"))
+        elif code == "w":
+            lines += [f"    t{i} = {rows}", f"    v{i} = _gather_rows({a}.dat.data, t{i})"]
+            staged.append((i, f"_partial(_setitem, {a}.dat.data, t{i}, v{i})"))
+        elif code == "g":
+            lines.append(f"    v{i} = {a}.gbl_data")
+        else:
+            lines.append(f"    v{i} = _neutral({_FOLDS[code]}, {a}.gbl_data)")
+            folds.append(f"({_FOLDS[code]}, {a}.gbl_data, v{i})")
+    commits = [f"c{i}" for i, _commit in staged]
+    lines += [
+        f"    _form(_idx, {', '.join(f'v{i}' for i in range(len(key)))})",
+        *(f"    c{i} = {commit}" for i, commit in staged),
+        "    if _stage is not None:",
+        f"        _stage.adopt([{', '.join(commits)}], [{', '.join(folds)}])",
+        "        return",
+        *(f"    {commit}()" for commit in commits),
+        *(f"    _fold_reduction{fold}" for fold in folds),
+    ]
+    return "\n".join(lines) + "\n"
+
+
 class BlockForm:
     """A kernel's generated NumPy block form, callable as ``f(_idx, *views)``.
 
     The code for each combination of argument ranks is generated, compiled
-    and cached on its first call; :meth:`source` shows it.
+    and cached on its first call; :meth:`source` shows it (:meth:`stub` and
+    :meth:`stub_source`: the same for host stubs).
     """
+
+    #: host stubs by stub key, shared by every block form (their 1st argument)
+    shared_stubs: dict[str, Callable[..., None]] = {}
 
     def __init__(self, ir: KernelIR) -> None:
         self.ir = ir
         self._forms: dict[tuple[int, ...], Callable[..., None]] = {}
+        #: host stubs by stub key, bound to the form specialised for its ranks
+        self.stubs: dict[str, Callable[..., None]] = {}
         # every construct outside the subset fails here, at kernel definition
         _Lowering(ir, (2,) * len(ir.params))
 
@@ -716,6 +793,24 @@ class BlockForm:
         """The generated function for ``ranks`` (default: every argument a dat)."""
         ranks = (2,) * len(self.ir.params) if ranks is None else tuple(ranks)
         return _Lowering(self.ir, ranks).render()
+
+    def stub_source(self, key: str) -> str:
+        """The host stub for stub key ``key``, the twin of :meth:`source`."""
+        self._form(_stub_ranks(key))  # the kernel takes the key's arguments
+        return _render_stub(key)
+
+    def stub(self, key: str) -> Callable[..., None]:
+        """The host stub for stub key ``key``, bound to the specialised form."""
+        stub = self.stubs.get(key)
+        if stub is None:
+            stub = self.stubs[key] = partial(_shared_stub(key), self._form(_stub_ranks(key)))
+        return stub
+
+    def _form(self, ranks: tuple[int, ...]) -> Callable[..., None]:
+        form = self._forms.get(ranks)
+        if form is None:
+            form = self._forms[ranks] = self._specialise(ranks)
+        return form
 
     def _specialise(self, ranks: tuple[int, ...]) -> Callable[..., None]:
         lowering = _Lowering(self.ir, ranks)
@@ -726,14 +821,27 @@ class BlockForm:
         return namespace[lowering.name]
 
     def __call__(self, _idx: np.ndarray, *views: np.ndarray) -> None:
-        ranks = tuple([view.ndim for view in views])
-        form = self._forms.get(ranks)
-        if form is None:
-            form = self._forms[ranks] = self._specialise(ranks)
-        form(_idx, *views)
+        self._form(tuple([view.ndim for view in views]))(_idx, *views)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BlockForm({self.ir.name!r})"
+
+
+def _shared_stub(key: str) -> Callable[..., None]:
+    stub = BlockForm.shared_stubs.get(key)
+    if stub is None:
+        namespace = dict(_STUB_NAMESPACE)
+        exec(compile(_render_stub(key), f"<stub:{key}>", "exec"), namespace)
+        stub = BlockForm.shared_stubs[key] = namespace[f"stub_{key}"]
+    return stub
+
+
+def host_stub(form: Callable[..., None], key: str) -> Callable[..., None]:
+    """The host stub of stub key ``key`` running the block form ``form``:
+    ``stub(stage, start, stop, *args)`` (see the module docstring)."""
+    if isinstance(form, BlockForm):
+        return form.stub(key)
+    return partial(_shared_stub(key), form)
 
 
 def block_form(elemental: Callable[..., Any]) -> BlockForm:

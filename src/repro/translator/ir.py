@@ -93,10 +93,6 @@ class LoopSite:
         """True when some argument increments data through a map."""
         return any(arg.is_indirect and arg.access == "OP_INC" for arg in self.args)
 
-    def dats_read(self) -> list[str]:
-        """Names of dats whose previous value the loop observes."""
-        return [a.dat for a in self.args if not a.is_global and a.reads]
-
     def dats_written(self) -> list[str]:
         """Names of dats the loop modifies."""
         return [a.dat for a in self.args if not a.is_global and a.writes]
