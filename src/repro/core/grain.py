@@ -14,8 +14,7 @@ lowered, tracked or submitted, and no engine is acquired.  The first loop whose
 the rest of its life -- to :data:`DEFERRED`, before that loop executes; from
 then on every loop takes the plan → analyze → schedule → submit path.  Two
 states and no per-loop choice: mixing inline and deferred loops measured
-worse than either extreme on the partitioned engine (every inline write
-invalidates the shards' copies), and since ``INLINE`` strictly precedes
+worse than either extreme, and since ``INLINE`` strictly precedes
 ``DEFERRED`` nothing is ever pending when a loop runs inline, so the gate
 never inserts a drain.
 

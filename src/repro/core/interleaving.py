@@ -17,8 +17,7 @@ several map slots with the same access mode contributes one *union*
 interval set per chunk rather than one summary per slot -- same edges,
 fewer overlapping records to test against.  Every union and overlap test
 goes through an :class:`~repro.op2.intervals.IntervalAlgebra` (the owning
-session's, shared with the sharded engine's halo directory), so a
-time-stepping chain -- which repeats the same tests on the same summary
+session's), so a time-stepping chain -- which repeats the same tests on the same summary
 objects every step -- answers them from a dictionary after the first step.
 ``interval_sets=False``
 falls back to the single conservative ``[min, max]`` hull per chunk -- the

@@ -410,11 +410,6 @@ class LoopPipeline:
             self._drain(engine)
 
         if schedule.submission != "deferred":
-            if engine is not None and capabilities.partitioned_dats:
-                # The loop runs on the parent's home views; a partitioned
-                # engine must land every worker-fresh run there first (the
-                # preceding drain only completed the tasks).
-                engine.sync_parent_dats()
             if schedule.submission == grain.INLINE:
                 self._run_inline(loop, self._cost_sample(loop))
             else:
@@ -582,14 +577,6 @@ class LoopPipeline:
                     # failure caused the abort); the context is already
                     # unwinding with the application's exception.
                     pass
-                if self.capabilities.partitioned_dats:
-                    try:
-                        self._executor.sync_parent_dats()
-                    except Exception:
-                        # Best effort: an aborted run's values are
-                        # unspecified, but whatever committed should be
-                        # visible on the parent's home views.
-                        pass
             else:
                 self._executor.shutdown(wait=False)
         self._stop_clock()
@@ -604,10 +591,6 @@ class LoopPipeline:
         if self._executor is not None and not self._executor.is_shutdown:
             if self.session is not None:
                 self._drain(self._executor)
-                if self.capabilities.partitioned_dats:
-                    # The application reads dats on the parent after the
-                    # chain: land every worker-fresh run in the home views.
-                    self._executor.sync_parent_dats()
             else:
                 self._executor.shutdown(wait=True)
                 self.pool_chunk_ids.clear()

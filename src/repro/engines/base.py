@@ -5,7 +5,7 @@ agnostic when dispatch is routed through a runtime *executor* concept (HPX
 dataflow executors) rather than baked-in backends.  :class:`ExecutionEngine`
 is that seam for this reproduction: any object speaking the protocol below
 can carry the chunk DAG -- the built-in thread pool and shared-memory process
-engine do, and so can third-party substrates registered through
+engines do, and so can third-party substrates registered through
 :func:`repro.engines.register_engine` without touching a single ``repro``
 module.
 
@@ -71,11 +71,9 @@ class EngineCapabilities:
       kernel pipeline (capture → parse → IR → emit) and dispatched as
       compiled slab functions; loops (or kernels) the pipeline cannot lower
       fall back to the interpreted prepare path per loop.
-    * ``partitioned_dats``: dats live in per-shard partitions (owned + halo
-      regions) rather than one coherent storage every task sees; the
-      parent's view of a dat is only current after the engine's
-      ``sync_parent_dats()`` ran, so contexts call it before any parent-side
-      read or eager execution (drains, finish, global-write fallbacks).
+
+    Every engine keeps one coherent storage per dat: once a drain completed,
+    the parent's ``dat.data`` shows every committed chunk.
     """
 
     deferred: bool = True
@@ -83,7 +81,6 @@ class EngineCapabilities:
     needs_kernel_registry: bool = False
     supports_global_write: bool = True
     compiled_kernels: bool = False
-    partitioned_dats: bool = False
 
     def describe(self) -> dict[str, bool]:
         """The capability record as a plain dict (used in backend reports)."""

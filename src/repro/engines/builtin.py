@@ -10,13 +10,11 @@
   (:class:`~repro.runtime.process_pool.ProcessChunkEngine`): no shared
   address space, kernel dispatch by registered name, no in-engine global
   writes.
-* ``sharded`` -- the distributed-memory variant of ``processes``
-  (:class:`~repro.runtime.sharding.ShardedChunkEngine`): each set is
-  partitioned into per-worker owned shards, every dat gets one segment per
-  shard, and only the interval-exact halo runs a chunk is missing travel
-  between address spaces, batched into the chunk RPCs.  Advertises
-  ``partitioned_dats``, so contexts sync the parent's home view at drain
-  points.
+* ``sharded`` -- ``processes`` with owner placement
+  (:class:`~repro.runtime.sharding.ShardedChunkEngine`): each set is cut
+  into per-worker owned ranges and every chunk is pinned to the worker
+  owning its start (an owner chunk: the start of its targets), over the
+  same shared arena and with the same capabilities.
 * ``compiled`` -- the same thread pool advertising ``compiled_kernels``:
   the loop pipeline lowers each kernel through the translator (capture →
   parse → IR → emit) and submits compiled slab functions instead of
@@ -41,6 +39,7 @@ from repro.engines.registry import register_engine
 from repro.errors import RuntimeStateError
 from repro.runtime.pool_executor import PoolExecutor
 from repro.runtime.process_pool import ProcessChunkEngine
+from repro.runtime.sharding import ShardedChunkEngine
 
 __all__ = [
     "InlineEngine",
@@ -48,7 +47,6 @@ __all__ = [
     "THREADS_CAPABILITIES",
     "PROCESSES_CAPABILITIES",
     "COMPILED_CAPABILITIES",
-    "SHARDED_CAPABILITIES",
 ]
 
 #: eager parent execution; only the DAG is modelled, so no strict edges
@@ -62,9 +60,6 @@ PROCESSES_CAPABILITIES = ProcessChunkEngine.capabilities
 
 #: the thread pool, asking the pipeline for lowered slab kernels
 COMPILED_CAPABILITIES = dataclasses.replace(THREADS_CAPABILITIES, compiled_kernels=True)
-
-#: per-shard dat partitions with interval-exact halo exchange
-SHARDED_CAPABILITIES = dataclasses.replace(PROCESSES_CAPABILITIES, partitioned_dats=True)
 
 
 class InlineEngine:
@@ -146,21 +141,11 @@ def _make_compiled(config: RunConfig) -> ExecutionEngine:
 
 
 def _make_sharded(config: RunConfig) -> ExecutionEngine:
-    from repro.runtime.sharding import ShardedChunkEngine
-    from repro.session import Session
-
-    # The halo directory shares the session's interval algebra with the
-    # dependency tracker: both ask about the same summary objects.
-    return ShardedChunkEngine(
-        config.num_threads,
-        name="hpx-chunk-shards",
-        trace=True,
-        algebra=Session.current().interval_algebra,
-    )
+    return ShardedChunkEngine(config.num_threads, name="hpx-chunk-shards", trace=True)
 
 
 register_engine("simulate", _make_simulate, capabilities=SIMULATE_CAPABILITIES, overwrite=True)
 register_engine("threads", _make_threads, capabilities=THREADS_CAPABILITIES, overwrite=True)
 register_engine("processes", _make_processes, capabilities=PROCESSES_CAPABILITIES, overwrite=True)
 register_engine("compiled", _make_compiled, capabilities=COMPILED_CAPABILITIES, overwrite=True)
-register_engine("sharded", _make_sharded, capabilities=SHARDED_CAPABILITIES, overwrite=True)
+register_engine("sharded", _make_sharded, capabilities=PROCESSES_CAPABILITIES, overwrite=True)

@@ -31,8 +31,7 @@ tested against.
 
 :meth:`IntervalSet.hull` collapses a set back to its ``[min, max]`` envelope
 -- the representation the tracker's ablation mode and the renumbered-mesh
-benchmarks compare against.  :func:`copy_runs` is the data-movement
-counterpart: it copies the rows a run list names from one array to another.
+benchmarks compare against.
 """
 
 from __future__ import annotations
@@ -44,16 +43,10 @@ import numpy as np
 
 from repro.errors import OP2Error
 
-__all__ = ["IntervalSet", "IntervalAlgebra", "copy_runs", "BLOCK_SHIFT"]
+__all__ = ["IntervalSet", "IntervalAlgebra", "BLOCK_SHIFT"]
 
 #: granularity of the coarse bitmap: one bit per 64 elements
 BLOCK_SHIFT = 6
-
-#: :func:`copy_runs` gathers through one index array while the mean run moves
-#: fewer bytes than this, and copies slice by slice above it (the measured
-#: crossover of a ~0.4 us slice assignment against per-row gather cost, for
-#: 8-byte and 32-byte rows alike)
-_LONG_RUN_BYTES = 512
 
 
 def _expand(first: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
@@ -81,27 +74,6 @@ def _intersect_runs(
         np.maximum(a_starts[a_index], b_starts[b_index]),
         np.minimum(a_stops[a_index], b_stops[b_index]),
     )
-
-
-def copy_runs(dst: np.ndarray, src: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> None:
-    """``dst[lo : hi + 1] = src[lo : hi + 1]`` for every inclusive run.
-
-    Fragmented run lists (a shuffled mesh ships tens of thousands of one- or
-    two-row runs per step) are expanded to one index array and moved with a
-    single gather/scatter; long runs keep plain slice copies, which move
-    contiguous memory without materialising an index.  The choice follows
-    the mean run size of the list at hand.
-    """
-    if len(starts) == 0:
-        return
-    lengths = stops - starts + 1
-    total = int(lengths.sum())
-    if total * dst.strides[0] >= _LONG_RUN_BYTES * len(starts):
-        for lo, hi in zip(starts.tolist(), stops.tolist()):
-            dst[lo : hi + 1] = src[lo : hi + 1]
-    else:
-        index = _expand(starts, lengths, total)
-        dst[index] = src[index]
 
 
 class IntervalSet:
@@ -244,37 +216,6 @@ class IntervalSet:
         runs = _intersect_runs(self.starts, self.stops, gap_starts, gap_stops)
         return None if runs is None else IntervalSet(*runs)
 
-    def clip(self, lo: int, hi: int) -> Optional["IntervalSet"]:
-        """The subset within the inclusive range ``[lo, hi]`` (``None`` when empty).
-
-        This is the shard-relative slicing primitive: clipping a chunk summary
-        to a shard's owned cut yields the runs that shard must hold.
-        """
-        if hi < lo:
-            return None
-        first = int(np.searchsorted(self.stops, lo, side="left"))
-        last = int(np.searchsorted(self.starts, hi, side="right"))
-        if first >= last:
-            return None
-        starts = self.starts[first:last].copy()
-        stops = self.stops[first:last].copy()
-        starts[0] = max(int(starts[0]), lo)
-        stops[-1] = min(int(stops[-1]), hi)
-        return IntervalSet(starts, stops)
-
-    def split(self, cuts: Sequence[int]) -> list[Optional["IntervalSet"]]:
-        """Slice the set by monotone ``cuts`` into per-shard pieces.
-
-        ``cuts`` has ``num_shards + 1`` entries; piece ``k`` covers the
-        half-open index range ``[cuts[k], cuts[k+1])``.  Empty pieces are
-        ``None``; the non-``None`` pieces partition the elements falling
-        inside ``[cuts[0], cuts[-1])``.
-        """
-        return [
-            self.clip(int(cuts[k]), int(cuts[k + 1]) - 1)
-            for k in range(len(cuts) - 1)
-        ]
-
     # -- overlap tests -------------------------------------------------------------
     def _may_overlap(self, other: "IntervalSet") -> bool:
         """False only when the hulls or the coarse bitmaps prove disjointness."""
@@ -347,8 +288,8 @@ class IntervalAlgebra:
       Keeping the operands alive inside the entry is what makes the identity
       key sound: an ``id()`` cannot be recycled while its entry exists.
 
-    A time-stepping loop chain is value-periodic (the halo directory and the
-    dependency history return to the same sets every step), interning turns
+    A time-stepping loop chain is value-periodic (the dependency history
+    returns to the same sets every step), interning turns
     that into identity-periodic, and from the second period on every
     operation is one dictionary hit.  Nothing is ever invalidated: sets are
     immutable, so a cached answer stays true; a renumbered map simply yields

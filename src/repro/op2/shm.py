@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "SharedMemoryArena",
-    "ShardedArena",
     "attach_segment",
     "attach_dat",
     "attach_map",
@@ -198,102 +197,6 @@ class SharedMemoryArena:
             except FileNotFoundError:  # pragma: no cover - defensive
                 pass
         self._segments.clear()
-
-
-class ShardedArena(SharedMemoryArena):
-    """A shared-memory arena that gives every dat one segment *per shard*.
-
-    The ``sharded`` engine partitions each set across worker address spaces:
-    worker ``s`` computes on its own copy of a dat and only the halo runs it
-    is missing travel between segments.  Each adopted dat therefore gets
-    ``num_shards + 1`` full-extent segments -- one per worker plus a *home*
-    segment (index ``num_shards``) the parent's ``dat.data`` is rebound to.
-
-    Full-extent segments keep the global element numbering valid in every
-    address space (no global->local translation anywhere); the OS backs the
-    pages lazily, so the physical footprint of a worker segment is
-    proportional to the runs actually touched there, not to ``num_shards``
-    copies of every dat.
-
-    Maps stay single shared read-only segments (connectivity is read by all
-    shards alike), inherited unchanged from :class:`SharedMemoryArena`.
-    """
-
-    def __init__(
-        self,
-        num_shards: int,
-        *,
-        name_prefix: str = "op2",
-        session: Optional["Session"] = None,
-    ) -> None:
-        if num_shards < 1:
-            raise OP2BackendError(f"num_shards must be positive, got {num_shards}")
-        super().__init__(name_prefix=name_prefix, session=session)
-        self.num_shards = num_shards
-        #: dat_id -> per-shard views (home last); rebuilt on re-adoption
-        self._shard_views: dict[int, list[np.ndarray]] = {}
-
-    @property
-    def home_shard(self) -> int:
-        """Index of the parent-owned home segment in each dat's family."""
-        return self.num_shards
-
-    def adopt_dat(self, dat: OpDat) -> Optional[dict[str, Any]]:
-        """Adopt ``dat`` into a family of per-shard segments.
-
-        The returned spec carries the whole family as ``"segments"`` (worker
-        ``s`` attaches its own entry as its dat view and lazily attaches
-        peers for halo copies); ``"segment"`` is filled in per worker by the
-        engine before sending.  Only the home segment is initialised with the
-        dat's data -- worker segments start stale and are populated purely by
-        halo fetches and their own writes.
-        """
-        if self._released:
-            raise OP2BackendError("shared-memory arena already released")
-        record = self._dats.get(dat.dat_id)
-        if record is not None and dat.data is record[1]:
-            return None
-        source = np.asarray(dat.data)
-        names: list[str] = []
-        views: list[np.ndarray] = []
-        for _shard in range(self.num_shards + 1):
-            segment = _new_segment(source.nbytes, f"{self._prefix}-dat")
-            view: np.ndarray = np.ndarray(
-                source.shape, dtype=source.dtype, buffer=segment.buf
-            )
-            self._segments.append(segment)
-            names.append(segment.name)
-            views.append(view)
-        home = views[-1]
-        home[...] = source
-        dat.data = home
-        self._shard_views[dat.dat_id] = views
-        key = ("dat", dat.dat_id)
-        self._epochs[key] = self._epochs.get(key, -1) + 1
-        spec = {
-            "kind": "dat",
-            "dat_id": dat.dat_id,
-            "segment": None,  # filled in per worker from "segments"
-            "segments": names,
-            "shape": source.shape,
-            "dtype": dat.dtype.str,
-            "dim": dat.dim,
-            "name": dat.name,
-            "version": dat.version,
-            "set": self._set_spec(dat.dataset),
-        }
-        self._dats[dat.dat_id] = (dat, home)
-        return spec
-
-    def shard_view(self, dat_id: int, shard: int) -> np.ndarray:
-        """Parent-side array view of one shard's segment for ``dat_id``."""
-        return self._shard_views[dat_id][shard]
-
-    def release(self) -> None:
-        """Release segments; sharded views are dropped alongside."""
-        if not self._released:
-            self._shard_views.clear()
-        super().release()
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ One runtime, the one the engines run on:
   ``op_par_loop`` returns (``HandleFuture``, Figs. 8-9 of the paper),
 * the chunk-task pool (:mod:`repro.runtime.pool_executor`) behind the
   ``threads`` engine, the shared-memory worker pool
-  (:mod:`repro.runtime.process_pool`) behind ``processes``, and its sharded
-  placement (:mod:`repro.runtime.sharding`),
+  (:mod:`repro.runtime.process_pool`) behind ``processes``, and its owner
+  placement behind ``sharded`` (:mod:`repro.runtime.sharding`),
 * ready-queue policies and the paper's Table I execution-policy descriptors
   (:mod:`repro.runtime.policies`),
 * chunk-size policies including the paper's ``persistent_auto_chunk_size``

@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.engines.base import EngineCapabilities
 from repro.errors import OP2BackendError, SchedulerError
-from repro.op2.intervals import copy_runs
 from repro.op2.par_loop import LoopChunk
 from repro.runtime.pool_executor import PoolExecutor
 
@@ -71,10 +70,6 @@ class _WorkerState:
         self.maps: dict[int, Any] = {}
         self.loops: dict[str, Any] = {}
         self.segments: list[Any] = []
-        #: sharded engine only: dat_id -> family declaration spec (all shard
-        #: segment names), plus lazily attached peer-shard views
-        self.peer_specs: dict[int, dict] = {}
-        self.peer_views: dict[tuple[int, int], np.ndarray] = {}
 
     def declare(self, specs: Iterable[dict]) -> None:
         from repro.op2 import shm
@@ -88,45 +83,12 @@ class _WorkerState:
                 self.dats[spec["dat_id"]] = shm.attach_dat(
                     spec, self.sets, self.segments
                 )
-                if spec.get("segments"):
-                    self.peer_specs[spec["dat_id"]] = spec
-                    # Re-adoption replaced the whole segment family: views
-                    # of the old family must never serve halo copies again.
-                    for key in [k for k in self.peer_views if k[0] == spec["dat_id"]]:
-                        del self.peer_views[key]
             elif spec["kind"] == "map":
                 self.maps[spec["map_id"]] = shm.attach_map(
                     spec, self.sets, self.segments
                 )
             else:  # pragma: no cover - protocol error
                 raise OP2BackendError(f"unknown declaration kind {spec['kind']!r}")
-
-    def _peer_view(self, dat_id: int, shard: int) -> np.ndarray:
-        """View of another shard's segment for ``dat_id`` (attach on first use)."""
-        key = (dat_id, shard)
-        view = self.peer_views.get(key)
-        if view is None:
-            from repro.op2 import shm
-
-            spec = self.peer_specs[dat_id]
-            segment, view = shm.attach_segment(
-                {**spec, "segment": spec["segments"][shard]}
-            )
-            self.segments.append(segment)
-            self.peer_views[key] = view
-        return view
-
-    def apply_halo(self, entries: Sequence[tuple]) -> None:
-        """Copy halo runs from peer-shard segments into this worker's dats.
-
-        Each entry is ``(dat_id, src_shard, starts, stops)`` with inclusive
-        runs as ``int64`` arrays.  The parent's dependency gating guarantees
-        the source runs are committed and that no concurrent fetch targets
-        overlapping runs, so an unsynchronised row copy is race-free.
-        """
-        for dat_id, src_shard, starts, stops in entries:
-            dst = self.dats[dat_id].data
-            copy_runs(dst, self._peer_view(dat_id, src_shard), starts, stops)
 
     def register_loop(self, key: str, spec: dict) -> None:
         from repro.op2.access import OP_ID, AccessMode
@@ -204,15 +166,11 @@ class _WorkerState:
         owner: Optional[tuple[int, int]],
         gbl_values: Sequence,
         prefer_vectorized: bool,
-        halo: Sequence[tuple] = (),
     ) -> Optional[list[tuple[int, np.ndarray]]]:
         """Run one chunk and commit it; reply with its reduction partials.
 
-        Halo runs land before the gathers read them (increment bases
-        included: the chunk commits right here).  Global READ values are
-        re-established from the call snapshot.
+        Global READ values are re-established from the call snapshot.
         """
-        self.apply_halo(halo)
         loop = self.loops[loop_key]
         for index, value in gbl_values:
             loop.args[index].gbl_data[...] = value
@@ -232,23 +190,10 @@ def _serve_channel(channel: Any, handlers: dict[str, Callable[..., Any]]) -> Non
             if kind == "exit":
                 channel.send(("ok", None))
                 return
-            if kind == "batch":
-                # Deferred messages ride ahead of the RPC that flushed them:
-                # execute the sub-messages in order, reply once (with the
-                # final sub-message's result -- the flushing RPC's).
-                result = None
-                for sub_message in message[1]:
-                    handler = handlers.get(sub_message[0])
-                    if handler is None:
-                        raise OP2BackendError(
-                            f"unknown worker message {sub_message[0]!r}"
-                        )
-                    result = handler(*sub_message[1:])
-            else:
-                handler = handlers.get(kind)
-                if handler is None:
-                    raise OP2BackendError(f"unknown worker message {kind!r}")
-                result = handler(*message[1:])
+            handler = handlers.get(kind)
+            if handler is None:
+                raise OP2BackendError(f"unknown worker message {kind!r}")
+            result = handler(*message[1:])
         except BaseException as exc:  # noqa: BLE001 - routed to the parent
             tb = traceback.format_exc()
             try:
@@ -286,7 +231,7 @@ def _worker_main(conn: Any) -> None:
 class _WorkerHandle:
     """Parent-side endpoint of one worker process (one RPC channel)."""
 
-    __slots__ = ("process", "conn", "lock", "dead", "pending")
+    __slots__ = ("process", "conn", "lock", "dead")
 
     def __init__(self, process: Any, conn: Any) -> None:
         self.process = process
@@ -294,9 +239,6 @@ class _WorkerHandle:
         #: one in-flight RPC per worker
         self.lock = threading.Lock()
         self.dead = False
-        #: deferred messages (declares/registrations) batched onto the next
-        #: RPC instead of paying one round trip each
-        self.pending: list[tuple] = []
 
 
 class ProcessPool:
@@ -376,11 +318,6 @@ class ProcessPool:
         with handle.lock:
             if handle.dead:
                 raise OP2BackendError(f"worker process {index} already died")
-            if handle.pending:
-                # Flush the worker's deferred messages ahead of this RPC in
-                # one round trip; a failure in any of them surfaces here.
-                message = ("batch", [*handle.pending, message])
-                handle.pending = []
             try:
                 conn.send(message)
                 status, *payload = conn.recv()
@@ -401,19 +338,6 @@ class ProcessPool:
         """Synchronously deliver ``message`` to every worker."""
         for index in range(self._num_workers):
             self._call(index, message)
-
-    def queue_message(self, index: int, message: tuple) -> None:
-        """Defer ``message`` to worker ``index``: it rides ahead of the next
-        RPC as part of a batch instead of paying its own round trip.  Errors
-        it raises surface on that flushing RPC."""
-        handle = self._workers[index]
-        with handle.lock:
-            handle.pending.append(message)
-
-    def queue_broadcast(self, message: tuple) -> None:
-        """Defer ``message`` to every worker (see :meth:`queue_message`)."""
-        for index in range(self._num_workers):
-            self.queue_message(index, message)
 
     # -- submission ---------------------------------------------------------------------
     def submit(
@@ -438,16 +362,15 @@ class ProcessPool:
         deps: Iterable[int] = (),
         on_partials: Optional[Callable[[Any], None]] = None,
         worker: Optional[int] = None,
-        halo: Sequence[tuple] = (),
     ) -> int:
         """Submit one chunk of a registered loop as one RPC stub task.
 
         The stub leases any idle worker -- or, with ``worker=``, pins the
-        chunk to that shard's process -- which applies the ``halo`` entries,
-        runs the chunk and commits it; the reply's reduction partials go to
-        ``on_partials``.  Returns the task id.
+        chunk to that worker's process -- which runs the chunk and commits
+        it; the reply's reduction partials go to ``on_partials``.  Returns
+        the task id.
         """
-        message = ("run", loop_key, start, stop, owner, gbl_values, prefer_vectorized, halo)
+        message = ("run", loop_key, start, stop, owner, gbl_values, prefer_vectorized)
 
         def run() -> None:
             if worker is None:
@@ -458,8 +381,8 @@ class ProcessPool:
                     self._idle.put(index)
             else:
                 # Pinned chunks bypass the idle lease: the worker's lock
-                # serialises the shard's chunks, and other shards' workers
-                # stay available to their own chunks.
+                # serialises its chunks, and the other workers stay
+                # available to their own.
                 partials = self._call(worker, message)
             if partials and on_partials is not None:
                 on_partials(partials)
@@ -617,18 +540,6 @@ class ProcessChunkEngine:
             arg.access.value,
         )
 
-    def _declare(self, declarations: list[dict]) -> None:
-        """Deliver fresh dat/map declarations to the workers.
-
-        Synchronous here (registration errors surface at submission time);
-        the sharded subclass defers them into the next batched RPC instead.
-        """
-        self.pool.broadcast(("declare", declarations))
-
-    def _register(self, loop_key: str, spec: dict) -> None:
-        """Deliver one loop-shape registration to the workers."""
-        self.pool.broadcast(("register_loop", loop_key, spec))
-
     def _prepare_loop(self, loop: Any) -> tuple[str, list]:
         """Adopt/declare the loop's data, register its shape, snapshot globals."""
         from repro.op2.kernel import resolve_kernel
@@ -653,7 +564,8 @@ class ProcessChunkEngine:
                 if spec is not None:
                     declarations.append(spec)
         if declarations:
-            self._declare(declarations)
+            # Synchronous: declaration errors surface at submission time.
+            self.pool.broadcast(("declare", declarations))
 
         signature = (
             loop.kernel.name,
@@ -664,7 +576,7 @@ class ProcessChunkEngine:
         if loop_key is None:
             loop_key = f"loop-{len(self._loop_keys)}"
             self._loop_keys[signature] = loop_key
-            self._register(loop_key, self._loop_spec(loop))
+            self.pool.broadcast(("register_loop", loop_key, self._loop_spec(loop)))
 
         gbl_values = [
             (index, np.array(arg.gbl_data))
@@ -714,6 +626,10 @@ class ProcessChunkEngine:
         }
 
     # -- chunk submission --------------------------------------------------------------
+    def _worker_for(self, task: LoopChunk) -> Optional[int]:
+        """The worker ``task`` is pinned to; ``None`` leases any idle one."""
+        return None
+
     def _submit_chunk(self, task: LoopChunk, deps: Iterable[int]) -> int:
         """Ship one chunk task to a worker; returns its task id.
 
@@ -734,4 +650,5 @@ class ProcessChunkEngine:
             prefer_vectorized=task.prefer_vectorized,
             deps=deps,
             on_partials=task.deliver,
+            worker=self._worker_for(task),
         )

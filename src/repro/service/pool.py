@@ -125,16 +125,6 @@ class EngineLease:
         else:
             self._engine.wait_all(timeout)
 
-    def sync_parent_dats(self) -> None:
-        """Land worker-fresh runs in the parent's views.
-
-        Contexts call this on every engine with ``partitioned_dats``; an
-        engine without partitions has nothing to land.
-        """
-        sync = getattr(self._engine, "sync_parent_dats", None)
-        if sync is not None:
-            sync()
-
     def cancel_pending(self) -> None:
         """Poison *this tenant's* unstarted tasks (other tenants unaffected)."""
         if self._grouped:

@@ -14,9 +14,9 @@ ownership explicit.  It owns
   shape the session has run, which the grain gate
   (:mod:`repro.core.grain`) reads to keep small loop chains off the engines;
 * an **interval algebra** -- the interned, memoised
-  :class:`~repro.op2.intervals.IntervalSet` operations the dependency
-  tracker and the sharded engine's halo directory share, so a time-stepping
-  chain pays for each set-algebra answer once (dropped at :meth:`close`);
+  :class:`~repro.op2.intervals.IntervalSet` operations of the dependency
+  tracker, so a time-stepping chain pays for each set-algebra answer once
+  (dropped at :meth:`close`);
 * **shared-memory arena registrations** -- every
   :class:`~repro.op2.shm.SharedMemoryArena` the session's engines adopt dats
   into, released at :meth:`close`;
@@ -483,10 +483,7 @@ class Session:
                 engine = self._engine_pool.lease(config, tenant=self.tenant)
                 self._engines[key] = engine
                 return engine
-            # Factories resolve session-owned state (the sharded engine's
-            # interval algebra) against the current session: make that this one.
-            with self.use():
-                engine = make_engine(config)
+            engine = make_engine(config)
             self._engines[key] = engine
             # Engines without a shared address space hold their dats in a
             # shared-memory arena; own it so close() releases the segments

@@ -228,8 +228,7 @@ class TestServiceRuntime:
             assert result.u_max_history == reference.u_max_history
 
     def test_sharded_service_serves_a_request_equal_to_serial(self):
-        # The lease must delegate ``sync_parent_dats``: contexts call it at
-        # every drain of an engine with ``partitioned_dats``.
+        # ``sharded`` leases like ``processes``: same arena, pinned chunks.
         config = ServiceConfig(engine="sharded", num_threads=2, dispatchers=1)
         with ServiceRuntime(config) as runtime:
             result = runtime.submit_sync("alice", _jacobi, timeout=60.0)
