@@ -53,6 +53,7 @@ __all__ = [
     "MODEL",
     "GLOBAL_WRITE",
     "cost_key",
+    "measured_short",
     "should_defer",
     "GrainGate",
 ]
@@ -89,6 +90,12 @@ def should_defer(
     if cost is None or cost[1] < 2:
         return False
     return cost[0] >= GRAIN_THRESHOLD_SECONDS
+
+
+def measured_short(loop: "ParLoop", phase: int, cost: Optional[tuple[float, int]]) -> bool:
+    """Whether ``cost`` is evidence that ``loop`` stays inline: sampled, and
+    :func:`should_defer` says no (a heavy loop's first two runs are inline)."""
+    return cost is not None and cost[1] >= 2 and not should_defer(loop, phase, cost)
 
 
 class GrainGate:

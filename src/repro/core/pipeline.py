@@ -23,6 +23,10 @@ stages; ``model`` (an engine that defers nothing) runs them for the modelled
 DAG first; ``global_write`` (a WRITE/RW global the engine cannot host)
 drains and syncs the parent's dats first.
 
+Inside a service request the pipeline holds the request's interpreter turn
+(:mod:`repro.runtime.turns`) around inline loops the gate measured short,
+may yield it after every loop, and leaves it when the gate flips.
+
 Each stage is observable: :meth:`LoopPipeline.add_observer` registers a
 callable receiving a :class:`~repro.core.stages.StageEvent` (the stage's
 artifact plus its wall-clock duration) synchronously after the stage
@@ -59,6 +63,7 @@ from repro.errors import OP2BackendError
 from repro.op2.context import BackendReport
 from repro.op2.dat import OpDat
 from repro.op2.par_loop import LoopChunk, ParLoop, Partials
+from repro.runtime import turns
 from repro.runtime.future import HandleFuture, Promise, SharedFuture
 from repro.session import LoopCostTable, Session
 from repro.sim.cost import ChunkCost, KernelCostModel
@@ -170,6 +175,8 @@ class LoopPipeline:
         #: (globals are invisible to the tracker; a reduction into one of
         #: them must wait for those loops)
         self._globals_in_flight: set[int] = set()
+        #: the interpreter turn of the service request running this pipeline
+        self._turn: Optional[turns.Turn] = turns.current.turn
 
     # -- hook points -------------------------------------------------------------
     def add_observer(
@@ -231,6 +238,8 @@ class LoopPipeline:
         if gate is not None and gate.state == grain.INLINE:
             sample = self._cost_sample(loop)
         if sample is not None and gate.admit_inline(loop, phase, sample[2]):  # type: ignore[union-attr]
+            if self._turn is not None:  # waiters never wait out an unmeasured loop
+                self._turn.enter(grain.measured_short(loop, phase, sample[2]))
             self._run_inline(loop, sample)
             self.records.append(
                 LoopRecord(loop.name, phase, loop.iterset.size, [], [], 0,
@@ -238,8 +247,14 @@ class LoopPipeline:
             )
             result = self._ready_result(loop)
         else:
+            if gate is not None and self._turn is not None:
+                # the gate flipped: this request's loops go to the engine
+                self._turn.leave()
+                self._turn = None
             result = self._run_staged(loop, phase)
         self.loop_count += 1
+        if self._turn is not None:
+            self._turn.checkpoint()
         return result
 
     def _run_staged(self, loop: ParLoop, phase: int) -> Optional[SharedFuture[OpDat]]:

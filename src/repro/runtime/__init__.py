@@ -11,9 +11,12 @@ One runtime, the one the engines run on:
 * ready-queue policies and the paper's Table I execution-policy descriptors
   (:mod:`repro.runtime.policies`),
 * chunk-size policies including the paper's ``persistent_auto_chunk_size``
-  (:mod:`repro.runtime.chunking`), and
+  (:mod:`repro.runtime.chunking`),
 * the prefetching iterator ``make_prefetcher_context``
-  (:mod:`repro.runtime.prefetching`).
+  (:mod:`repro.runtime.prefetching`), and
+* interpreter turns (:mod:`repro.runtime.turns`): a service's inline
+  requests run one at a time, shortest expected first, yielding between
+  loops.
 
 Execution is real (OS threads and processes); the *modelled* numbers for the
 paper's figures come from the machine model in :mod:`repro.sim`.

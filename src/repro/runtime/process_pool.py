@@ -48,6 +48,7 @@ import numpy as np
 from repro.engines.base import EngineCapabilities
 from repro.errors import OP2BackendError, SchedulerError
 from repro.op2.par_loop import LoopChunk
+from repro.runtime.policies import ReadyQueuePolicy
 from repro.runtime.pool_executor import PoolExecutor
 
 __all__ = ["ProcessPool", "ProcessChunkEngine"]
@@ -244,11 +245,11 @@ class _WorkerHandle:
 class ProcessPool:
     """Run dependency-gated chunk tasks on ``num_workers`` OS processes.
 
-    The dependency protocol (ids, ``deps``, poisoning, ``wait_all``
-    barriers) is exactly the :class:`PoolExecutor` one -- an
-    internal gate pool of RPC stubs provides it, so task ids returned here
-    interoperate with :meth:`submit`-ed parent-side tasks (e.g. the loop
-    runner's future finalizers).
+    The dependency protocol (ids, ``deps``, task groups, poisoning,
+    ``wait_all`` barriers) is exactly the :class:`PoolExecutor` one: the
+    :attr:`gate` pool of RPC stubs provides it, so chunk task ids interoperate
+    with parent-side tasks submitted to it (e.g. the loop runner's future
+    finalizers).
     """
 
     def __init__(
@@ -287,9 +288,9 @@ class ProcessPool:
             process.start()
             child_conn.close()
             self._workers.append(_WorkerHandle(process, parent_conn))
-        # A gate thread per worker RPC in flight, plus room for the
-        # parent-side finalizers.
-        self._gate = PoolExecutor(num_workers + 2, name=f"{name}-gate", trace=trace)
+        #: the dependency namespace (task groups included): a gate thread per
+        #: worker RPC in flight, plus room for the parent-side finalizers
+        self.gate = PoolExecutor(num_workers + 2, name=f"{name}-gate", trace=trace)
         self._idle: "queue.SimpleQueue[int]" = queue.SimpleQueue()
         for index in range(num_workers):
             self._idle.put(index)
@@ -300,16 +301,6 @@ class ProcessPool:
     def num_workers(self) -> int:
         """Number of OS worker processes backing the pool."""
         return self._num_workers
-
-    @property
-    def trace_events(self) -> Optional[list[tuple[str, int]]]:
-        """The gate pool's ``("start"|"done", task_id)`` trace (if enabled)."""
-        return self._gate.trace_events
-
-    @property
-    def is_shutdown(self) -> bool:
-        """True once :meth:`shutdown` has been called."""
-        return self._gate.is_shutdown
 
     # -- RPC ----------------------------------------------------------------------------
     def _call(self, index: int, message: tuple) -> Any:
@@ -340,16 +331,6 @@ class ProcessPool:
             self._call(index, message)
 
     # -- submission ---------------------------------------------------------------------
-    def submit(
-        self,
-        fn: Callable[[], None],
-        *,
-        deps: Iterable[int] = (),
-        on_skip: Optional[Callable[[], None]] = None,
-    ) -> int:
-        """Submit a parent-side task into the same dependency namespace."""
-        return self._gate.submit(fn, deps=deps, on_skip=on_skip)
-
     def submit_loop_chunk(
         self,
         loop_key: str,
@@ -362,13 +343,14 @@ class ProcessPool:
         deps: Iterable[int] = (),
         on_partials: Optional[Callable[[Any], None]] = None,
         worker: Optional[int] = None,
+        group: Optional[Any] = None,
     ) -> int:
         """Submit one chunk of a registered loop as one RPC stub task.
 
         The stub leases any idle worker -- or, with ``worker=``, pins the
         chunk to that worker's process -- which runs the chunk and commits
         it; the reply's reduction partials go to ``on_partials``.  Returns
-        the task id.
+        the task id; ``group`` is :meth:`PoolExecutor.submit`'s.
         """
         message = ("run", loop_key, start, stop, owner, gbl_values, prefer_vectorized)
 
@@ -387,17 +369,9 @@ class ProcessPool:
             if partials and on_partials is not None:
                 on_partials(partials)
 
-        return self._gate.submit(run, deps=deps)
+        return self.gate.submit(run, deps=deps, group=group)
 
-    # -- synchronisation ------------------------------------------------------------------
-    def wait_all(self, timeout: Optional[float] = None) -> None:
-        """Block until every submitted task completed; re-raises failures."""
-        self._gate.wait_all(timeout=timeout)
-
-    def cancel_pending(self) -> None:
-        """Poison the pool: not-yet-started tasks are skipped."""
-        self._gate.cancel_pending()
-
+    # -- lifecycle ------------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
         """Stop gate threads and worker processes.
 
@@ -405,7 +379,7 @@ class ProcessPool:
         a failed run never leaks processes.
         """
         try:
-            self._gate.shutdown(wait=wait)
+            self.gate.shutdown(wait=wait)
         finally:
             self._stop_workers()
 
@@ -442,7 +416,8 @@ class ProcessChunkEngine:
     (:class:`~repro.op2.par_loop.LoopChunk`) into worker RPCs.  Exposes the
     :class:`PoolExecutor` surface the HPX context and the dataflow runner
     already speak (``submit`` / ``wait_all`` / ``cancel_pending`` /
-    ``shutdown`` / ``is_shutdown`` / ``trace_events``).
+    ``shutdown`` / ``is_shutdown`` / ``trace_events``), task groups included,
+    so a service lease scopes drains and failures to its tenant here too.
     """
 
     #: engine-seam capability record: worker processes on shared-memory
@@ -472,6 +447,9 @@ class ProcessChunkEngine:
         self._loop_keys: dict[tuple, str] = {}
         #: the loop currently being expanded into chunks, with its call state
         self._active: Optional[tuple[Any, str, list]] = None
+        #: tenants of a shared engine submit from several threads: one
+        #: registration (and one loop-key name) at a time
+        self._prepare_lock = threading.Lock()
 
     # -- PoolExecutor surface -------------------------------------------------------
     @property
@@ -482,12 +460,12 @@ class ProcessChunkEngine:
     @property
     def trace_events(self) -> Optional[list[tuple[str, int]]]:
         """Gate-pool event trace (used by the DAG-enforcement tests)."""
-        return self.pool.trace_events
+        return self.pool.gate.trace_events
 
     @property
     def is_shutdown(self) -> bool:
         """True once :meth:`shutdown` has been called."""
-        return self.pool.is_shutdown
+        return self.pool.gate.is_shutdown
 
     def submit(
         self,
@@ -495,21 +473,34 @@ class ProcessChunkEngine:
         *,
         deps: Iterable[int] = (),
         on_skip: Optional[Callable[[], None]] = None,
+        group: Optional[Any] = None,
     ) -> int:
         """Submit a task: a :class:`~repro.op2.par_loop.LoopChunk` runs on a
         worker, anything else (future finalizers and the like) in the
         parent."""
         if isinstance(fn, LoopChunk):
-            return self._submit_chunk(fn, deps)
-        return self.pool.submit(fn, deps=deps, on_skip=on_skip)
+            return self._submit_chunk(fn, deps, group)
+        return self.pool.gate.submit(fn, deps=deps, on_skip=on_skip, group=group)
 
     def wait_all(self, timeout: Optional[float] = None) -> None:
         """Drain all outstanding chunk work."""
-        self.pool.wait_all(timeout=timeout)
+        self.pool.gate.wait_all(timeout=timeout)
+
+    def wait_group(self, group: Optional[Any], timeout: Optional[float] = None) -> None:
+        """Drain one task group's chunk work (one tenant's, on a service)."""
+        self.pool.gate.wait_group(group, timeout=timeout)
 
     def cancel_pending(self) -> None:
         """Poison the pool (abandoning a run mid-way)."""
-        self.pool.cancel_pending()
+        self.pool.gate.cancel_pending()
+
+    def cancel_group(self, group: Optional[Any]) -> None:
+        """Poison one task group (abandoning one tenant's run mid-way)."""
+        self.pool.gate.cancel_group(group)
+
+    def set_ready_policy(self, policy: ReadyQueuePolicy) -> None:
+        """Order ready chunks by ``policy`` (the service installs fair WRR)."""
+        self.pool.gate.set_ready_policy(policy)
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop pool and workers, then hand the shared dats back to the parent."""
@@ -630,7 +621,9 @@ class ProcessChunkEngine:
         """The worker ``task`` is pinned to; ``None`` leases any idle one."""
         return None
 
-    def _submit_chunk(self, task: LoopChunk, deps: Iterable[int]) -> int:
+    def _submit_chunk(
+        self, task: LoopChunk, deps: Iterable[int], group: Optional[Any] = None
+    ) -> int:
         """Ship one chunk task to a worker; returns its task id.
 
         The first chunk of each loop call registers/declares whatever the
@@ -638,9 +631,11 @@ class ProcessChunkEngine:
         subsequent chunks of the same call reuse that state.
         """
         loop = task.loop
-        if self._active is None or self._active[0] is not loop:
-            self._active = (loop, *self._prepare_loop(loop))
-        _, loop_key, gbl_values = self._active
+        with self._prepare_lock:
+            active = self._active
+            if active is None or active[0] is not loop:
+                active = self._active = (loop, *self._prepare_loop(loop))
+        _, loop_key, gbl_values = active
         return self.pool.submit_loop_chunk(
             loop_key,
             task.start,
@@ -651,4 +646,5 @@ class ProcessChunkEngine:
             deps=deps,
             on_partials=task.deliver,
             worker=self._worker_for(task),
+            group=group,
         )

@@ -17,8 +17,10 @@ session/pipeline/engine stack:
   typed :class:`~repro.errors.AdmissionError`.
 * :class:`ServiceRuntime` (:mod:`repro.service.runtime`) -- the submission
   front-end: ``await runtime.submit(tenant, chain)`` from asyncio, or the
-  thread-safe ``runtime.submit_sync`` twin; dispatcher threads drain a fair
-  request queue into per-tenant sessions over the shared pool.
+  thread-safe ``runtime.submit_sync`` twin; dispatcher threads drain a FIFO
+  request queue into per-tenant sessions over the shared pool, and take
+  interpreter turns (:mod:`repro.runtime.turns`) so inline requests run one
+  at a time, shortest expected first.
 """
 
 from repro.service.admission import AdmissionController

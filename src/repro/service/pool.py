@@ -46,11 +46,12 @@ class EngineLease:
     """A tenant-scoped view of a shared engine (ExecutionEngine protocol).
 
     Created by :meth:`SharedEnginePool.lease`; the lease object itself is the
-    *task group* its submissions are tagged with on group-capable engines
-    (currently :class:`~repro.runtime.pool_executor.PoolExecutor`).  Engines
-    without group support (the inline simulator, the process pool) are
-    delegated to directly -- they are either synchronous or per-arena, so
-    group scoping is moot there.
+    *task group* its submissions are tagged with on group-capable engines:
+    every built-in deferred one (:class:`~repro.runtime.pool_executor.PoolExecutor`,
+    and :class:`~repro.runtime.process_pool.ProcessChunkEngine` through its
+    gate pool).  An engine without ``wait_group`` (the simulator, which holds
+    no task, or a third-party engine) is delegated to directly, so its
+    drains and cancels reach every tenant on it.
     """
 
     def __init__(

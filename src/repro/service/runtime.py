@@ -4,18 +4,22 @@
 
     submit / submit_sync            (asyncio + thread-safe entry points)
         -> AdmissionController      (bounded queue, per-tenant caps)
-        -> weighted-round-robin request queue, drained by dispatchers
+        -> FIFO request queue, drained by dispatcher threads
+        -> interpreter turns        (one inline request runs at a time)
         -> per-tenant Session       (kernel namespace, plan cache)
         -> SharedEnginePool         (one warm engine per config, all tenants)
         -> fair chunk interleaving  (WRR ready queue in the engine)
 
 A *request* is a callable running a loop chain; the runtime executes it
 inside an ``hpx_context`` bound to the tenant's session, whose engines are
-leases on the shared pool.  Fairness therefore exists at two levels: the
-request queue interleaves *whole requests* across tenants, and the shared
-engine's ready queue interleaves *chunks* of concurrently running requests
--- the paper's chunked dataflow execution is what makes the second level
-possible, every loop being preemptible between chunks.
+leases on the shared pool.  Inline requests (the common case) take
+*interpreter turns* (:mod:`repro.runtime.turns`): one runs at a time,
+yielding between loops to a request expected to finish sooner, and a
+finished one hands its turn to its ``submit_sync`` caller.  A request whose
+loops defer leaves its turn; the shared engine's weighted-round-robin ready
+queue then interleaves its *chunks* with other tenants' -- the paper's
+chunked dataflow makes every loop preemptible between chunks.  Tenant
+weights act in both places.
 
 Requests of one tenant execute serially, in admission order -- enforced
 structurally, not by a lock: at most one request per tenant is ever in the
@@ -25,7 +29,7 @@ only guarantee mutual exclusion; ``threading.Lock`` is unfair, so two
 dispatchers could run a tenant's requests out of admission order.)  Chains
 of one tenant typically share dats, and serial in-order execution keeps
 their results deterministic without asking callers to synchronise.
-Distinct tenants run genuinely concurrently, up to ``dispatchers`` threads.
+Distinct tenants are in flight concurrently, up to ``dispatchers`` threads.
 """
 
 from __future__ import annotations
@@ -34,13 +38,13 @@ import asyncio
 import concurrent.futures
 import functools
 import threading
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional
 
 from repro.engines.base import RunConfig
 from repro.errors import ServiceClosedError, ServiceError, ServiceTimeoutError
-from repro.runtime.policies import WeightedRoundRobin
+from repro.runtime import turns
 from repro.service.admission import AdmissionController
 from repro.service.pool import SharedEnginePool
 from repro.session import Session
@@ -62,7 +66,8 @@ class ServiceConfig:
     ``max_inflight_per_tenant`` admitted requests per tenant, and
     ``admission_timeout`` seconds of blocking before backpressure surfaces
     as :class:`~repro.errors.AdmissionError` (``None`` = wait forever).
-    ``tenant_weights`` seeds the live weighted-round-robin shares.
+    ``tenant_weights`` seeds the live tenant weights, which scale interpreter
+    turn keys and the engines' weighted-round-robin chunk shares.
     """
 
     engine: str = "threads"
@@ -77,19 +82,20 @@ class ServiceConfig:
 
 
 class _Request:
-    __slots__ = ("tenant", "fn", "run_config", "future")
+    __slots__ = ("tenant", "fn", "run_config", "future", "turn")
 
     def __init__(
         self,
         tenant: Hashable,
         fn: Callable[[], Any],
         run_config: RunConfig,
-        future: "concurrent.futures.Future[Any]",
+        turn: turns.Turn,
     ) -> None:
         self.tenant = tenant
         self.fn = fn
         self.run_config = run_config
-        self.future = future
+        self.future: "concurrent.futures.Future[Any]" = concurrent.futures.Future()
+        self.turn = turn
 
 
 class ServiceRuntime:
@@ -133,9 +139,10 @@ class ServiceRuntime:
             max_inflight_per_tenant=self.config.max_inflight_per_tenant,
         )
         self._queue_cond = threading.Condition()
-        #: request-level fairness, sharing the live weights dict with every
-        #: engine's chunk-level ready queue
-        self._queue = WeightedRoundRobin(
+        #: admitted requests in admission order (at most one per tenant)
+        self._queue: deque[_Request] = deque()
+        #: who holds the interpreter; the live weights scale its keys
+        self._turns = turns.TurnQueue(
             self._pool.tenant_weights, default_weight=self.config.default_weight
         )
         #: tenants with a request in the dispatch queue or running; their
@@ -186,6 +193,17 @@ class ServiceRuntime:
         callable's return value once a dispatcher ran the chain to its drain,
         or with the chain's exception.  Thread-safe.
         """
+        return self._admit(tenant, fn, config, admission_timeout).future
+
+    def _admit(
+        self,
+        tenant: Hashable,
+        fn: Callable[[], Any],
+        config: Optional[RunConfig],
+        admission_timeout: Any,
+        *,
+        caller_waits: bool = False,
+    ) -> _Request:
         if not callable(fn):
             raise ServiceError(f"request of tenant {tenant!r} is not callable: {fn!r}")
         if not self._accepting:
@@ -194,9 +212,11 @@ class ServiceRuntime:
             self.config.admission_timeout if admission_timeout is _UNSET else admission_timeout
         )
         self._admission.admit(tenant, timeout=timeout)
-        future: "concurrent.futures.Future[Any]" = concurrent.futures.Future()
         request = _Request(
-            tenant, fn, config if config is not None else self._default_run_config(), future
+            tenant,
+            fn,
+            config if config is not None else self._default_run_config(),
+            turns.Turn(self._turns, tenant, caller_waits=caller_waits),
         )
         with self._queue_cond:
             if not self._accepting:
@@ -208,9 +228,9 @@ class ServiceRuntime:
                 self._tenant_backlog.setdefault(tenant, deque()).append(request)
             else:
                 self._tenant_active.add(tenant)
-                self._queue.push(request, tenant)
+                self._queue.append(request)
                 self._queue_cond.notify()
-        return future
+        return request
 
     def submit_sync(
         self,
@@ -227,14 +247,18 @@ class ServiceRuntime:
         bounded separately) and surfaces as
         :class:`~repro.errors.ServiceTimeoutError`; the request itself keeps
         running and the timed-out caller may not observe its effects.
+        The finished request hands this thread its interpreter turn, released
+        here once the result is in hand, so no other request runs first.
         """
-        future = self.dispatch(tenant, fn, config=config, admission_timeout=admission_timeout)
+        request = self._admit(tenant, fn, config, admission_timeout, caller_waits=True)
         try:
-            return future.result(timeout)
+            return request.future.result(timeout)
         except concurrent.futures.TimeoutError:
             raise ServiceTimeoutError(
                 f"request of tenant {tenant!r} did not complete within {timeout}s"
             ) from None
+        finally:
+            self._turns.drop_caller(request.turn)
 
     async def submit(
         self,
@@ -259,7 +283,7 @@ class ServiceRuntime:
 
     # -- tenant state ---------------------------------------------------------------
     def set_tenant_weight(self, tenant: Hashable, weight: int) -> None:
-        """Retune ``tenant``'s fair share, effective immediately (live dict)."""
+        """Retune ``tenant``'s turn keys and chunk share at once (live dict)."""
         if weight < 1:
             raise ServiceError(f"tenant weight must be positive, got {weight}")
         self._pool.tenant_weights[tenant] = int(weight)
@@ -281,18 +305,18 @@ class ServiceRuntime:
             return session
 
     def stats(self) -> dict[str, Any]:
-        """JSON-friendly snapshot: admission, queue, pool and tenant stats."""
+        """JSON-friendly snapshot: admission, queue, turn, pool, tenant stats."""
         with self._state_lock:
             sessions = dict(self._sessions)
         with self._queue_cond:
-            queued = self._queue.queued_by_key()
+            queued = Counter(request.tenant for request in self._queue)
             for tenant, backlog in self._tenant_backlog.items():
-                if backlog:
-                    queued[tenant] = queued.get(tenant, 0) + len(backlog)
+                queued[tenant] += len(backlog)
         return {
             "closed": self._closed,
             "admission": self._admission.snapshot(),
-            "queued_by_tenant": {str(key): count for key, count in queued.items()},
+            "queued_by_tenant": {str(key): count for key, count in queued.items() if count},
+            "turns": self._turns.stats(),
             "pool": self._pool.stats(),
             "tenants": {str(key): session.stats() for key, session in sessions.items()},
         }
@@ -305,7 +329,7 @@ class ServiceRuntime:
                     self._queue_cond.wait()
                 if not self._queue:
                     return  # closed and drained
-                request = self._queue.pop()
+                request = self._queue.popleft()
             self._admission.start(request.tenant)
             try:
                 result = self._run_request(request)
@@ -325,7 +349,7 @@ class ServiceRuntime:
                 nxt = backlog.popleft()
                 if not backlog:
                     del self._tenant_backlog[tenant]
-                self._queue.push(nxt, tenant)
+                self._queue.append(nxt)
                 self._queue_cond.notify()
             else:
                 self._tenant_active.discard(tenant)
@@ -337,10 +361,19 @@ class ServiceRuntime:
         # request per tenant reaches a dispatcher at a time, in admission
         # order.  Entering the context activates the tenant session (kernels
         # and plans resolve against it) and leases its engines from the
-        # shared pool; exiting drains the tenant's task group.
+        # shared pool; exiting drains the tenant's task group.  The request
+        # runs in its interpreter turn: its pipelines read it from
+        # ``turns.current`` and yield or leave it between loops.
         session = self.tenant_session(request.tenant)
-        with hpx_context(config=request.run_config, session=session):
-            return request.fn()
+        turn = request.turn
+        self._turns.start(turn)
+        turns.current.turn = turn
+        try:
+            with hpx_context(config=request.run_config, session=session):
+                return request.fn()
+        finally:
+            turns.current.turn = None
+            self._turns.finish(turn)
 
     # -- lifecycle -------------------------------------------------------------------
     @property
@@ -362,8 +395,8 @@ class ServiceRuntime:
             self._accepting = False
             abandoned: list[_Request] = []
             if not drain:
-                while self._queue:
-                    abandoned.append(self._queue.pop())
+                abandoned.extend(self._queue)
+                self._queue.clear()
                 for backlog in self._tenant_backlog.values():
                     abandoned.extend(backlog)
                 self._tenant_backlog.clear()

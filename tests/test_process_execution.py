@@ -55,9 +55,9 @@ class TestProcessPool:
         pool = ProcessPool(2)
         try:
             order = []
-            first = pool.submit(lambda: order.append("first"))
-            pool.submit(lambda: order.append("second"), deps=[first])
-            pool.wait_all(timeout=10.0)
+            first = pool.gate.submit(lambda: order.append("first"))
+            pool.gate.submit(lambda: order.append("second"), deps=[first])
+            pool.gate.wait_all(timeout=10.0)
             assert order == ["first", "second"]
         finally:
             pool.shutdown(wait=False)
@@ -65,7 +65,7 @@ class TestProcessPool:
     def test_shutdown_joins_worker_processes(self):
         pool = ProcessPool(2)
         pool.shutdown(wait=True)
-        assert pool.is_shutdown
+        assert pool.gate.is_shutdown
         for handle in pool._workers:
             assert not handle.process.is_alive()
 
