@@ -23,14 +23,12 @@ every backend context lowers loops through the same plan → analyze →
 schedule → submit stages, parameterised only by a schedule policy and the
 configured engine's capabilities -- behind the grain gate
 (:mod:`repro.core.grain`), which keeps a loop chain too small to pay for
-tasks inline and off the engines.  :mod:`repro.core.executor` wraps the
-dataflow policy as the ``hpx`` OP2 backend; :mod:`repro.core.optimizer`
-derives from the run's ``RunConfig`` which technique is on (the ablation
-benchmarks sweep those fields).
+tasks inline and off the engines.  The dataflow policy reads which technique
+is on straight from the run's ``RunConfig`` (the ablation benchmarks sweep
+those fields); :func:`repro.op2.backends.hpx.hpx_context` builds the ``hpx``
+OP2 context over it and is re-exported here.
 """
 
-from repro.core.optimizer import OptimizationConfig
-from repro.core.executor import HPXContext, hpx_context
 from repro.core.interleaving import AccessRecord, DependencyTracker
 from repro.core.persistent_chunking import ChunkPlanner
 from repro.core.pipeline import LoopPipeline
@@ -52,10 +50,9 @@ from repro.core.stages import (
     ReductionPlan,
     StageEvent,
 )
+from repro.op2.backends.hpx import hpx_context
 
 __all__ = [
-    "OptimizationConfig",
-    "HPXContext",
     "hpx_context",
     "AccessRecord",
     "DependencyTracker",

@@ -43,7 +43,6 @@ from typing import Any, Callable, Iterable, Optional
 
 from repro.core import grain
 from repro.core.interleaving import DependencyTracker
-from repro.core.optimizer import OptimizationConfig
 from repro.core.persistent_chunking import ChunkPlanner
 from repro.core.policies import ColorForkJoinSchedulePolicy, DataflowSchedulePolicy, SchedulePolicy
 from repro.core.stages import (
@@ -125,7 +124,6 @@ class LoopPipeline:
         policy: Optional[SchedulePolicy],
         machine: Optional[Machine] = None,
         cost_model: Optional[KernelCostModel] = None,
-        prefer_vectorized: Optional[bool] = None,
         session: Optional[Session] = None,
     ) -> None:
         self.run_config = run_config
@@ -147,11 +145,7 @@ class LoopPipeline:
         self.cost_model = cost_model
         self.task_graph = TaskGraph() if policy is not None else None
         self.num_threads = run_config.num_threads
-        self.prefer_vectorized = (
-            run_config.prefer_vectorized
-            if prefer_vectorized is None
-            else prefer_vectorized
-        )
+        self.prefer_vectorized = run_config.prefer_vectorized
         #: per-loop book-keeping records, in program order
         self.records: list[LoopRecord] = []
         #: simulated task id -> engine task id of the chunks submitted since
@@ -653,16 +647,20 @@ class LoopPipeline:
 
 
 # ---------------------------------------------------------------------------
-# The dataflow context's pipeline (the contexts are thin adapters over these)
+# The dataflow context's pipeline
 # ---------------------------------------------------------------------------
 def build_dataflow_pipeline(
     run_config: RunConfig,
     machine: Machine,
-    optimization: OptimizationConfig,
     *,
     session: Optional[Session] = None,
 ) -> LoopPipeline:
-    """Pipeline for the HPX-style dataflow context."""
+    """Pipeline for the HPX-style dataflow context.
+
+    Raises :class:`~repro.errors.OP2BackendError` for a config the paper's
+    techniques cannot combine (prefetching without async tasking, a
+    non-positive prefetch distance).
+    """
     capabilities = engine_capabilities(run_config.engine)
     cost_model = KernelCostModel(machine)
     # On an engine that really defers, chunks commit their own effects as
@@ -672,7 +670,7 @@ def build_dataflow_pipeline(
     # bit-identical to serial.
     owner = session if session is not None else Session.current()
     tracker = DependencyTracker(
-        chunk_granularity=optimization.interleaving,
+        chunk_granularity=run_config.interleave,
         interval_sets=run_config.interval_sets,
         strict_commit_order=capabilities.deferred,
         algebra=owner.interval_algebra,
@@ -680,9 +678,7 @@ def build_dataflow_pipeline(
     planner = ChunkPlanner(
         cost_model, run_config.num_threads, policy=run_config.chunking
     )
-    policy = DataflowSchedulePolicy(
-        tracker=tracker, planner=planner, optimization=optimization
-    )
+    policy = DataflowSchedulePolicy(tracker=tracker, planner=planner, run_config=run_config)
     return LoopPipeline(
         run_config=run_config,
         policy=policy,

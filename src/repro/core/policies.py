@@ -14,14 +14,13 @@ The serial reference has none (:class:`~repro.core.pipeline.LoopPipeline`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.core.interleaving import DependencyTracker
-from repro.core.optimizer import OptimizationConfig
 from repro.core.persistent_chunking import ChunkPlanner
 from repro.core.prefetch_integration import build_prefetch_spec
 from repro.core.stages import ChunkRange, LoweredLoop
-from repro.engines import EngineCapabilities
+from repro.engines import EngineCapabilities, RunConfig
 from repro.errors import OP2BackendError
 from repro.op2.par_loop import ParLoop
 from repro.op2.plan import op_plan_get
@@ -163,15 +162,20 @@ class DataflowSchedulePolicy(SchedulePolicy):
         *,
         tracker: DependencyTracker,
         planner: ChunkPlanner,
-        optimization: OptimizationConfig,
+        run_config: RunConfig,
     ) -> None:
+        distance = run_config.prefetch_distance_factor  # None: the library default
+        if distance is not None and distance <= 0:
+            raise OP2BackendError("prefetch_distance_factor must be positive")
+        if run_config.prefetch and not run_config.async_tasking:
+            # The paper's prefetcher is specifically the combination of
+            # thread-based prefetching *with* asynchronous task execution.
+            raise OP2BackendError("prefetching requires async_tasking")
         self.tracker = tracker
         self.planner = planner
-        self.optimization = optimization
+        self.run_config = run_config
         self._prefetch_spec: Optional[PrefetchSpec] = (
-            build_prefetch_spec(True, optimization.prefetch_distance_factor)
-            if optimization.prefetching
-            else None
+            build_prefetch_spec(True, distance) if run_config.prefetch else None
         )
 
     def prefetch_spec(self) -> Optional[PrefetchSpec]:
@@ -225,12 +229,25 @@ class DataflowSchedulePolicy(SchedulePolicy):
             lowered.loop, chunk.start, chunk.stop, owner=chunk.owner
         )
 
+    def describe(self) -> str:
+        """Which of the paper's techniques the run switches on, as the short
+        label benchmark tables use (e.g. ``dataflow+interleave+auto-chunks``)."""
+        config = self.run_config
+        parts = [
+            "dataflow" if config.async_tasking else "no-dataflow",
+            "interleave" if config.interleave else "loop-granular",
+            "persistent-chunks" if self.planner.is_persistent else "auto-chunks",
+        ]
+        if self._prefetch_spec is not None:
+            parts.append(f"prefetch(d={self._prefetch_spec.distance_factor})")
+        return "+".join(parts)
+
     def simulate(
         self, task_graph: TaskGraph, machine: Machine, num_threads: int
     ) -> Optional[ScheduleResult]:
         mode = (
             ScheduleMode.DATAFLOW
-            if self.optimization.async_tasking
+            if self.run_config.async_tasking
             else ScheduleMode.BARRIER
         )
         return simulate_schedule(task_graph, machine, num_threads, mode)
@@ -241,7 +258,7 @@ class DataflowSchedulePolicy(SchedulePolicy):
         for record in records:
             edges[record.name] = edges.get(record.name, 0) + record.dependency_count
         details: dict[str, Any] = {
-            "config": self.optimization.describe(),
+            "config": self.describe(),
             "chunking": "persistent_auto" if self.planner.is_persistent else "auto",
             "total_chunks": sum(record.num_chunks for record in records),
             "total_dependencies": sum(record.dependency_count for record in records),
@@ -295,17 +312,12 @@ class ColorForkJoinSchedulePolicy(SchedulePolicy):
     spawn_overhead = False
     # colour by colour, never the whole set at once
     parent_submission = "eager"
+    #: block size handed to the colouring planner
+    block_size = 256
+    #: the modelled ``omp schedule(...)`` clause
+    omp_schedule = OmpSchedule.STATIC
 
-    def __init__(
-        self,
-        *,
-        block_size: int = 256,
-        omp_schedule: Union[OmpSchedule, str] = OmpSchedule.STATIC,
-    ) -> None:
-        self.block_size = block_size
-        self.omp_schedule = (
-            OmpSchedule(omp_schedule) if isinstance(omp_schedule, str) else omp_schedule
-        )
+    def __init__(self) -> None:
         self._next_phase = 0
         self._phase_base = 0
 

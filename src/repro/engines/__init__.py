@@ -26,7 +26,6 @@ from repro.engines.registry import (
     engine_capabilities,
     make_engine,
     register_engine,
-    resolve_run_config,
     unregister_engine,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "engine_capabilities",
     "make_engine",
     "register_engine",
-    "resolve_run_config",
     "unregister_engine",
 ]

@@ -1,4 +1,4 @@
-"""Engine registry: name -> (factory, capabilities), mirroring ``register_backend``.
+"""Engine registry: name -> (factory, capabilities), the one registry of the package.
 
 The registry is how a new execution substrate plugs into every context at
 once: ``register_engine("my-engine", factory, capabilities=...)`` makes
@@ -32,7 +32,6 @@ __all__ = [
     "available_engines",
     "engine_capabilities",
     "make_engine",
-    "resolve_run_config",
 ]
 
 #: engine name -> (factory(RunConfig) -> ExecutionEngine, EngineCapabilities)
@@ -138,23 +137,6 @@ def make_engine(
         return pool.lease(config, tenant=tenant)
     factory, _capabilities = _lookup(config.engine)
     return factory(config)
-
-
-def resolve_run_config(
-    config: Optional["RunConfig"] = None, **overrides: object
-) -> "RunConfig":
-    """Assemble the effective :class:`~repro.engines.base.RunConfig` of a context.
-
-    The one shared implementation of the contexts' keyword plumbing: start
-    from ``config`` (or a default ``RunConfig``) and apply every non-``None``
-    keyword override.
-    """
-    from repro.engines.base import RunConfig
-
-    if config is None:
-        config = RunConfig()
-    effective = {key: value for key, value in overrides.items() if value is not None}
-    return config.replace(**effective) if effective else config
 
 
 #: True while the builtin module is importing (its self-registrations must

@@ -1,4 +1,5 @@
-"""OP2 execution backends.
+"""OP2 execution backends: three factories of the one
+:class:`~repro.op2.context.ExecutionContext`, one per schedule.
 
 * :mod:`repro.op2.backends.serial` -- reference serial execution.
 * :mod:`repro.op2.backends.openmp` -- the paper's baseline: fork/join with a
@@ -9,15 +10,8 @@
 """
 
 from repro.engines import RunConfig
-from repro.op2.backends.serial import SerialContext, serial_context
-from repro.op2.backends.openmp import OpenMPContext, openmp_context
+from repro.op2.backends.serial import serial_context
+from repro.op2.backends.openmp import openmp_context
 from repro.op2.backends.hpx import hpx_context
 
-__all__ = [
-    "RunConfig",
-    "SerialContext",
-    "serial_context",
-    "OpenMPContext",
-    "openmp_context",
-    "hpx_context",
-]
+__all__ = ["RunConfig", "serial_context", "openmp_context", "hpx_context"]

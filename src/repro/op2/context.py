@@ -1,9 +1,10 @@
-"""Execution contexts and backend dispatch.
+"""The execution context ``op_par_loop`` dispatches to.
 
 An *execution context* decides how ``op_par_loop`` invocations run: the
 serial reference, the OpenMP-style fork/join baseline, or the HPX-style
-dataflow executor from :mod:`repro.core`.  Contexts are installed with the
-:func:`active_context` context manager::
+dataflow executor from :mod:`repro.core` -- one class over the shared loop
+pipeline, built by the factories in :mod:`repro.op2.backends`.  Contexts are
+installed with the :func:`active_context` context manager::
 
     with active_context(openmp_context(num_threads=16)) as ctx:
         airfoil.run(...)          # op_par_loop calls dispatch to ctx
@@ -17,14 +18,18 @@ timing of the run.
 from __future__ import annotations
 
 import contextlib
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, TYPE_CHECKING
+from typing import Any, Iterator, Optional, TYPE_CHECKING, Union
 
+from repro.config import DEFAULTS
+from repro.engines import RunConfig
 from repro.errors import OP2BackendError
 from repro.session import Session, _active_sessions
+from repro.sim.machine import Machine
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.pipeline import LoopPipeline
+    from repro.engines import ExecutionEngine
     from repro.op2.par_loop import ParLoop
     from repro.sim.scheduler_sim import ScheduleResult
 
@@ -34,9 +39,8 @@ __all__ = [
     "active_context",
     "drain_active_context",
     "get_active_context",
-    "register_backend",
-    "available_backends",
-    "make_context",
+    "resolve_context",
+    "resolve_machine",
 ]
 
 
@@ -84,47 +88,54 @@ class BackendReport:
 
 
 class ExecutionContext:
-    """Base class of every backend context.
+    """Where ``op_par_loop`` invocations run: one loop pipeline and a label.
 
-    ``session`` scopes the context's runtime state: its engines come from the
-    session's warm pool (shut down at ``Session.close()``, not at context
-    exit) and entering the context activates the session, so kernel
-    registration and the plan cache resolve against it.  With no session --
-    neither passed nor active at construction -- the context owns a private
-    engine per run and shuts it down at ``finish()``, the historical
-    behaviour.
+    Every backend is this one class; what differs is the schedule policy of
+    its :class:`~repro.core.pipeline.LoopPipeline` -- none for the serial
+    reference, colour fork/join for the OpenMP baseline, dataflow for the
+    HPX design -- which the factories in :mod:`repro.op2.backends` pick.
+    ``backend`` is the label the report carries.
+
+    The pipeline's session scopes the context's runtime state: its engines
+    come from the session's warm pool (shut down at ``Session.close()``, not
+    at context exit) and entering the context activates the session, so
+    kernel registration and the plan cache resolve against it.  With no
+    session -- neither passed nor active at construction -- the context owns
+    a private engine per run and shuts it down at ``finish()``.
     """
 
-    #: backend identifier, overridden by subclasses
-    backend_name: str = "abstract"
-
-    def __init__(self, session: Optional[Session] = None) -> None:
-        self.loop_count = 0
+    def __init__(self, backend: str, pipeline: "LoopPipeline") -> None:
+        self.backend = backend
+        self.pipeline = pipeline
         #: owning session (None = per-run engine ownership, no warm pool)
-        self.session = session if session is not None else Session.current_or_none()
+        self.session = pipeline.session
         self._stack_session: Optional[Session] = None
 
-    # -- the backend interface --------------------------------------------------
     def execute(self, loop: "ParLoop") -> Any:
-        """Run (or schedule) one parallel loop; backends override this."""
-        raise NotImplementedError
+        """Run (or schedule) one loop; returns its output future under a
+        policy that produces futures, else ``None``."""
+        return self.pipeline.run(loop)
+
+    @property
+    def executor(self) -> Optional["ExecutionEngine"]:
+        """The engine of the current run (``None`` before any deferred loop)."""
+        return self.pipeline.executor
 
     def finish(self) -> None:
-        """Complete any outstanding asynchronous work (default: nothing)."""
+        """Drain outstanding deferred work and simulate the accumulated graph."""
+        self.pipeline.finish()
 
     def abort(self) -> None:
-        """Abandon outstanding asynchronous work (default: nothing).
+        """Cancel unstarted tasks and stop an owned engine.
 
         Called instead of :meth:`finish` when the ``with`` block raises, so
-        backends running real worker pools stop mutating data and release
-        their threads.
+        real worker pools stop mutating data and release their threads.
         """
+        self.pipeline.abort()
 
     def report(self) -> BackendReport:
-        """Produce the run report; backends override to attach schedules."""
-        return BackendReport(
-            backend=self.backend_name, num_threads=1, loops_executed=self.loop_count
-        )
+        """The run's report (finishing the run first if needed)."""
+        return self.pipeline.build_report(self.backend)
 
     # -- context-manager sugar -----------------------------------------------------
     def __enter__(self) -> "ExecutionContext":
@@ -151,6 +162,38 @@ class ExecutionContext:
                 self.session.deactivate()
 
 
+def resolve_context(
+    config: Optional[RunConfig], session: Optional[Session], **keywords: Any
+) -> tuple[RunConfig, Optional[Session]]:
+    """The run configuration and owning session of a new context.
+
+    ``config`` (default: ``RunConfig()``) with every non-``None`` keyword
+    applied, and ``session`` -- else the session active *now*, so a context
+    built inside a session and pushed later still borrows its warm engines.
+    """
+    if config is None:
+        config = RunConfig()
+    elif not isinstance(config, RunConfig):
+        raise OP2BackendError(f"config must be a RunConfig, got {type(config).__name__}")
+    # a loop, not a comprehension: a light request builds one context, and
+    # its profiled call budget (tests/test_inline_route.py) counts the call
+    overrides = {}
+    for key in keywords:
+        if keywords[key] is not None:
+            overrides[key] = keywords[key]
+    if overrides:
+        config = config.replace(**overrides)
+    return config, session if session is not None else Session.current_or_none()
+
+
+def resolve_machine(machine: Union[Machine, str, None]) -> Machine:
+    """A simulated machine: ``machine`` itself, a preset name, or (``None``)
+    the default preset."""
+    if machine is None:
+        machine = DEFAULTS.machine_preset
+    return machine if isinstance(machine, Machine) else Machine(machine)
+
+
 # ---------------------------------------------------------------------------
 # Active-context lookup (stacks live on sessions, thread-local within each
 # session so tests can run contexts in parallel threads)
@@ -170,10 +213,9 @@ def get_active_context() -> ExecutionContext:
     if context is not None:
         return context
     # Import here to avoid a circular import at module load time.
-    from repro.op2.backends.serial import SerialContext
+    from repro.op2.backends.serial import serial_context
 
-    default = SerialContext()
-    return default
+    return serial_context()
 
 
 def drain_active_context() -> None:
@@ -196,46 +238,3 @@ def active_context(context: ExecutionContext) -> Iterator[ExecutionContext]:
     """Install ``context`` for the duration of the ``with`` block."""
     with context:
         yield context
-
-
-# ---------------------------------------------------------------------------
-# Backend registry (global on purpose: factories are *code*, not run state,
-# exactly like the engine registry -- sessions own the state they create)
-# ---------------------------------------------------------------------------
-_backend_factories: dict[str, Any] = {}
-_backend_lock = threading.Lock()
-
-
-def register_backend(name: str, factory: Any, *, overwrite: bool = False) -> None:
-    """Register a context factory under ``name`` (e.g. ``"openmp"``)."""
-    with _backend_lock:
-        if not overwrite and name in _backend_factories:
-            raise OP2BackendError(f"backend {name!r} already registered")
-        _backend_factories[name] = factory
-
-
-def available_backends() -> list[str]:
-    """Names of all registered backends, sorted."""
-    _ensure_builtin_backends()
-    with _backend_lock:
-        return sorted(_backend_factories)
-
-
-def make_context(name: str, **kwargs: Any) -> ExecutionContext:
-    """Instantiate a registered backend context by name."""
-    _ensure_builtin_backends()
-    with _backend_lock:
-        try:
-            factory = _backend_factories[name]
-        except KeyError as exc:
-            raise OP2BackendError(
-                f"unknown backend {name!r}; available: {sorted(_backend_factories)}"
-            ) from exc
-    return factory(**kwargs)
-
-
-def _ensure_builtin_backends() -> None:
-    """Import the built-in backends so they self-register."""
-    if {"serial", "openmp", "hpx"} <= _backend_factories.keys():
-        return
-    from repro.op2.backends import hpx, openmp, serial  # noqa: F401  (self-registering)

@@ -355,7 +355,7 @@ class ServiceRuntime:
                 self._tenant_active.discard(tenant)
 
     def _run_request(self, request: _Request) -> Any:
-        from repro.core.executor import hpx_context
+        from repro.op2.backends.hpx import hpx_context
 
         # No per-tenant lock: the backlog already guarantees at most one
         # request per tenant reaches a dispatcher at a time, in admission

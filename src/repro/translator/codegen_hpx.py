@@ -4,7 +4,7 @@ This is the translator modification the paper describes: instead of emitting
 ``#pragma omp parallel for`` wrappers, every ``op_par_loop`` becomes a
 dataflow node executed by the HPX backend, returning a (shared) future of its
 output dat.  The generated ``run_program`` driver installs an
-:class:`~repro.core.executor.HPXContext` configured with the requested
+:func:`~repro.op2.backends.hpx.hpx_context` configured with the requested
 optimisations (chunking policy, prefetching, interleaving) and chains the
 wrappers; the emitted module also records, as a comment block, the inter-loop
 dependences found by the static analysis so a reader can see which loops the

@@ -3,7 +3,7 @@
 For every loop site the generator emits a wrapper function whose role mirrors
 the C code of Fig. 4 of the paper -- execute the loop under the
 barrier-synchronised OpenMP-style backend -- plus a ``run_program`` driver
-that installs an :class:`~repro.op2.backends.openmp.OpenMPContext` and invokes
+that installs an :func:`~repro.op2.backends.openmp.openmp_context` and invokes
 the wrappers in program order.
 """
 
@@ -45,16 +45,14 @@ def generate_openmp_module(program: ProgramIR) -> str:
         ]
 
     lines += [
-        "def run_program(kernels, sets, dats, maps, *, num_threads=16, machine=None,",
-        "                block_size=256):",
+        "def run_program(kernels, sets, dats, maps, *, num_threads=16, machine=None):",
         '    """Run every generated loop once, in program order, on the OpenMP backend.',
         "",
         "    ``kernels``, ``sets``, ``dats`` and ``maps`` are dictionaries keyed by",
         "    the variable names used in the original source.  Returns the backend",
         "    report (simulated runtime, bandwidth, ...).",
         '    """',
-        "    context = openmp_context(num_threads=num_threads, machine=machine,",
-        "                             block_size=block_size)",
+        "    context = openmp_context(num_threads=num_threads, machine=machine)",
         "    with active_context(context):",
     ]
     for site in program.loops:

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.apps.airfoil.airfoil as airfoil_app
+import repro.apps.jacobi as jacobi_app
 from repro.config import SMALL_TEST_MACHINE
+from repro.op2.par_loop import op_par_loop
 from repro.op2.plan import clear_plan_cache
 from repro.session import Session
 from repro.sim.machine import Machine
@@ -72,3 +75,17 @@ def paper_machine() -> Machine:
 def rng() -> np.random.Generator:
     """Deterministic NumPy RNG."""
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def loop_futures(monkeypatch: pytest.MonkeyPatch) -> list:
+    """Every future ``op_par_loop`` returns to the Jacobi and Airfoil apps."""
+    futures: list = []
+
+    def recording(*args, **kwargs):
+        futures.append(op_par_loop(*args, **kwargs))
+        return futures[-1]
+
+    for app in (jacobi_app, airfoil_app):
+        monkeypatch.setattr(app, "op_par_loop", recording)
+    return futures

@@ -11,7 +11,6 @@ from repro.apps.airfoil.kernels import ADT_CALC, ALL_KERNELS, RES_CALC, SAVE_SOL
 from repro.apps.jacobi import build_ring_problem, run_jacobi
 from repro.core import (
     DependencyTracker,
-    OptimizationConfig,
     build_prefetch_spec,
     hpx_context,
     make_loop_prefetcher,
@@ -28,26 +27,6 @@ from repro.runtime.future import SharedFuture, make_ready_future
 from repro.sim.cost import KernelCostModel
 from repro.sim.scheduler_sim import ScheduleMode
 from repro.translator.blockform import BlockForm
-
-
-# ---------------------------------------------------------------------------
-# OptimizationConfig
-# ---------------------------------------------------------------------------
-class TestOptimizationConfig:
-    def test_derived_from_run_config(self):
-        config = OptimizationConfig.from_run_config(
-            RunConfig(chunking="persistent_auto", prefetch=True, prefetch_distance_factor=10)
-        )
-        assert config.persistent_chunking and config.prefetching
-        assert config.prefetch_distance_factor == 10
-        assert config.describe() == "dataflow+interleave+persistent-chunks+prefetch(d=10)"
-        assert not OptimizationConfig.from_run_config(RunConfig()).persistent_chunking
-
-    def test_prefetch_requires_async(self):
-        with pytest.raises(OP2BackendError):
-            OptimizationConfig(async_tasking=False, prefetching=True)
-        with pytest.raises(OP2BackendError):
-            hpx_context(prefetch=True, async_tasking=False)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +203,10 @@ class TestHPXContext:
     def test_run_config_is_the_only_config(self):
         context = hpx_context(config=RunConfig(prefetch=True), num_threads=2,
                               machine="small-test")
-        assert context.config.prefetching and context.run_config.num_threads == 2
+        assert context.pipeline.policy.prefetch_spec() is not None
+        assert context.pipeline.run_config.num_threads == 2
         with pytest.raises(OP2BackendError, match="must be a RunConfig"):
-            hpx_context(config=OptimizationConfig())  # type: ignore[arg-type]
+            hpx_context(config={"prefetch": True})  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from repro.op2.par_loop import LoopChunk
 from repro.op2.backends.hpx import hpx_context
 from repro.op2.backends.openmp import openmp_context
 from repro.op2.backends.serial import serial_context
-from repro.op2.context import active_context, make_context
+from repro.op2.context import active_context
 from repro.op2.plan import clear_plan_cache
 
 
@@ -229,10 +229,6 @@ class TestUnknownEngineError:
         with pytest.raises(OP2BackendError, match=self.MATCH):
             serial_context(config=RunConfig(engine="bogus"))
 
-    def test_make_context_passthrough(self):
-        with pytest.raises(OP2BackendError, match=self.MATCH):
-            make_context("hpx", engine="bogus")
-
     def test_error_lists_registered_engines(self):
         with pytest.raises(OP2BackendError) as excinfo:
             hpx_context(engine="bogus")
@@ -275,9 +271,12 @@ class TestCapabilityNegotiation:
 
     def test_tracker_strictness_follows_capabilities(self, toy_engine):
         name, _ = toy_engine
-        assert hpx_context(engine=name).tracker.strict_commit_order is True
-        assert hpx_context().tracker.strict_commit_order is False
-        assert hpx_context(engine="threads").tracker.strict_commit_order is True
+        def tracker(**kwargs):
+            return hpx_context(**kwargs).pipeline.policy.tracker
+
+        assert tracker(engine=name).strict_commit_order is True
+        assert tracker().strict_commit_order is False
+        assert tracker(engine="threads").strict_commit_order is True
 
     def test_global_write_capability_forces_parent_eager_path(self):
         """supports_global_write=False must route WRITE-global loops around

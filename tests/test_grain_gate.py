@@ -61,7 +61,7 @@ def _heavy(session: Session, kernel: Kernel, rows: int, samples: int = 2) -> Non
 @pytest.mark.grain_gate
 class TestSmallChainsStayInline:
     @pytest.mark.parametrize("engine", DEFERRED_ENGINES)
-    def test_jacobi_300_creates_no_engine(self, engine):
+    def test_jacobi_300_creates_no_engine(self, engine, loop_futures):
         clear_plan_cache()
         with active_context(serial_context()):
             reference = run_jacobi(build_ring_problem(num_nodes=300), iterations=5)
@@ -71,9 +71,11 @@ class TestSmallChainsStayInline:
             for _ in range(3):
                 clear_plan_cache()
                 context = hpx_context(engine=engine, num_threads=2)
+                loop_futures.clear()
                 with active_context(context):
                     result = run_jacobi(build_ring_problem(num_nodes=300), iterations=5)
-                    assert all(f.is_ready() for f in context.loop_futures.values())
+                    assert len(loop_futures) == 10
+                    assert all(f.is_ready() for f in loop_futures)
                 assert np.array_equal(result.u, reference.u)
                 assert result.u_sum_history == reference.u_sum_history
                 assert context.executor is None
@@ -83,11 +85,11 @@ class TestSmallChainsStayInline:
             assert gate["state"] == grain.INLINE
             assert gate["inline_loops"] == 10 and gate["deferred_loops"] == 0
             assert gate["flip_phase"] is None
-            assert {r.submission for r in context.loop_records} == {"inline"}
+            assert {r.submission for r in context.pipeline.records} == {"inline"}
             assert context.report().details["total_chunks"] == 0
 
     @pytest.mark.parametrize("engine", DEFERRED_ENGINES)
-    def test_airfoil_48x32_creates_no_engine(self, engine):
+    def test_airfoil_48x32_creates_no_engine(self, engine, loop_futures):
         clear_plan_cache()
         with active_context(serial_context()):
             reference = run_airfoil(generate_mesh(48, 32), niter=3, rk_steps=2)
@@ -95,9 +97,10 @@ class TestSmallChainsStayInline:
         with Session(name=f"gate-airfoil-{engine}") as session:
             clear_plan_cache()
             context = hpx_context(engine=engine, num_threads=2)
+            loop_futures.clear()
             with active_context(context):
                 result = run_airfoil(generate_mesh(48, 32), niter=3, rk_steps=2)
-                assert all(f.is_ready() for f in context.loop_futures.values())
+                assert loop_futures and all(f.is_ready() for f in loop_futures)
             # inline *is* the serial path: bit-identical even for res_calc
             assert np.array_equal(result.q, reference.q)
             assert result.rms_history == reference.rms_history
@@ -276,7 +279,7 @@ class TestFlip:
                 context.finish()
                 assert context.pipeline.grain.state == grain.DEFERRED
                 run_jacobi(problem, iterations=1)
-            submissions = [r.submission for r in context.loop_records]
+            submissions = [r.submission for r in context.pipeline.records]
             assert submissions == ["inline"] + ["deferred"] * 9
             gate = context.report().details["grain"]
             assert (gate["flip_phase"], gate["flip_loop"]) == (1, "jac_update")

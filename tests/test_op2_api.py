@@ -29,8 +29,8 @@ from repro.op2 import (
     op_par_loop,
     op_plan_get,
 )
-from repro.op2.context import active_context, available_backends, make_context
-from repro.op2.backends.serial import serial_context
+from repro.op2.context import ExecutionContext, active_context
+from repro.op2.backends import hpx_context, openmp_context, serial_context
 from repro.op2.par_loop import ParLoop
 from repro.op2.plan import clear_plan_cache, plan_cache_size
 
@@ -362,15 +362,11 @@ class TestParLoop:
         assert biggest[0] == 9.0 and smallest[0] == 0.0
 
 
-class TestBackendRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"serial", "openmp", "hpx"} <= set(available_backends())
-
-    def test_make_context(self):
-        context = make_context("serial")
-        assert context.backend_name == "serial"
-        with pytest.raises(Exception):
-            make_context("cuda")
+class TestExecutionContexts:
+    def test_factories_label_one_context_class(self):
+        contexts = [factory() for factory in (serial_context, openmp_context, hpx_context)]
+        assert {type(context) for context in contexts} == {ExecutionContext}
+        assert [context.backend for context in contexts] == ["serial", "openmp", "hpx"]
 
     def test_context_stack_nesting(self, ring):
         nodes, *_ = ring

@@ -130,7 +130,7 @@ class TestHPXProcesses:
         done_at = {tid: n for n, (kind, tid) in enumerate(trace) if kind == "done"}
         pool_ids = context.pipeline.pool_chunk_ids.seen
         checked = 0
-        for task in context.task_graph.tasks:
+        for task in context.pipeline.task_graph.tasks:
             if task.task_id not in pool_ids:
                 continue
             for dep in task.deps:

@@ -117,7 +117,7 @@ class TestHPXThreads:
         done_at = {tid: n for n, (kind, tid) in enumerate(trace) if kind == "done"}
         pool_ids = context.pipeline.pool_chunk_ids.seen
         checked = 0
-        for task in context.task_graph.tasks:
+        for task in context.pipeline.task_graph.tasks:
             if task.task_id not in pool_ids:
                 continue
             for dep in task.deps:
@@ -141,12 +141,12 @@ class TestHPXThreads:
             reference = run_airfoil(mesh2, niter=1, rk_steps=2)
         assert np.allclose(result.q, reference.q, rtol=1e-12, atol=1e-14)
 
-    def test_loop_future_completes_with_output_dat(self):
+    def test_loop_future_completes_with_output_dat(self, loop_futures):
         clear_plan_cache()
         problem = build_ring_problem(num_nodes=64)
-        with active_context(hpx_context(num_threads=2, engine="threads")) as ctx:
+        with active_context(hpx_context(num_threads=2, engine="threads")):
             run_jacobi(problem, iterations=1)
-            future = next(iter(ctx.loop_futures.values()))
+            future = loop_futures[0]
             assert isinstance(future, HandleFuture)
             assert future.get(timeout=10.0) is future.handle
 
