@@ -25,9 +25,8 @@ Two measurements:
   bit-identical to the serial backend.
 * **engine comparison** -- :func:`repro.bench.harness.run_wallclock_comparison`
   over every registered engine (the ``compiled`` engine joins automatically)
-  on a small Airfoil workload, persisted to ``BENCH_compiled.json`` with git
-  sha + timestamp metadata.  Each engine's entry records its artifact-cache
-  traffic under ``details``.
+  on a small Airfoil workload.  Each engine's entry records its
+  artifact-cache traffic under ``details``.
 
 Run with::
 
@@ -37,7 +36,6 @@ Run with::
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -124,8 +122,7 @@ def main() -> None:
         num_threads=2,
         workload=AirfoilWorkload(nx=40, ny=26, niter=1, rk_steps=2),
     )
-    path = Path(__file__).resolve().parent.parent / "BENCH_compiled.json"
-    comparison = run_wallclock_comparison(config, persist_path=path)
+    comparison = run_wallclock_comparison(config)
     print("wall-clock comparison (Airfoil 40x26, 1 step):")
     print(f"{'engine':>10s} {'wall [ms]':>10s} {'correct':>8s} "
           f"{'artifact hits/misses':>21s}")
@@ -134,7 +131,6 @@ def main() -> None:
         print(f"{engine:>10s} {entry['wall_seconds'] * 1e3:>10.2f} "
               f"{entry['numerically_correct'] == 1.0!s:>8s} "
               f"{details['artifact_cache_hits']:>12d}/{details['artifact_cache_misses']:<8d}")
-    print(f"persisted -> {path}")
 
 
 if __name__ == "__main__":

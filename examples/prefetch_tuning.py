@@ -8,8 +8,10 @@ Two parts:
    Fig. 14's ``for_each``), run against a line-granular cache model so the
    hit/miss and prefetch-accuracy numbers are observable; and
 2. the Airfoil-level sweep over ``prefetch_distance_factor`` on the machine
-   model, which reproduces the non-monotone curve of Fig. 20 with its optimum
-   around a distance of 15.
+   model, which reproduces the non-monotone shape of Fig. 20: the transfer
+   rate climbs, peaks and falls again.  On the 120x80 mesh swept here the
+   model peaks at a distance of 5 (the run prints ``best distance: 5``,
+   66.4 GB/s against 60.7 GB/s at 15); the paper reports its optimum at 15.
 
 Run with:  python examples/prefetch_tuning.py
 """

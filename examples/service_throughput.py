@@ -1,7 +1,6 @@
 """Multi-tenant service throughput: shared warm pool vs per-session pools.
 
-Two measurements over the :mod:`repro.service` layer, persisted to
-``BENCH_service.json``:
+Two measurements over the :mod:`repro.service` layer, printed:
 
 * **Requests per second** -- N tenants each submit R small Jacobi chains.
   The *shared* variant serves them from one :class:`ServiceRuntime` (one
@@ -32,16 +31,13 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.apps.airfoil import generate_mesh, run_airfoil
 from repro.apps.jacobi import build_ring_problem, run_jacobi
-from repro.bench.harness import bench_metadata
 from repro.op2.backends.hpx import hpx_context
 from repro.op2.backends.serial import serial_context
 from repro.op2.context import active_context
@@ -225,28 +221,6 @@ def main() -> None:
         f"{fairness['p99_inflation']:.2f}x inflation, "
         f"heavy in flight throughout: {fairness['heavy_running_throughout']})"
     )
-
-    payload = {
-        "benchmark": "service_throughput",
-        "metadata": bench_metadata(),
-        "workload": {
-            "tenants": NUM_TENANTS,
-            "requests_per_tenant": REQUESTS_PER_TENANT,
-            "jacobi_nodes": JACOBI_NODES,
-            "jacobi_iterations": JACOBI_ITERATIONS,
-            "num_threads": NUM_THREADS,
-            "dispatchers": DISPATCHERS,
-        },
-        "rps": {
-            "per_session": per_session,
-            "shared": shared,
-            "shared_over_per_session": speedup,
-        },
-        "fairness": fairness,
-    }
-    path = Path(__file__).resolve().parent.parent / "BENCH_service.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\npersisted -> {path}")
 
 
 if __name__ == "__main__":

@@ -18,8 +18,7 @@ chains skip thread/process creation and teardown entirely.  The mesh is
 400x300 on purpose: a chain whose loops measure below the grain threshold
 (:mod:`repro.core.grain`) never acquires an engine at all, cold or warm --
 there would be no spin-up to save -- so the example sizes its loops above it
-and prints what the gate decided.  Results are printed and persisted to
-``BENCH_session_warm.json`` with git sha + timestamp metadata.
+and prints what the gate decided.
 
 Run with::
 
@@ -28,14 +27,11 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.apps.airfoil import generate_mesh, run_airfoil
-from repro.bench.harness import bench_metadata
 from repro.op2.backends.hpx import hpx_context
 from repro.op2.backends.serial import serial_context
 from repro.op2.context import active_context
@@ -106,7 +102,6 @@ def main() -> None:
         ).q
 
     num_threads = 2
-    series: dict[str, dict] = {}
     print(
         f"{NUM_CHAINS} Airfoil chains ({NX}x{NY}, {ITERATIONS} time steps), "
         f"num_threads={num_threads}"
@@ -140,27 +135,6 @@ def main() -> None:
             f"{engine:>10s}   warm reuse saves {saved * 1e3:.2f} ms per chain "
             f"({ratio:.2f}x marginal speedup)\n"
         )
-        series[engine] = {
-            "cold": cold,
-            "warm": warm,
-            "marginal_saving_seconds": saved,
-            "marginal_speedup": ratio,
-        }
-
-    payload = {
-        "benchmark": "session_warm_reuse",
-        "engine_num_threads": num_threads,
-        "metadata": bench_metadata(),
-        "workload": {
-            "chains": NUM_CHAINS,
-            "mesh": [NX, NY],
-            "iterations": ITERATIONS,
-        },
-        "series": series,
-    }
-    path = Path(__file__).resolve().parent.parent / "BENCH_session_warm.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"persisted -> {path}")
 
 
 if __name__ == "__main__":

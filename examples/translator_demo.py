@@ -3,12 +3,14 @@
 
 Feeds a C-style OP2 application (the Jacobi example, written the way an OP2
 user would write ``jac.cpp``) through the translator, prints the discovered
-loop sites and inter-loop dependences, generates both the OpenMP-style and
-the HPX-style wrapper modules, and *executes* the generated HPX module
-against real OP2 data to show the pipeline runs end to end.  Next to the
-generated wrapper of the ``res`` loop it prints that loop's host stub, the
-straight-line function every small chunk of the loop runs through (the
-paper's Fig. 9 shape: a wrapper above the runtime, a stub below it).
+loop sites, generates both the OpenMP-style and the HPX-style wrapper
+modules, and *executes* the generated HPX module against real OP2 data to
+show the pipeline runs end to end.  Which loops may overlap is decided by
+the runtime as the loops are issued, not by the translator.  From the
+generated module it then slices the wrapper of the ``res`` loop and that
+loop's host stub, the straight-line function every small chunk of the loop
+runs through (the paper's Fig. 9 shape: a wrapper above the runtime, a stub
+below it).
 Finally it prints the two forms one level down that the kernel translator
 lowers from Airfoil's ``res_calc`` elemental source: the slab the
 ``compiled`` engine runs, and the NumPy block form every other engine runs.
@@ -24,9 +26,8 @@ import numpy as np
 
 from repro.apps.airfoil.kernels import RES_CALC
 from repro.apps.jacobi import RES_KERNEL, UPDATE_KERNEL, build_ring_problem
-from repro.op2 import OP_ID, OP_INC, OP_READ, ParLoop, op_arg_dat
 from repro.op2.datapath import SCRATCH_MIN_ROWS
-from repro.translator import SlabArg, emit_slab_module, op2_translate
+from repro.translator import SlabArg, emit_slab_module, op2_translate, stub_key
 
 APPLICATION_SOURCE = """
 /* jac.cpp -- edge-based Jacobi relaxation written against the OP2 C API */
@@ -61,12 +62,6 @@ def main() -> None:
         kind = "indirect/INC" if site.has_indirect_increment else "direct"
         print(f"  {site.name:12s} over {site.iteration_set:6s} ({kind}, {len(site.args)} args)")
 
-    print("\ninter-loop dependences (what the HPX backend may interleave around):")
-    for edge in result.dependences.edges:
-        producer = result.program.loops[edge.producer].name
-        consumer = result.program.loops[edge.consumer].name
-        print(f"  {producer} -> {consumer}   [{edge.kind.upper()} on {edge.dat}]")
-
     hpx_source = result.module_for("hpx")
     print(f"\ngenerated HPX module: {len(hpx_source.splitlines())} lines "
           f"(OpenMP flavour: {len(result.module_for('openmp').splitlines())} lines)")
@@ -97,25 +92,25 @@ def main() -> None:
           f"|u|^2 = {u_sum[0]:.4f}, max(u) = {u_max[0]:.4f}")
     print("output futures:", {name: type(f).__name__ for name, f in futures.items()})
 
-    show_res_stub(hpx_source, problem)
+    show_res_stub(hpx_source, stub_key(result.program.loop("res")))
     show_res_calc_forms()
 
 
-def show_res_stub(hpx_source: str, problem) -> None:
-    """The generated wrapper of loop ``res`` and the host stub below it."""
-    start = hpx_source.index("def op_par_loop_res(")
-    wrapper = hpx_source[start:hpx_source.index("\n\n\n", start)]
-    loop = ParLoop(RES_KERNEL, "res", problem.edges, (
-        op_arg_dat(problem.p_A, -1, OP_ID, 1, "double", OP_READ),
-        op_arg_dat(problem.p_u, 0, problem.ppedge, 1, "double", OP_READ),
-        op_arg_dat(problem.p_du, 1, problem.ppedge, 1, "double", OP_INC),
-    ))
+def _definition(source: str, name: str) -> str:
+    """The text of the top-level ``def name(`` in ``source``."""
+    start = source.index(f"\ndef {name}(") + 1
+    return source[start:source.index("\n\n\n", start)].rstrip()
+
+
+def show_res_stub(hpx_source: str, key: str) -> None:
+    """The generated wrapper of loop ``res`` and the host stub below it,
+    both as the translator emitted them."""
     print("\nloop 'res', above and below the runtime")
     print("\n-- generated wrapper: declares the loop, returns its output future --")
-    print(wrapper.rstrip())
-    print(f"\n-- host stub (stub key {loop.stub_key!r}): every chunk below "
+    print(_definition(hpx_source, "op_par_loop_res"))
+    print(f"\n-- host stub (stub key {key!r}): every chunk below "
           f"{SCRATCH_MIN_ROWS} rows runs as this one straight-line call --")
-    print(RES_KERNEL.vectorized.stub_source(loop.stub_key).rstrip())
+    print(_definition(hpx_source, f"stub_{key}"))
     print("\n-- ... bound to _form, res's block form for the key's view ranks --")
     print(RES_KERNEL.vectorized.source().rstrip())
 

@@ -19,12 +19,8 @@ dependency-edge counts and wall-clock side by side.
 
 from __future__ import annotations
 
-import datetime
-import json
-import subprocess
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,12 +42,10 @@ __all__ = [
     "AirfoilWorkload",
     "ExperimentConfig",
     "ExperimentResult",
-    "bench_metadata",
     "run_airfoil_experiment",
     "run_thread_sweep",
     "run_wallclock_comparison",
     "run_renumbered_sweep",
-    "persist_comparison",
 ]
 
 #: default thread counts of the paper's figures (HT enabled after 16)
@@ -259,72 +253,12 @@ def _serial_baseline(config: ExperimentConfig) -> dict[str, float]:
     }
 
 
-def bench_metadata() -> dict[str, str]:
-    """Provenance record attached to persisted benchmark files.
-
-    ``git_sha`` is the commit the numbers were measured at (``"unknown"``
-    outside a git checkout) and ``timestamp`` the UTC wall-clock time of the
-    run, so a committed ``BENCH_*.json`` stays interpretable after the file
-    has travelled through history.
-    """
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        sha = "unknown"
-    timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
-        timespec="seconds"
-    )
-    return {"git_sha": sha or "unknown", "timestamp": timestamp}
-
-
-def persist_comparison(
-    comparison: dict[str, dict[str, float]],
-    base_config: ExperimentConfig,
-    path: Union[str, Path],
-    *,
-    metadata: Optional[dict[str, str]] = None,
-) -> Path:
-    """Write a wall-clock comparison as a ``BENCH_*.json`` trajectory file.
-
-    The file records the workload and configuration next to the series so a
-    later run on the same machine is comparable; committing it beside the
-    code is what makes performance regressions visible across PRs.
-    ``metadata`` defaults to :func:`bench_metadata` (git sha + timestamp).
-    """
-    workload = base_config.workload
-    payload = {
-        "benchmark": "wallclock_comparison",
-        "backend": base_config.backend,
-        "num_threads": base_config.num_threads,
-        "machine_preset": base_config.machine_preset,
-        "metadata": metadata if metadata is not None else bench_metadata(),
-        "workload": {
-            "nx": workload.nx,
-            "ny": workload.ny,
-            "niter": workload.niter,
-            "rk_steps": workload.rk_steps,
-        },
-        "series": comparison,
-    }
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def run_wallclock_comparison(
     base_config: ExperimentConfig,
     *,
     engines: Optional[Sequence[str]] = None,
     check_correctness: bool = True,
     include_serial: bool = False,
-    persist_path: Union[str, Path, None] = None,
 ) -> dict[str, dict[str, float]]:
     """Run ``base_config`` under every execution engine; report makespan
     *and* wall time.
@@ -338,10 +272,7 @@ def run_wallclock_comparison(
     correct execution.
 
     ``include_serial`` adds a ``"serial"`` entry measured on the serial
-    reference backend (wall clock only).  ``persist_path`` additionally
-    writes the comparison to a ``BENCH_*.json`` file (with git sha and
-    timestamp metadata) via :func:`persist_comparison`, leaving a perf
-    trajectory behind for the next reviewer.
+    reference backend (wall clock only).
 
     The whole sweep runs inside one :class:`~repro.session.Session`: every
     point of an engine's series reuses that engine's warm pool, so the
@@ -373,8 +304,6 @@ def run_wallclock_comparison(
                     "artifact_cache_misses": after["misses"] - before["misses"],
                 },
             }
-    if persist_path is not None:
-        persist_comparison(comparison, base_config, persist_path)
     return comparison
 
 

@@ -19,7 +19,7 @@ from repro.op2.access import OP_ID, AccessMode, IdentityMap
 from repro.op2.dat import DTYPE_ALIASES, OpDat
 from repro.op2.map import OpMap
 
-__all__ = ["ArgKind", "OpArg", "op_arg_dat", "op_arg_gbl"]
+__all__ = ["ArgKind", "OpArg", "op_arg_dat", "op_arg_gbl", "stub_code"]
 
 
 class ArgKind(enum.Enum):
@@ -29,9 +29,23 @@ class ArgKind(enum.Enum):
     GBL = "gbl"
 
 
-#: stub-key letters by access value (hashing an enum member is a Python call)
-_GLOBAL_CODES = {"inc": "s", "min": "n", "max": "x"}
-_INDIRECT_CODES = {"read": "r", "inc": "i"}
+def stub_code(is_global: bool, is_direct: bool, access: str) -> str:
+    """An argument's letter of its loop's stub key, ``access`` an
+    :class:`AccessMode` value: ``d`` direct dat; indirect ``r`` READ, ``i``
+    INC, ``w`` WRITE/RW; global ``g`` READ/WRITE/RW, ``s`` INC, ``n`` MIN,
+    ``x`` MAX."""
+    if is_global:
+        return {"inc": "s", "min": "n", "max": "x"}.get(access, "g")
+    return "d" if is_direct else {"read": "r", "inc": "i"}.get(access, "w")
+
+
+#: :func:`stub_code` for every argument shape, so building an argument
+#: (once per ``op_arg_gbl`` call) costs no Python call for its letter
+_CODES = {
+    (is_global, is_direct, mode.value): stub_code(is_global, is_direct, mode.value)
+    for is_global in (False, True) for is_direct in (False, True) for mode in AccessMode
+}
+
 #: the accesses that modify their data (``AccessMode.writes``)
 _WRITES = (AccessMode.WRITE, AccessMode.RW, AccessMode.INC, AccessMode.MIN, AccessMode.MAX)
 
@@ -73,13 +87,8 @@ class OpArg:
         self.is_indirect = (
             kind is ArgKind.DAT and not self.is_direct and isinstance(map_, OpMap)
         )
-        #: its letter of the loop's stub key: ``d`` direct dat; indirect ``r`` READ,
-        #: ``i`` INC, ``w`` WRITE/RW; global ``g`` READ/WRITE/RW, ``s`` INC, ``n`` MIN, ``x`` MAX
-        self.code = (
-            _GLOBAL_CODES.get(access._value_, "g") if self.is_global
-            else "d" if self.is_direct
-            else _INDIRECT_CODES.get(access._value_, "w")
-        )
+        #: its letter of the loop's stub key
+        self.code = _CODES[self.is_global, self.is_direct, access._value_]
 
     # -- helpers -------------------------------------------------------------------
     @property

@@ -13,14 +13,16 @@ This package reproduces that pipeline in miniature:
 * :mod:`repro.translator.ir` -- the loop-site intermediate representation;
 * :mod:`repro.translator.parser` -- extraction of ``op_par_loop`` call sites
   from C-like application sources;
-* :mod:`repro.translator.analysis` -- inter-loop dependence analysis from the
-  access descriptors (what makes interleaving legal);
-* :mod:`repro.translator.codegen_openmp` / :mod:`repro.translator.codegen_hpx`
-  -- generation of runnable Python wrapper modules targeting the OpenMP-style
-  and HPX-style backends of this library;
+* :mod:`repro.translator.codegen` -- one emitter of runnable Python wrapper
+  modules for the OpenMP-style and HPX-style contexts of this library: per
+  loop site a wrapper, and per distinct argument signature the host stub
+  the loop's chunks run (:func:`~repro.translator.blockform.render_stub`);
 * :mod:`repro.translator.driver` -- the ``op2_translate`` entry point.
 
-The same parser/IR/analysis stack also operates one level down, on single
+No static inter-loop dependence pass exists: as in the paper, which loops
+may overlap is decided at run time, from the accesses every loop declares.
+
+The same parser/IR stack also operates one level down, on single
 *kernels* -- :func:`parse_kernel` → :class:`KernelIR` → :func:`analyse_kernel`
 → :mod:`repro.translator.slab` emission -- which is the lowering pipeline the
 live ``compiled`` engine shares with the offline translator, and
@@ -28,15 +30,9 @@ live ``compiled`` engine shares with the offline translator, and
 every other engine runs.
 """
 
-from repro.translator.analysis import (
-    KernelAccessAnalysis,
-    LoopDependenceGraph,
-    analyse_dependences,
-    analyse_kernel,
-)
+from repro.translator.analysis import KernelAccessAnalysis, analyse_kernel
 from repro.translator.blockform import BlockForm, block_form
-from repro.translator.codegen_hpx import generate_hpx_module
-from repro.translator.codegen_openmp import generate_openmp_module
+from repro.translator.codegen import emit_module, stub_key
 from repro.translator.driver import TranslationResult, op2_translate
 from repro.translator.ir import ArgDescriptor, KernelIR, LoopSite, ProgramIR
 from repro.translator.parser import parse_kernel, parse_source
@@ -56,8 +52,6 @@ __all__ = [
     "KernelIR",
     "parse_source",
     "parse_kernel",
-    "LoopDependenceGraph",
-    "analyse_dependences",
     "KernelAccessAnalysis",
     "analyse_kernel",
     "SlabArg",
@@ -68,8 +62,8 @@ __all__ = [
     "run_slab",
     "BlockForm",
     "block_form",
-    "generate_openmp_module",
-    "generate_hpx_module",
+    "emit_module",
+    "stub_key",
     "TranslationResult",
     "op2_translate",
 ]

@@ -1,97 +1,26 @@
-"""Inter-loop and intra-kernel dependence/access analysis.
+"""Intra-kernel access analysis.
 
-OP2 loops declare how they access every dat; from the sequence of loop sites
-the translator can therefore build the read-after-write / write-after-read /
-write-after-write dependence graph between loops.  This is the static half of
-the paper's design: the dependence graph decides which loops *may* be
-interleaved by the HPX backend (independent loops run concurrently; dependent
-loops overlap at chunk granularity).
-
-:func:`analyse_kernel` is the same idea one layer down: it classifies how a
-parsed kernel (:class:`~repro.translator.ir.KernelIR`) touches each of its
-parameters -- read, written, or both -- which the slab emitter cross-checks
-against the loop's declared access modes before compiling.
+:func:`analyse_kernel` classifies how a parsed kernel
+(:class:`~repro.translator.ir.KernelIR`) touches each of its parameters --
+read, written, or both -- which the slab emitter cross-checks against the
+loop's declared access modes before compiling, and the block-form lowering
+uses to tell stores from reads.  Which loops may overlap is not decided
+here: the runtime's tracker derives it from every loop's declared accesses
+as the loop is issued (:mod:`repro.core.interleaving`).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import TranslatorError, TranslatorLoweringError
-from repro.translator.ir import KernelIR, ProgramIR
+from repro.translator.ir import KernelIR
 
-__all__ = [
-    "Dependence",
-    "LoopDependenceGraph",
-    "analyse_dependences",
-    "KernelAccessAnalysis",
-    "analyse_kernel",
-]
+__all__ = ["KernelAccessAnalysis", "analyse_kernel"]
 
 
-@dataclass(frozen=True)
-class Dependence:
-    """A dependence edge between two loop sites (indices into program order)."""
-
-    producer: int
-    consumer: int
-    dat: str
-    kind: str  # "raw", "war" or "waw"
-
-    def __post_init__(self) -> None:
-        if self.kind not in {"raw", "war", "waw"}:
-            raise TranslatorError(f"unknown dependence kind {self.kind!r}")
-        if self.producer >= self.consumer:
-            raise TranslatorError("dependences must point forward in program order")
-
-
-@dataclass
-class LoopDependenceGraph:
-    """Dependence edges between the loops of one program."""
-
-    program: ProgramIR
-    edges: list[Dependence] = field(default_factory=list)
-
-    def dependences_of(self, consumer: int) -> list[Dependence]:
-        """All edges whose consumer is the given loop index."""
-        return [edge for edge in self.edges if edge.consumer == consumer]
-
-    def producers_of(self, consumer: int) -> set[int]:
-        """Indices of loops the given loop directly depends on."""
-        return {edge.producer for edge in self.dependences_of(consumer)}
-
-    def independent_pairs(self) -> list[tuple[int, int]]:
-        """Pairs of loops with no direct dependence in either direction.
-
-        These are the loops the paper says "can be executed without waiting
-        for the previous loops to complete their tasks".
-        """
-        dependent = {(e.producer, e.consumer) for e in self.edges}
-        pairs = []
-        count = len(self.program.loops)
-        for a in range(count):
-            for b in range(a + 1, count):
-                if (a, b) not in dependent:
-                    pairs.append((a, b))
-        return pairs
-
-    def critical_chain(self) -> list[int]:
-        """The longest chain of directly dependent loops (by loop count)."""
-        count = len(self.program.loops)
-        best: list[list[int]] = [[i] for i in range(count)]
-        for consumer in range(count):
-            for producer in self.producers_of(consumer):
-                candidate = best[producer] + [consumer]
-                if len(candidate) > len(best[consumer]):
-                    best[consumer] = candidate
-        return max(best, key=len) if best else []
-
-
-# ---------------------------------------------------------------------------
-# Intra-kernel access analysis
-# ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class KernelAccessAnalysis:
     """How one parsed kernel touches each of its parameters."""
@@ -256,65 +185,3 @@ def analyse_kernel(ir: KernelIR) -> KernelAccessAnalysis:
         reads=frozenset(visitor.reads),
         writes=frozenset(visitor.writes),
     )
-
-
-def _last_writer(history: dict[str, int], dat: str) -> Optional[int]:
-    return history.get(dat)
-
-
-def analyse_dependences(program: ProgramIR) -> LoopDependenceGraph:
-    """Build the loop dependence graph of a parsed program.
-
-    The analysis walks the loops in program order keeping, per dat, the index
-    of the last loop that wrote it and the indices of loops that have read it
-    since; RAW, WAR and WAW edges are emitted accordingly.  Increment-on-
-    increment (two consecutive loops both using ``OP_INC`` on the same dat)
-    does **not** create an edge, matching the interleaving rules of the
-    runtime (increments commute).
-    """
-    graph = LoopDependenceGraph(program=program)
-    last_writer: dict[str, int] = {}
-    last_writer_was_inc: dict[str, bool] = {}
-    readers_since_write: dict[str, list[int]] = {}
-
-    def add_edge(producer: int, consumer: int, dat: str, kind: str) -> None:
-        if producer == consumer:
-            return
-        edge = Dependence(producer=producer, consumer=consumer, dat=dat, kind=kind)
-        if edge not in graph.edges:
-            graph.edges.append(edge)
-
-    for index, loop in enumerate(program.loops):
-        for arg in loop.args:
-            if arg.is_global:
-                continue
-            dat = arg.dat
-            writer = _last_writer(last_writer, dat)
-            if arg.reads and not arg.access == "OP_INC":
-                if writer is not None:
-                    add_edge(writer, index, dat, "raw")
-            if arg.access == "OP_INC":
-                # increments only wait for non-increment producers
-                if writer is not None and not last_writer_was_inc.get(dat, False):
-                    add_edge(writer, index, dat, "raw")
-            if arg.writes:
-                for reader in readers_since_write.get(dat, []):
-                    add_edge(reader, index, dat, "war")
-                if writer is not None and arg.access != "OP_INC":
-                    add_edge(writer, index, dat, "waw")
-        # second pass: update state after edges are computed
-        for arg in loop.args:
-            if arg.is_global:
-                continue
-            dat = arg.dat
-            if arg.writes:
-                if arg.access == "OP_INC" and last_writer_was_inc.get(dat, False):
-                    # extend the accumulation; keep the earliest writer index
-                    pass
-                else:
-                    last_writer[dat] = index
-                    last_writer_was_inc[dat] = arg.access == "OP_INC"
-                    readers_since_write[dat] = []
-            elif arg.reads:
-                readers_since_write.setdefault(dat, []).append(index)
-    return graph

@@ -36,6 +36,7 @@ one straight-line ``stub(stage, start, stop, *args)`` -- views of rows
 ``[start, stop)``, the specialised block form, then commits and folds
 through :mod:`repro.op2.datapath` in the generic path's order, so no dat
 changes by a bit; with a ``stage`` it hands the effects over instead.
+:func:`render_stub` is its source, which the program translator prints.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from repro.translator.analysis import _function_def, analyse_kernel
 from repro.translator.ir import KernelIR
 from repro.translator.parser import parse_kernel
 
-__all__ = ["BlockForm", "block_form", "host_stub"]
+__all__ = ["BlockForm", "block_form", "host_stub", "render_stub"]
 
 
 class _Uni:
@@ -731,7 +732,7 @@ def _stub_ranks(key: str) -> tuple[int, ...]:
     return tuple([1 if code in "gsnx" else 2 for code in key])
 
 
-def _render_stub(key: str) -> str:
+def render_stub(key: str) -> str:
     """Source of ``stub_<key>(_form, _stage, _start, _stop, *args)``."""
     params = [f"a{i}" for i in range(len(_stub_ranks(key)))]
     lines = [
@@ -797,7 +798,7 @@ class BlockForm:
     def stub_source(self, key: str) -> str:
         """The host stub for stub key ``key``, the twin of :meth:`source`."""
         self._form(_stub_ranks(key))  # the kernel takes the key's arguments
-        return _render_stub(key)
+        return render_stub(key)
 
     def stub(self, key: str) -> Callable[..., None]:
         """The host stub for stub key ``key``, bound to the specialised form."""
@@ -831,7 +832,7 @@ def _shared_stub(key: str) -> Callable[..., None]:
     stub = BlockForm.shared_stubs.get(key)
     if stub is None:
         namespace = dict(_STUB_NAMESPACE)
-        exec(compile(_render_stub(key), f"<stub:{key}>", "exec"), namespace)
+        exec(compile(render_stub(key), f"<stub:{key}>", "exec"), namespace)
         stub = BlockForm.shared_stubs[key] = namespace[f"stub_{key}"]
     return stub
 

@@ -13,18 +13,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from repro.errors import TranslatorError
-from repro.translator.analysis import LoopDependenceGraph, analyse_dependences
-from repro.translator.codegen_hpx import generate_hpx_module
-from repro.translator.codegen_openmp import generate_openmp_module
+from repro.translator.codegen import FLAVOURS, emit_module
 from repro.translator.ir import ProgramIR
 from repro.translator.parser import parse_source
 
 __all__ = ["TranslationResult", "op2_translate"]
-
-_GENERATORS = {
-    "openmp": generate_openmp_module,
-    "hpx": generate_hpx_module,
-}
 
 _SUFFIXES = {
     "openmp": "_omp_kernels.py",
@@ -37,7 +30,6 @@ class TranslationResult:
     """Everything produced by one translator invocation."""
 
     program: ProgramIR
-    dependences: LoopDependenceGraph
     modules: dict[str, str] = field(default_factory=dict)
     written_files: list[pathlib.Path] = field(default_factory=list)
 
@@ -81,16 +73,11 @@ def op2_translate(
         text = str(source)
         name = source_name or "<string>"
 
-    program = parse_source(text, source_name=name)
-    dependences = analyse_dependences(program)
-    result = TranslationResult(program=program, dependences=dependences)
-
+    result = TranslationResult(program=parse_source(text, source_name=name))
     for flavour in flavours:
-        if flavour not in _GENERATORS:
-            raise TranslatorError(
-                f"unknown flavour {flavour!r}; available: {sorted(_GENERATORS)}"
-            )
-        result.modules[flavour] = _GENERATORS[flavour](program)
+        if flavour not in FLAVOURS:
+            raise TranslatorError(f"unknown flavour {flavour!r}; available: {sorted(FLAVOURS)}")
+        result.modules[flavour] = emit_module(result.program, flavour)
 
     if output_dir is not None:
         directory = pathlib.Path(output_dir)

@@ -58,16 +58,6 @@ class ArgDescriptor:
         """True for arguments accessed through a real map."""
         return not self.is_global and self.map_name != "OP_ID"
 
-    @property
-    def reads(self) -> bool:
-        """True if the kernel observes the argument's previous value."""
-        return self.access in {"OP_READ", "OP_RW", "OP_INC", "OP_MIN", "OP_MAX"}
-
-    @property
-    def writes(self) -> bool:
-        """True if the kernel modifies the argument."""
-        return self.access in {"OP_WRITE", "OP_RW", "OP_INC", "OP_MIN", "OP_MAX"}
-
 
 @dataclass
 class LoopSite:
@@ -93,10 +83,6 @@ class LoopSite:
         """True when some argument increments data through a map."""
         return any(arg.is_indirect and arg.access == "OP_INC" for arg in self.args)
 
-    def dats_written(self) -> list[str]:
-        """Names of dats the loop modifies."""
-        return [a.dat for a in self.args if not a.is_global and a.writes]
-
 
 @dataclass
 class ProgramIR:
@@ -120,13 +106,6 @@ class ProgramIR:
             if site.name == name:
                 return site
         raise TranslatorError(f"no loop named {name!r} in {self.source_name!r}")
-
-    def kernels(self) -> list[str]:
-        """Distinct kernel names in first-appearance order."""
-        seen: dict[str, None] = {}
-        for site in self.loops:
-            seen.setdefault(site.kernel, None)
-        return list(seen)
 
 
 # ---------------------------------------------------------------------------

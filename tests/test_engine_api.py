@@ -199,7 +199,7 @@ class TestRegistry:
             "    raise SystemExit('builtin name was silently shadowed')\n"
         )
         subprocess.run(
-            [sys.executable, "-c", code], check=True, env={"PYTHONPATH": "src"},
+            [sys.executable, "-B", "-c", code], check=True, env={"PYTHONPATH": "src"},
             cwd=__file__.rsplit("/tests/", 1)[0],
         )
 

@@ -7,27 +7,35 @@ import types
 import numpy as np
 import pytest
 
+from repro.apps.airfoil import generate_mesh
+from repro.apps.airfoil.kernels import ADT_CALC, BRES_CALC, RES_CALC, SAVE_SOLN, UPDATE
+from repro.apps.jacobi import RES_KERNEL, UPDATE_KERNEL, build_ring_problem
 from repro.errors import (
     TranslatorCodegenError,
     TranslatorError,
     TranslatorLoweringError,
     TranslatorParseError,
 )
+from repro.op2 import Kernel, op_decl_dat, op_decl_map, op_decl_set
+from repro.op2.backends import hpx_context, serial_context
+from repro.op2.context import ExecutionContext, active_context
+from repro.op2.plan import clear_plan_cache
 from repro.translator import (
     SlabArg,
-    analyse_dependences,
+    block_form,
     analyse_kernel,
     build_slab,
+    emit_module,
     emit_slab_module,
-    generate_hpx_module,
-    generate_openmp_module,
     run_slab,
     op2_translate,
     parse_kernel,
     parse_source,
     slab_signature,
+    stub_key,
 )
-from repro.translator.codegen_common import validate_identifier, wrapper_name
+from repro.translator.blockform import render_stub
+from repro.translator.codegen import validate_identifier, wrapper_name
 from repro.translator.ir import ArgDescriptor, LoopSite
 from repro.translator.parser import extract_calls, split_top_level, strip_comments
 
@@ -66,6 +74,55 @@ op_par_loop(update, "update", cells,
     op_arg_gbl(&rms, 1, "double", OP_INC));
 """
 
+JACOBI_SOURCE = """
+op_par_loop(res, "res", edges,
+    op_arg_dat(p_A, -1, OP_ID, 1, "double", OP_READ),
+    op_arg_dat(p_u, 0, ppedge, 1, "double", OP_READ),
+    op_arg_dat(p_du, 1, ppedge, 1, "double", OP_INC));
+op_par_loop(jac_update, "jac_update", nodes,
+    op_arg_dat(p_r, -1, OP_ID, 1, "double", OP_READ),
+    op_arg_dat(p_du, -1, OP_ID, 1, "double", OP_RW),
+    op_arg_dat(p_u, -1, OP_ID, 1, "double", OP_RW),
+    op_arg_gbl(&u_sum, 1, "double", OP_INC),
+    op_arg_gbl(&u_max, 1, "double", OP_MAX));
+"""
+
+#: Airfoil's five loops with ``run_airfoil``'s argument lists
+AIRFOIL_RUN_SOURCE = """
+op_par_loop(save_soln, "save_soln", cells,
+    op_arg_dat(p_q,    -1, OP_ID, 4, "double", OP_READ),
+    op_arg_dat(p_qold, -1, OP_ID, 4, "double", OP_WRITE));
+op_par_loop(adt_calc, "adt_calc", cells,
+    op_arg_dat(p_x, 0, pcell, 2, "double", OP_READ),
+    op_arg_dat(p_x, 1, pcell, 2, "double", OP_READ),
+    op_arg_dat(p_x, 2, pcell, 2, "double", OP_READ),
+    op_arg_dat(p_x, 3, pcell, 2, "double", OP_READ),
+    op_arg_dat(p_q, -1, OP_ID, 4, "double", OP_READ),
+    op_arg_dat(p_adt, -1, OP_ID, 1, "double", OP_WRITE));
+op_par_loop(res_calc, "res_calc", edges,
+    op_arg_dat(p_x, 0, pedge, 2, "double", OP_READ),
+    op_arg_dat(p_x, 1, pedge, 2, "double", OP_READ),
+    op_arg_dat(p_q, 0, pecell, 4, "double", OP_READ),
+    op_arg_dat(p_q, 1, pecell, 4, "double", OP_READ),
+    op_arg_dat(p_adt, 0, pecell, 1, "double", OP_READ),
+    op_arg_dat(p_adt, 1, pecell, 1, "double", OP_READ),
+    op_arg_dat(p_res, 0, pecell, 4, "double", OP_INC),
+    op_arg_dat(p_res, 1, pecell, 4, "double", OP_INC));
+op_par_loop(bres_calc, "bres_calc", bedges,
+    op_arg_dat(p_x, 0, pbedge, 2, "double", OP_READ),
+    op_arg_dat(p_x, 1, pbedge, 2, "double", OP_READ),
+    op_arg_dat(p_q, 0, pbecell, 4, "double", OP_READ),
+    op_arg_dat(p_adt, 0, pbecell, 1, "double", OP_READ),
+    op_arg_dat(p_res, 0, pbecell, 4, "double", OP_INC),
+    op_arg_dat(p_bound, -1, OP_ID, 1, "int", OP_READ));
+op_par_loop(update, "update", cells,
+    op_arg_dat(p_qold, -1, OP_ID, 4, "double", OP_READ),
+    op_arg_dat(p_q,    -1, OP_ID, 4, "double", OP_RW),
+    op_arg_dat(p_res,  -1, OP_ID, 4, "double", OP_RW),
+    op_arg_dat(p_adt,  -1, OP_ID, 1, "double", OP_READ),
+    op_arg_gbl(&rms, 1, "double", OP_INC));
+"""
+
 
 class TestParserHelpers:
     def test_strip_comments(self):
@@ -93,7 +150,6 @@ class TestParser:
         assert program.sets == ["nodes", "cells", "edges"]
         assert program.maps == ["pecell", "pcell"]
         assert "p_q" in program.dats
-        assert program.kernels() == ["save_soln", "adt_calc", "res_calc", "update"]
 
     def test_loop_site_details(self):
         program = parse_source(AIRFOIL_SOURCE)
@@ -103,7 +159,6 @@ class TestParser:
         assert not res_calc.is_direct
         save = program.loop("save_soln")
         assert save.is_direct
-        assert save.dats_written() == ["p_qold"]
         update = program.loop("update")
         assert update.args[-1].is_global
         with pytest.raises(TranslatorError):
@@ -127,61 +182,17 @@ class TestParser:
             LoopSite(kernel="k", name="k", iteration_set="s", args=[])
 
 
-class TestDependenceAnalysis:
-    def test_airfoil_dependences(self):
-        program = parse_source(AIRFOIL_SOURCE)
-        graph = analyse_dependences(program)
-        names = [loop.name for loop in program.loops]
-
-        def edge(producer, consumer, kind=None):
-            return any(
-                names[e.producer] == producer and names[e.consumer] == consumer
-                and (kind is None or e.kind == kind)
-                for e in graph.edges
-            )
-
-        assert edge("save_soln", "update", "raw")     # p_qold produced then read
-        assert edge("adt_calc", "res_calc", "raw")    # p_adt produced then read
-        assert edge("res_calc", "update", "raw")      # p_res accumulated then read
-        assert not edge("save_soln", "adt_calc")      # independent -> interleavable
-        assert (names.index("save_soln"), names.index("adt_calc")) in graph.independent_pairs()
-        chain = graph.critical_chain()
-        assert len(chain) >= 3
-
-    def test_inc_on_inc_produces_no_edge(self):
-        source = """
-        op_par_loop(a, "a", edges, op_arg_dat(p_res, 0, pecell, 4, "double", OP_INC));
-        op_par_loop(b, "b", bedges, op_arg_dat(p_res, 0, pbecell, 4, "double", OP_INC));
-        """
-        graph = analyse_dependences(parse_source(source))
-        assert graph.edges == []
-
-    def test_war_edge(self):
-        source = """
-        op_par_loop(reader, "reader", cells, op_arg_dat(p_q, -1, OP_ID, 4, "double", OP_READ),
-                                             op_arg_dat(p_o, -1, OP_ID, 4, "double", OP_WRITE));
-        op_par_loop(writer, "writer", cells, op_arg_dat(p_q, -1, OP_ID, 4, "double", OP_WRITE));
-        """
-        graph = analyse_dependences(parse_source(source))
-        assert any(e.kind == "war" and e.dat == "p_q" for e in graph.edges)
-
-
 class TestCodegen:
     def test_generated_modules_compile(self):
         program = parse_source(AIRFOIL_SOURCE)
-        for generate in (generate_openmp_module, generate_hpx_module):
-            source = generate(program)
+        for flavour in ("openmp", "hpx"):
+            source = emit_module(program, flavour)
             compile(source, "generated.py", "exec")
             assert "op_par_loop_save_soln" in source
             assert "run_program" in source
 
-    def test_hpx_module_documents_dependences(self):
-        source = generate_hpx_module(parse_source(AIRFOIL_SOURCE))
-        assert "save_soln -> update" in source
-        assert "hpx_context" in source
-
     def test_openmp_module_uses_openmp_backend(self):
-        source = generate_openmp_module(parse_source(AIRFOIL_SOURCE))
+        source = emit_module(parse_source(AIRFOIL_SOURCE), "openmp")
         assert "openmp_context" in source
         assert "hpx_context" not in source
 
@@ -193,41 +204,141 @@ class TestCodegen:
 
     @pytest.mark.parametrize("flavour", ["hpx", "openmp"])
     def test_generated_hpx_module_executes_jacobi(self, flavour):
-        from repro.apps.jacobi import RES_KERNEL, UPDATE_KERNEL, build_ring_problem
-
-        source_text = """
-        op_par_loop(res, "res", edges,
-            op_arg_dat(p_A, -1, OP_ID, 1, "double", OP_READ),
-            op_arg_dat(p_u, 0, ppedge, 1, "double", OP_READ),
-            op_arg_dat(p_du, 1, ppedge, 1, "double", OP_INC));
-        op_par_loop(jac_update, "jac_update", nodes,
-            op_arg_dat(p_r, -1, OP_ID, 1, "double", OP_READ),
-            op_arg_dat(p_du, -1, OP_ID, 1, "double", OP_RW),
-            op_arg_dat(p_u, -1, OP_ID, 1, "double", OP_RW),
-            op_arg_gbl(&u_sum, 1, "double", OP_INC),
-            op_arg_gbl(&u_max, 1, "double", OP_MAX));
-        """
-        result = op2_translate(source_text, source_name="jac.cpp")
-        module = types.ModuleType("generated_jac")
-        exec(compile(result.module_for(flavour), "generated_jac.py", "exec"), module.__dict__)
-
-        problem = build_ring_problem(200, seed=1)
-        u_sum, u_max = np.zeros(1), np.full(1, -np.inf)
-        returned = module.run_program(
-            kernels={"res": RES_KERNEL, "jac_update": UPDATE_KERNEL},
-            sets={"edges": problem.edges, "nodes": problem.nodes},
-            dats={"p_A": problem.p_A, "p_u": problem.p_u, "p_du": problem.p_du,
-                  "p_r": problem.p_r, "u_sum": u_sum, "u_max": u_max},
-            maps={"ppedge": problem.ppedge},
-            num_threads=4,
+        kernels, sets, dats, maps = _jacobi_program()
+        futures, report = _generated(JACOBI_SOURCE, flavour).run_program(
+            kernels, sets, dats, maps, num_threads=4
         )
-        if flavour == "hpx":  # the HPX driver returns the loops' futures too
-            futures, report = returned
-            assert set(futures) == {"res", "jac_update"}
-        else:
-            report = returned
+        assert set(futures) == {"res", "jac_update"}
         assert report.backend == flavour and report.loops_executed == 2
-        assert u_sum[0] > 0
+        assert dats["u_sum"][0] > 0
+
+
+def _generated(source: str, flavour: str) -> types.ModuleType:
+    module = types.ModuleType(f"generated_{flavour}")
+    text = op2_translate(source, flavours=(flavour,)).module_for(flavour)
+    exec(compile(text, f"generated_{flavour}.py", "exec"), module.__dict__)
+    return module
+
+
+def _jacobi_program() -> tuple[dict, ...]:
+    problem = build_ring_problem(200, seed=1)
+    return (
+        {"res": RES_KERNEL, "jac_update": UPDATE_KERNEL},
+        {"edges": problem.edges, "nodes": problem.nodes},
+        {"p_A": problem.p_A, "p_u": problem.p_u, "p_du": problem.p_du, "p_r": problem.p_r,
+         "u_sum": np.zeros(1), "u_max": np.full(1, -np.inf)},
+        {"ppedge": problem.ppedge},
+    )
+
+
+def _airfoil_program() -> tuple[dict, ...]:
+    mesh = generate_mesh(24, 16)
+    mesh.declare()
+    kernels = (SAVE_SOLN, ADT_CALC, RES_CALC, BRES_CALC, UPDATE)
+    return (
+        dict(zip(("save_soln", "adt_calc", "res_calc", "bres_calc", "update"), kernels)),
+        {name: getattr(mesh, name) for name in ("cells", "edges", "bedges")},
+        {"rms": np.zeros(1), **{name: getattr(mesh, name) for name in (
+            "p_x", "p_q", "p_qold", "p_adt", "p_res", "p_bound")}},
+        {name: getattr(mesh, name) for name in ("pcell", "pedge", "pecell", "pbedge", "pbecell")},
+    )
+
+
+class TestEmittedStubs:
+    @pytest.mark.parametrize("flavour", ["openmp", "hpx"])
+    @pytest.mark.parametrize("source, program, loops", [
+        (JACOBI_SOURCE, _jacobi_program, 2),
+        (AIRFOIL_RUN_SOURCE, _airfoil_program, 5),
+    ], ids=["jacobi", "airfoil"])
+    def test_emitted_stub_key_is_the_runtime_stub_key(
+        self, source, program, loops, flavour, monkeypatch
+    ):
+        """Every loop's emitted key is the ``ParLoop.stub_key`` that
+        ``op_par_loop`` builds when the generated module runs."""
+        sites = parse_source(source).loops
+        emitted = {site.name: stub_key(site) for site in sites}
+        text = op2_translate(source, flavours=(flavour,)).module_for(flavour)
+        for name, key in emitted.items():
+            assert f"Wrapper for loop {name!r}; its chunks run ``stub_{key}``." in text
+            assert render_stub(key) in text
+            compile(render_stub(key), f"stub_{key}", "exec")
+        built = {}
+        execute = ExecutionContext.execute
+
+        def recording(context, loop):
+            built[loop.name] = loop.stub_key
+            return execute(context, loop)
+
+        monkeypatch.setattr(ExecutionContext, "execute", recording)
+        clear_plan_cache()
+        _generated(source, flavour).run_program(*program())
+        assert len(built) == loops
+        assert built == emitted
+
+
+CHAIN_SOURCE = """
+for (int it = 0; it < 3; it++) {
+  op_par_loop(init, "init", nodes,
+      op_arg_dat(p_y, -1, OP_ID, 1, "double", OP_READ),
+      op_arg_dat(p_x, -1, OP_ID, 1, "double", OP_WRITE));
+  op_par_loop(acc1, "acc1", edges,
+      op_arg_dat(p_w, -1, OP_ID, 1, "double", OP_READ),
+      op_arg_dat(p_x, 0, pedge, 1, "double", OP_INC));
+  op_par_loop(acc2, "acc2", edges,
+      op_arg_dat(p_w, -1, OP_ID, 1, "double", OP_READ),
+      op_arg_dat(p_x, 1, pedge, 1, "double", OP_INC));
+}
+"""
+
+
+def _chain_init(y, x):
+    x[0] = y[0]
+
+
+def _chain_acc1(w, x):
+    x[0] += 0.5 * w[0]
+
+
+def _chain_acc2(w, x):
+    x[0] += w[0] * w[0]
+
+
+CHAIN_KERNELS = {
+    name: Kernel(name=f"chain_{name}", elemental=function, vectorized=block_form(function))
+    for name, function in (("init", _chain_init), ("acc1", _chain_acc1), ("acc2", _chain_acc2))
+}
+
+
+class TestGeneratedChainMatchesSerial:
+    """``init`` WRITE x -> ``acc1`` INC x -> ``acc2`` INC x, three times in
+    one context: each ``init`` waits for the previous ``acc2`` and each
+    ``acc2`` for its ``acc1`` only because the runtime orders the loops --
+    the generated module states no dependences."""
+
+    @staticmethod
+    def _run(context) -> np.ndarray:
+        clear_plan_cache()
+        rng = np.random.default_rng(5)
+        nodes, edges = op_decl_set(300, "chain_nodes"), op_decl_set(900, "chain_edges")
+        maps = {"pedge": op_decl_map(edges, nodes, 2, rng.integers(0, 300, (900, 2)), "pedge")}
+        dats = {
+            "p_y": op_decl_dat(nodes, 1, "double", rng.random((300, 1)), "p_y"),
+            "p_x": op_decl_dat(nodes, 1, "double", np.zeros((300, 1)), "p_x"),
+            "p_w": op_decl_dat(edges, 1, "double", rng.random((900, 1)), "p_w"),
+        }
+        sets = {"init": nodes, "acc1": edges, "acc2": edges}
+        module = _generated(CHAIN_SOURCE, "hpx")
+        with active_context(context):
+            for _ in range(3):
+                for name, kernel in CHAIN_KERNELS.items():
+                    getattr(module, f"op_par_loop_{name}")(kernel, sets[name], dats, maps)
+        assert context.report().loops_executed == 9
+        return dats["p_x"].data.copy()
+
+    @pytest.mark.parametrize("engine", ["threads", "processes", "sharded"])
+    def test_deferred_engines_equal_serial(self, engine):
+        expected = self._run(serial_context())
+        assert np.array_equal(self._run(hpx_context(engine=engine, num_threads=2)), expected)
 
 
 class TestDriver:
