@@ -34,20 +34,14 @@ greps ``src/`` for strays):
   commit.  Below :data:`SCRATCH_MIN_ROWS` rows it is plain allocation.
 
 * **Scatter-adds** ``data[index[i]] += buffer[i]`` *for i in order* -- the
-  meaning of ``np.add.at`` -- run as conflict-free rounds.  Round ``r`` holds
-  the rows that are the ``r``-th occurrence of their target, in input order
-  (:func:`occurrence_ranks`).  Inside a round every target is unique, so it is
-  a gather, one vector add and a row assignment; across rounds each target
-  receives its increments in exactly the original order.  The sequence of
-  floating-point additions per target is therefore the one ``np.add.at``
-  performs and the result is bit-identical, not merely close.  The ranks are
-  owned by the map (:meth:`OpMap.scatter_ranks`): nothing is stored for a
-  chunk-slot without duplicates, at most one byte per row otherwise.
-
-Below :data:`SCATTER_ROUNDS_MIN_SIZE` buffer entries a block keeps
-``np.add.at`` and asks for no ranks: building them costs several ``add.at``
-calls and only pays off on maps that repeat across steps, which small
-per-request problems do not.
+  meaning of ``np.add.at`` -- run as one 1-D ``np.add.at`` per column, in
+  column order, with the map column itself as the index.  Each (target,
+  column) element receives its increments in row order, which is what the
+  2-D ``np.add.at`` does, so the result is bit-identical, not merely close.
+  NumPy's 1-D ``add.at`` has a fast path (since 1.25) that the 2-D one
+  lacks: on the 2-core reference box (NumPy 2.4) a 120x80 ``res_calc``
+  commit (19 000 x 4 increments) takes 214 us against 1 862 us, and no
+  schedule is built or stored for it.
 """
 
 from __future__ import annotations
@@ -69,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - args imports map, which imports this mod
 
 __all__ = [
     "COMPUTE_BLOCK_ROWS",
-    "SCATTER_ROUNDS_MIN_SIZE",
     "SCRATCH_MIN_ROWS",
     "STAGING_POOL_BYTES",
     "BlockStage",
@@ -81,19 +74,10 @@ __all__ = [
     "stage_scatter_add",
 ]
 
-#: Scatter buffers with fewer entries (rows x dim) than this commit through
-#: ``np.add.at``.  Measured on the 2-core reference box (median of 200 calls,
-#: every target hit twice, shuffled): at 4096 entries a steady two-round
-#: commit is 34-45 us against 40-74 us for ``add.at`` (a wash for dim 1), at
-#: 8192 it is 46-66 against 83-92 us and the gap widens from there; building
-#: ranks cold costs 1.6-9x one ``add.at`` at every size, which a 300-row block
-#: on a fresh map (one request of the service mix) never earns back.
-SCATTER_ROUNDS_MIN_SIZE = 8192
-
-#: Rows per step of a scatter-add round.  The rounds need a gathered copy of
-#: the rows they update; 8192 rows x 4 doubles (256 KB) keep it in L2 -- a
-#: whole 120k-row Airfoil chunk at once measured 1.1-2.3x slower.
-_ROUND_BLOCK_ROWS = 8192
+#: Rows per piece of a pooled WRITE/RW gather and of an owner chunk's
+#: commit, so the index copy and the picked increments stay block-sized:
+#: 8192 rows x 4 doubles (256 KB) stay in L2.
+_PIECE_ROWS = 8192
 
 #: Most rows per sub-block of a chunk's compute phase (gather -> block form ->
 #: private buffers); a chunk splits into as few equal sub-blocks as hold it.
@@ -105,7 +89,7 @@ _ROUND_BLOCK_ROWS = 8192
 COMPUTE_BLOCK_ROWS = 16384
 
 #: Sub-blocks of at least this many rows use per-thread scratch (gathers,
-#: ``_idx``, block-form temporaries; scatter rounds by their buffer's rows)
+#: ``_idx``, block-form temporaries; an owner chunk's commit by its rows)
 #: and chunks of at least this many rows pooled staging; smaller ones
 #: allocate plainly.  Measured on the 2-core reference box, serial Airfoil
 #: steps: at 48x32 (a 3 100-row ``res_calc``) plain allocation faults no
@@ -199,7 +183,6 @@ def kernel_scratch(rows: int, floats: int, flags: int) -> tuple[np.ndarray, np.n
     if rows < SCRATCH_MIN_ROWS:
         bools = np.empty((flags, rows), dtype=np.bool_) if flags else _NO_FLAGS
         return np.empty((floats, rows)), bools
-    # "work" is shared with the commit's rounds: a thread runs one at a time
     work = ((floats, rows), np.float64), ((flags, rows), np.bool_)
     return _thread_scratch().carve("work", *work)  # type: ignore[return-value]
 
@@ -280,7 +263,9 @@ def occurrence_ranks(index: np.ndarray) -> Optional[np.ndarray]:
     ``ranks[i]`` is the number of ``j < i`` with ``index[j] == index[i]``.
     Returns ``None`` when every value is distinct (all ranks zero), otherwise
     an unsigned array in the smallest dtype that holds the largest rank --
-    ``uint8`` unless some value occurs more than 256 times.
+    ``uint8`` unless some value occurs more than 256 times.  Only
+    :meth:`~repro.op2.map.OpMap.scatter_ranks` builds them, to detect
+    duplicate indirect WRITE/RW targets; no commit needs them.
     """
     n = index.size
     if n < 2:
@@ -300,99 +285,40 @@ def occurrence_ranks(index: np.ndarray) -> Optional[np.ndarray]:
     return ranks
 
 
-def _add_distinct(
-    data: np.ndarray, targets: np.ndarray, increments: np.ndarray, current: np.ndarray
-) -> None:
-    """``data[targets] += increments`` for pairwise distinct, contiguous
-    ``targets``, through ``current``, a buffer of their shape."""
-    np.take(data, targets, axis=0, out=current, mode="clip")
-    current += increments
-    data[targets] = current
-
-
-def _scatter_add_rounds(
-    data: np.ndarray, index: np.ndarray, buffer: np.ndarray, ranks: Optional[np.ndarray]
-) -> None:
-    """The rounds, taken over blocks of rows so temporaries stay cache-sized.
-
-    Ranks ascend in row order per target, so within a block equal targets
-    carry different ranks (each rank's rows are conflict-free) and blocks in
-    row order keep every target's increments in order.  A block whose ranks
-    are all equal -- most of them on a mesh -- is a single round.  Every
-    temporary but a round's row list lives in the committing thread's
-    scratch, sized by the block -- or, for a buffer of fewer than
-    :data:`SCRATCH_MIN_ROWS` rows, in a throwaway one.
-    """
-    scratch = _thread_scratch() if index.size >= SCRATCH_MIN_ROWS else _Scratch()
-    for lo in range(0, index.size, _ROUND_BLOCK_ROWS):
-        block = slice(lo, lo + _ROUND_BLOCK_ROWS)
-        n = index[block].size
-        # "work" is shared with the block forms' vectors: a thread runs one at a time
-        targets, current, in_round, round_targets, round_increments = scratch.carve(
-            "work",
-            ((n,), index.dtype),
-            ((n, *data.shape[1:]), data.dtype),
-            ((n,), np.bool_),
-            ((n,), index.dtype),
-            ((n, *buffer.shape[1:]), buffer.dtype),
-        )
-        np.copyto(targets, index[block])
-        increments = buffer[block]
-        last = 0 if ranks is None else int(ranks[block].max())
-        if last == 0 or int(ranks[block].min()) == last:  # type: ignore[index]
-            # one rank throughout: the block's targets are distinct
-            _add_distinct(data, targets, increments, current)
-            continue
-        assert ranks is not None
-        half = _ROUND_BLOCK_ROWS // 2
-        for rank in range(last + 1):
-            np.equal(ranks[block], rank, out=in_round)
-            # a round's row list is the one allocation: a round of more than
-            # half the block goes in two halves, still conflict-free and in order
-            parts = [(0, n)]
-            if np.count_nonzero(in_round) > half:
-                parts = [(0, half), (half, n)]
-            for first, stop in parts:
-                rows = np.flatnonzero(in_round[first:stop])
-                if first:
-                    rows += first
-                count = rows.size
-                np.take(targets, rows, out=round_targets[:count], mode="clip")
-                np.take(increments, rows, axis=0, out=round_increments[:count], mode="clip")
-                del rows  # before the next list exists
-                _add_distinct(
-                    data, round_targets[:count], round_increments[:count], current[:count]
-                )
+def _each(commits: list[Callable[[], None]]) -> None:
+    for commit in commits:
+        commit()
 
 
 def stage_scatter_add(
-    data: np.ndarray,
-    index: np.ndarray,
-    buffer: np.ndarray,
-    ranks_of: Callable[[], Optional[np.ndarray]],
+    data: np.ndarray, index: np.ndarray, buffer: np.ndarray
 ) -> Callable[[], None]:
     """The commit ``data[index[i]] += buffer[i]`` (in order), to be run later.
 
     Bit-identical to ``np.add.at(data, index, buffer)`` at the time of the
-    call.  ``ranks_of`` supplies :func:`occurrence_ranks` of ``index`` and is
-    consulted now -- together with the index, so the two cannot drift apart
-    -- and only for blocks of at least :data:`SCATTER_ROUNDS_MIN_SIZE` entries.
-    A single column goes through NumPy's 1-D ``add.at``, the same additions
-    in the same order at a third of the cost of the 2-D one.
+    call: one 1-D ``np.add.at`` per column, in column order, each taking
+    the (strided) ``index`` as it is -- a contiguous copy of a map column
+    measured slower.
     """
-    if buffer.size < SCATTER_ROUNDS_MIN_SIZE:
-        if buffer.shape[1:] == (1,):
-            return partial(np.add.at, data[:, 0], index, buffer[:, 0])
-        return partial(np.add.at, data, index, buffer)
-    return partial(_scatter_add_rounds, data, index, buffer, ranks_of())
+    if buffer.shape[1] == 1:
+        return partial(np.add.at, data[:, 0], index, buffer[:, 0])
+    return partial(
+        _each,
+        [partial(np.add.at, data[:, c], index, buffer[:, c]) for c in range(buffer.shape[1])],
+    )
 
 
 def neutral(access: AccessMode, like: np.ndarray) -> np.ndarray:
-    """A buffer shaped like ``like`` holding the neutral element of ``access``."""
+    """A buffer shaped like ``like`` holding the neutral element of ``access``
+    (an integer's extremes for an integer MIN/MAX, which has no infinity)."""
     if access is AccessMode.INC:
         return np.zeros(like.shape, like.dtype)
     buffer = np.empty(like.shape, like.dtype)
-    buffer.fill(np.inf if access is AccessMode.MIN else -np.inf)
+    if like.dtype.kind in "iu":
+        info = np.iinfo(like.dtype)
+        buffer.fill(info.max if access is AccessMode.MIN else info.min)
+    else:
+        buffer.fill(np.inf if access is AccessMode.MIN else -np.inf)
     return buffer
 
 
@@ -465,14 +391,13 @@ def _owned_scatter_add(
 ) -> None:
     """Owner chunk ``part``'s commit of the increments in ``buffer`` through
     ``slot``: the rows whose targets it owns, in row order, picked and
-    scatter-added block by block (each block with its own schedule,
-    :meth:`~repro.op2.map.OwnerPlan.ranks`).  A block of consecutive rows --
-    most of a chunk on a well-numbered mesh -- is sliced, not picked."""
+    scatter-added block by block.  A block of consecutive rows -- most of a
+    chunk on a well-numbered mesh -- is sliced, not picked."""
     j = plan.slots.index(slot)
     positions, rows, homes = plan.commits[part][j], plan.rows[part], plan.homes[part]
     scratch = _thread_scratch() if positions.size >= SCRATCH_MIN_ROWS else _Scratch()
-    for lo in range(0, positions.size, _ROUND_BLOCK_ROWS):
-        chosen = positions[lo : lo + _ROUND_BLOCK_ROWS]
+    for lo in range(0, positions.size, _PIECE_ROWS):
+        chosen = positions[lo : lo + _PIECE_ROWS]
         # ordered by row, hence by position among home or among guest rows
         first, last = int(chosen[0]), int(chosen[-1])
         if last - first == chosen.size - 1 and (chosen.max() < homes or chosen.min() >= homes):
@@ -486,8 +411,7 @@ def _owned_scatter_add(
             np.take(buffer, chosen, axis=0, out=picked, mode="clip")
             np.take(rows, chosen, out=at, mode="clip")
         targets = _map_rows((values, slot), at, scratch)  # ``at`` ascends
-        ranks_of = partial(plan.ranks, values, part, j, lo, lo + _ROUND_BLOCK_ROWS)
-        stage_scatter_add(data, targets, picked, ranks_of)()
+        stage_scatter_add(data, targets, picked)()
 
 
 class BlockStage:
@@ -586,8 +510,9 @@ class BlockStage:
     def private(self, arg: OpArg) -> np.ndarray:
         """Indirect INC/WRITE/RW: the whole-chunk buffer the kernel works on.
 
-        INC gets zeros, scatter-added at commit (an owner chunk adds the rows
-        whose targets it owns, slot by slot in row order); WRITE/RW get the
+        INC gets zeros, scatter-added at commit by :func:`stage_scatter_add`
+        (an owner chunk adds the rows whose targets it owns, slot by slot in
+        row order); no schedule is built for it.  WRITE/RW get the
         gathered rows, assigned back at commit (callers only vectorise blocks
         whose WRITE/RW targets are distinct).  From :data:`SCRATCH_MIN_ROWS`
         rows up the buffer is a pooled one, zero-filled or gathered into.
@@ -602,16 +527,14 @@ class BlockStage:
                 buffer = np.zeros(shape, dtype=arg.dat.dtype)
             else:
                 buffer.fill(0)
-            opmap, slot = arg.map, arg.map_index
             if self._owner is None:
-                ranks_of = partial(
-                    opmap.scatter_ranks, slot, self.start, self.stop  # type: ignore[union-attr]
-                )
-                commit = stage_scatter_add(data, self.index(arg), buffer, ranks_of)
+                commit = stage_scatter_add(data, self.index(arg), buffer)
             else:
                 plan, part = self._owner
-                values = opmap.values  # type: ignore[union-attr]
-                commit = partial(_owned_scatter_add, data, buffer, values, plan, part, slot)
+                values = arg.map.values  # type: ignore[union-attr]
+                commit = partial(
+                    _owned_scatter_add, data, buffer, values, plan, part, arg.map_index
+                )
             self._commits.append(commit)
         else:
             assert self._owner is None, "owner chunks only increment"
@@ -620,8 +543,8 @@ class BlockStage:
                 buffer = gather_rows(data, index)
             else:  # in pieces, so the index copy stays block-sized
                 scratch = _thread_scratch()
-                for lo in range(0, shape[0], _ROUND_BLOCK_ROWS):
-                    piece = slice(lo, lo + _ROUND_BLOCK_ROWS)
+                for lo in range(0, shape[0], _PIECE_ROWS):
+                    piece = slice(lo, lo + _PIECE_ROWS)
                     _take_rows(scratch, data, index[piece], buffer[piece])
             self._commits.append(partial(operator.setitem, data, index, buffer))
         if pooled:

@@ -24,7 +24,7 @@ __all__ = ["OpMap", "OwnerPlan", "op_decl_map"]
 
 _map_ids = itertools.count()
 
-#: cap on cached per-chunk entries (target summaries, scatter schedules) per
+#: cap on cached per-chunk entries (target summaries, occurrence ranks) per
 #: map (chunk boundaries are stable across time-step iterations, so real
 #: workloads stay far below this)
 _SUMMARY_CACHE_LIMIT = 16384
@@ -157,14 +157,16 @@ class OpMap:
         return summary
 
     def scatter_ranks(self, map_index: int, start: int, stop: int) -> Optional[np.ndarray]:
-        """The scatter schedule of slot ``map_index`` over ``[start, stop)``.
+        """The occurrence ranks of slot ``map_index`` over ``[start, stop)``:
+        the detector of duplicate indirect WRITE/RW targets, for its one
+        caller, ``ParLoop._scatter_conflicts`` (increments commit without).
 
         ``None`` when the chunk-slot hits no target twice; otherwise the
         :func:`~repro.op2.datapath.occurrence_ranks` of its targets (at most
         one byte per row unless a target is hit more than 256 times).  Built
         once per (chunk, slot) per connectivity and dropped with it; the
-        stored arrays of one map stay within one byte per map entry -- a
-        schedule that would exceed that evicts the others first.
+        stored arrays of one map stay within one byte per map entry -- an
+        entry that would exceed that evicts the others first.
         """
         key = (self._version, map_index, start, stop)
         ranks = self._scatter_ranks.get(key, _MISSING)
@@ -201,7 +203,7 @@ class OpMap:
 
     def set_values(self, values: Sequence[int] | np.ndarray) -> None:
         """Replace the connectivity (validated); bumps the version so cached
-        execution plans, chunk summaries, scatter schedules and owner plans
+        execution plans, chunk summaries, occurrence ranks and owner plans
         computed from the old connectivity are recomputed.
 
         Deferred engines gather through the *live* ``values`` array when a
@@ -257,8 +259,7 @@ class OwnerPlan:
     * ``commits[k][j]``: for ``slots[j]``, the positions in ``rows[k]``
       whose target lies in range ``k``, ordered by row.  Committing slot by
       slot in this order gives every target the sequence of additions a
-      whole-set commit gives it; :meth:`ranks` schedules the commit in
-      blocks.
+      whole-set commit gives it.
 
     Rows and positions are ``int32`` while the map's entries can be counted
     in it.  The plan keeps no reference to the map's values (an arena may
@@ -266,8 +267,7 @@ class OwnerPlan:
     """
 
     __slots__ = (
-        "target_set", "slots", "parts", "bounds", "rows", "homes", "commits",
-        "_ranks", "_summaries",
+        "target_set", "slots", "parts", "bounds", "rows", "homes", "commits", "_summaries",
     )
 
     def __init__(self, opmap: OpMap, slots: tuple[int, ...], parts: int) -> None:
@@ -296,27 +296,12 @@ class OwnerPlan:
             self.rows.append(rows)
             self.homes.append(home_rows.size)
             self.commits.append(commits)
-        self._ranks: dict[tuple[int, int, int], Optional[np.ndarray]] = {}
         self._summaries: dict[tuple, Optional[IntervalSet]] = {}
 
-    def targets(
-        self, values: np.ndarray, part: int, j: int, lo: int = 0, hi: Optional[int] = None
-    ) -> np.ndarray:
-        """Targets in the map's ``values`` of commit entries ``[lo, hi)`` of
-        chunk ``part`` through ``slots[j]``."""
-        positions = self.commits[part][j][lo:hi]
-        return values[self.rows[part][positions], self.slots[j]]
-
-    def ranks(
-        self, values: np.ndarray, part: int, j: int, lo: int, hi: int
-    ) -> Optional[np.ndarray]:
-        """Occurrence ranks of :meth:`targets` ``(values, part, j, lo, hi)``
-        -- the scatter schedule of one block of the commit (``None``: no
-        target repeats) -- built once, by the process that commits it."""
-        key = (part, j, lo)
-        if key not in self._ranks:
-            self._ranks[key] = occurrence_ranks(self.targets(values, part, j, lo, hi))
-        return self._ranks[key]
+    def targets(self, values: np.ndarray, part: int, j: int) -> np.ndarray:
+        """Targets in the map's ``values`` that chunk ``part`` commits
+        through ``slots[j]``, in commit order."""
+        return values[self.rows[part][self.commits[part][j]], self.slots[j]]
 
     def summary(
         self, part: int, opmap: Optional[OpMap] = None, slot: int = 0, owned: bool = False

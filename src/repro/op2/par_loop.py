@@ -270,10 +270,9 @@ class ParLoop:
         gathered values*, whereas the elemental path lets later iterations
         observe earlier writes.  Blocks with duplicate WRITE/RW targets
         therefore fall back to the elemental path so both paths stay
-        identical.  The answer is whether the map holds a scatter schedule
-        for the chunk-slot (:meth:`OpMap.scatter_ranks`, built once per
-        connectivity) -- time-stepping loops re-ask for the same blocks every
-        iteration.
+        identical.  The answer is whether the chunk-slot has occurrence
+        ranks (:meth:`OpMap.scatter_ranks`, built once per connectivity) --
+        time-stepping loops re-ask for the same blocks every iteration.
         """
         for arg in self._assigned_scatters:
             if arg.map.scatter_ranks(arg.map_index, start, stop) is not None:  # type: ignore[union-attr]
@@ -325,7 +324,7 @@ class ParLoop:
         * indirect dat, INC: rows ``[lo, hi)`` of the chunk's zero-filled
           private buffer the kernel adds increments into, scatter-added
           afterwards in row order -- the additions ``np.add.at`` would
-          perform, bit for bit, run as conflict-free rounds (see
+          perform, bit for bit, one 1-D ``np.add.at`` per column (see
           :mod:`repro.op2.datapath`);
         * indirect dat, WRITE/RW: rows ``[lo, hi)`` of the chunk's gathered
           copy, written back afterwards;

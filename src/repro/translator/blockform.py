@@ -748,8 +748,7 @@ def render_stub(key: str) -> str:
             lines.append(f"    v{i} = _gather_rows({a}.dat.data, {rows})")
         elif code == "i":
             lines.append(f"    v{i} = _np.zeros((_stop - _start, {a}.dim), {a}.dat.dtype)")
-            ranks = f"_partial({a}.map.scatter_ranks, {a}.map_index, _start, _stop)"
-            staged.append((i, f"_stage_scatter_add({a}.dat.data, {rows}, v{i}, {ranks})"))
+            staged.append((i, f"_stage_scatter_add({a}.dat.data, {rows}, v{i})"))
         elif code == "w":
             lines += [f"    t{i} = {rows}", f"    v{i} = _gather_rows({a}.dat.data, t{i})"]
             staged.append((i, f"_partial(_setitem, {a}.dat.data, t{i}, v{i})"))

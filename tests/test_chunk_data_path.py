@@ -2,16 +2,18 @@
 
 Five groups:
 
-* **Helpers** (Hypothesis) -- the scatter-add commit is ``np.array_equal`` to
-  ``np.add.at`` on non-integer floats with heavy duplicates, on both sides of
-  the small-block crossover; gathers equal fancy indexing; occurrence ranks
-  equal a brute-force count and widen their dtype when they must.
-* **Schedule ownership** -- ``OpMap.scatter_ranks`` stores nothing for a
-  chunk-slot without duplicates, at most one byte per row otherwise, stays
-  within one byte per map entry overall and is dropped by ``set_values``.
-* **End-to-end oracle** -- Airfoil steps are bit-identical to a run whose data
-  path is patched back to fancy indexing + ``np.add.at``, i.e. to the commit
-  before the rounds existed.
+* **Helpers** (Hypothesis) -- the scatter-add commit (one 1-D ``np.add.at``
+  per column) is ``np.array_equal`` to the 2-D ``np.add.at`` on non-integer
+  floats and on integers, with heavy duplicates, dims 1-4 and buffers above
+  8192 entries; gathers equal fancy indexing; occurrence ranks equal a
+  brute-force count and widen their dtype when they must.
+* **Duplicate detection** -- ``OpMap.scatter_ranks`` (the WRITE/RW duplicate
+  detector) stores nothing for a chunk-slot without duplicates, at most one
+  byte per row otherwise, stays within one byte per map entry overall and is
+  dropped by ``set_values``.
+* **End-to-end oracle** -- Airfoil steps, whose commits reach 8192 entries
+  and more, are bit-identical to a run whose data path is patched back to
+  fancy indexing + the 2-D ``np.add.at``.
 * **Sub-blocks** -- the compute phase's block size changes no bit of any dat:
   Airfoil steps at block sizes around every boundary case equal the unblocked
   run, and a Hypothesis property does the same over loop shapes (direct,
@@ -68,12 +70,7 @@ from repro.op2 import (
 from repro.op2.backends.hpx import hpx_context
 from repro.op2.backends.serial import serial_context
 from repro.op2.context import active_context
-from repro.op2.datapath import (
-    SCATTER_ROUNDS_MIN_SIZE,
-    gather_rows,
-    occurrence_ranks,
-    stage_scatter_add,
-)
+from repro.op2.datapath import gather_rows, occurrence_ranks, stage_scatter_add
 from repro.op2.kernel import Kernel
 from repro.op2.par_loop import ParLoop
 from repro.op2.plan import clear_plan_cache
@@ -92,9 +89,9 @@ def _brute_force_ranks(index: np.ndarray) -> np.ndarray:
 
 
 @st.composite
-def _scatter_cases(draw):
+def _scatter_cases(draw, max_rows=200):
     """(data, strided column index, buffer): few targets, many rows."""
-    rows = draw(st.integers(0, 200))
+    rows = draw(st.integers(0, max_rows))
     targets = draw(st.integers(1, 12))
     dim = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -115,59 +112,17 @@ def _scatter_cases(draw):
 # ---------------------------------------------------------------------------
 class TestScatterAdd:
     @settings(max_examples=200, deadline=None)
-    @given(case=_scatter_cases(), rounds=st.booleans())
-    def test_bit_identical_to_add_at(self, case, rounds):
+    # up to 3 000 rows: dims 1-4 reach past 8192 buffer entries
+    @given(case=_scatter_cases(max_rows=3000))
+    def test_bit_identical_to_add_at(self, case):
         data, index, buffer = case
         expected = data.copy()
         np.add.at(expected, index, buffer)
-        # drive both sides of the crossover regardless of the block's size
-        threshold = 0 if rounds else buffer.size + 1
-        asked = []
-
-        def ranks_of():
-            asked.append(True)
-            return occurrence_ranks(index)
-
-        saved = datapath.SCATTER_ROUNDS_MIN_SIZE
-        datapath.SCATTER_ROUNDS_MIN_SIZE = threshold
-        try:
-            commit = stage_scatter_add(data, index, buffer, ranks_of)
-        finally:
-            datapath.SCATTER_ROUNDS_MIN_SIZE = saved
+        commit = stage_scatter_add(data, index, buffer)
         untouched = buffer.copy()
         commit()
         assert np.array_equal(data, expected)
         assert np.array_equal(buffer, untouched)
-        assert len(asked) == (1 if rounds else 0)
-
-    @pytest.mark.parametrize("dim", [1, 4])
-    def test_crossover_constant_selects_the_path(self, dim, rng):
-        rows_at = -(-SCATTER_ROUNDS_MIN_SIZE // dim)
-        for rows, expect_ranks in ((rows_at, True), (rows_at - 1, False)):
-            index = rng.integers(0, rows // 3, size=rows)
-            buffer = rng.standard_normal((rows, dim))
-            data = rng.standard_normal((rows // 3, dim))
-            expected = data.copy()
-            np.add.at(expected, index, buffer)
-            asked = []
-            commit = stage_scatter_add(
-                data, index, buffer, lambda: asked.append(1) or occurrence_ranks(index)
-            )
-            commit()
-            assert bool(asked) is expect_ranks
-            assert np.array_equal(data, expected)
-
-    def test_ranks_are_taken_when_staged_not_when_committed(self, rng):
-        index = rng.integers(0, 50, size=SCATTER_ROUNDS_MIN_SIZE)
-        buffer = rng.standard_normal((index.size, 1))
-        data = np.zeros((50, 1))
-        calls = []
-        commit = stage_scatter_add(
-            data, index, buffer, lambda: calls.append(1) or occurrence_ranks(index)
-        )
-        assert calls == [1]
-        commit()
-        assert calls == [1]
 
 
 class TestGatherAndRanks:
@@ -205,12 +160,12 @@ class TestGatherAndRanks:
         buffer = rng.standard_normal((index.size, 2))
         expected = data.copy()
         np.add.at(expected, index, buffer)
-        datapath._scatter_add_rounds(data, index, buffer, ranks)
+        stage_scatter_add(data, index, buffer)()
         assert np.array_equal(data, expected)
 
 
 # ---------------------------------------------------------------------------
-# schedule ownership
+# duplicate detection
 # ---------------------------------------------------------------------------
 class TestMapOwnedSchedules:
     @staticmethod
@@ -289,13 +244,12 @@ class TestMapOwnedSchedules:
 # end-to-end oracle: the data path of the parent commit
 # ---------------------------------------------------------------------------
 def _legacy_data_path(monkeypatch):
-    """Patch the data path back to fancy indexing and ``np.add.at`` -- what
-    ``ParLoop`` and the slab did before the rounds."""
+    """Patch the data path back to fancy indexing and the 2-D ``np.add.at``."""
     monkeypatch.setattr(datapath, "gather_rows", lambda data, index: data[index].copy())
     monkeypatch.setattr(
         datapath,
         "stage_scatter_add",
-        lambda data, index, buffer, ranks_of: partial(np.add.at, data, index, buffer),
+        lambda data, index, buffer: partial(np.add.at, data, index, buffer),
     )
 
 
@@ -325,20 +279,21 @@ class TestBitIdenticalToTheLegacyDataPath:
     def test_airfoil_steps_equal_the_legacy_path_bit_for_bit(
         self, engine, method, monkeypatch
     ):
-        rounds = []
-        real_rounds = datapath._scatter_add_rounds
+        large = []  # per commit of >= 8192 entries: whether a target repeats
+        real_stage = datapath.stage_scatter_add
 
-        def counting_rounds(data, index, buffer, ranks):
-            rounds.append(1 if ranks is None else int(ranks.max()) + 1)
-            real_rounds(data, index, buffer, ranks)
+        def counting_stage(data, index, buffer):
+            if buffer.size >= 8192:
+                large.append(np.unique(index).size < index.size)
+            return real_stage(data, index, buffer)
 
         with monkeypatch.context() as patch:
-            patch.setattr(datapath, "_scatter_add_rounds", counting_rounds)
+            patch.setattr(datapath, "stage_scatter_add", counting_stage)
             current = self._run(engine, method)
         if engine != "processes":  # worker-side calls are not visible here
-            assert rounds, "the mesh must be large enough to leave the add.at path"
+            assert large, "the mesh must be large enough to reach commits of 8192 entries"
         if engine == "serial":
-            assert max(rounds) >= 2, "whole-range res_calc blocks hit cells twice"
+            assert any(large), "whole-range res_calc blocks hit cells twice"
         with monkeypatch.context() as patch:
             _legacy_data_path(patch)
             legacy = self._run(engine, method)

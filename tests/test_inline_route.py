@@ -6,7 +6,7 @@ Four groups:
   ``SCRATCH_MIN_ROWS`` rows builds its views as they are declared; over
   direct/indirect READ/INC/RW/WRITE arguments of dims 1-4, duplicate targets,
   global INC/MIN/MAX and row counts on both sides of ``SCRATCH_MIN_ROWS`` and
-  ``SCATTER_ROUNDS_MIN_SIZE``, its dats are ``np.array_equal`` to the generic
+  of 8192 scatter-buffer entries, its dats are ``np.array_equal`` to the generic
   per-sub-block path, INC globals agree to 1e-12 and MIN/MAX exactly, and it
   builds exactly the same scatter schedules.
 * **Reasons** -- ``serial``, ``gate``, ``model`` and ``global_write`` loops
@@ -53,7 +53,7 @@ from repro.op2 import map as map_module
 from repro.op2.backends.hpx import hpx_context
 from repro.op2.backends.serial import serial_context
 from repro.op2.context import active_context
-from repro.op2.datapath import SCATTER_ROUNDS_MIN_SIZE, SCRATCH_MIN_ROWS
+from repro.op2.datapath import SCRATCH_MIN_ROWS
 from repro.op2.kernel import Kernel
 from repro.op2.par_loop import ParLoop
 from repro.runtime.future import make_exceptional_future, make_ready_future
@@ -139,7 +139,7 @@ def _run_loop(rows, dim, specs, gmode, cuts, seed):
 
 _ROWS = st.one_of(
     st.integers(1, 64),
-    # dim 4: the scatter buffers cross SCATTER_ROUNDS_MIN_SIZE at 2048 rows
+    # dim 4: the scatter buffers reach 8192 entries at 2048 rows
     st.integers(2040, 2100),
     st.integers(SCRATCH_MIN_ROWS - 8, SCRATCH_MIN_ROWS + 8),
 )
@@ -197,7 +197,7 @@ class TestEagerSmallStages:
              gmode=OP_MIN, cut_fractions=[], seed=1)
     @example(rows=SCRATCH_MIN_ROWS, dim=1, specs=[(True, OP_INC)],
              gmode=OP_MAX, cut_fractions=[], seed=2)
-    @example(rows=SCATTER_ROUNDS_MIN_SIZE // 4, dim=4, specs=[(True, OP_RW), (True, OP_INC)],
+    @example(rows=2048, dim=4, specs=[(True, OP_RW), (True, OP_INC)],
              gmode=OP_INC, cut_fractions=[], seed=3)
     def test_eager_stage_equals_the_generic_path(
         self, rows, dim, specs, gmode, cut_fractions, seed

@@ -33,6 +33,7 @@ from repro.op2.context import ExecutionContext, active_context
 from repro.op2.backends import hpx_context, openmp_context, serial_context
 from repro.op2.par_loop import ParLoop
 from repro.op2.plan import clear_plan_cache, plan_cache_size
+from repro.session import Session
 
 
 @pytest.fixture
@@ -360,6 +361,51 @@ class TestParLoop:
         )
         assert total[0] == pytest.approx(sum(range(10)))
         assert biggest[0] == 9.0 and smallest[0] == 0.0
+
+
+def _extremes(value, smallest, biggest):
+    smallest[0] = min(smallest[0], value[0])
+    biggest[0] = max(biggest[0], value[0])
+
+
+#: at module scope: ``processes`` workers resolve kernels by name
+EXTREMES = Kernel(name="extremes", elemental=_extremes)
+
+
+def _integer_extremes(context, typ):
+    dtype = np.dtype({"int": np.int32, "long": np.int64}[typ])
+    cells = op_decl_set(10, "cells")
+    values = np.array([3, -7, 12, 5, -2, 40, 0, 9, -11, 8], dtype=dtype)
+    if dtype == np.int64:  # beyond what an int32 or a float64 holds exactly
+        values[[2, 8]] = [2**62 + 1, -(2**62) - 1]
+    value = op_decl_dat(cells, 1, typ, values.reshape(10, 1), "value")
+    smallest, biggest = np.array([5], dtype=dtype), np.array([-5], dtype=dtype)
+    with active_context(context):
+        op_par_loop(
+            EXTREMES,
+            "extremes",
+            cells,
+            op_arg_dat(value, -1, OP_ID, 1, typ, OP_READ),
+            op_arg_gbl(smallest, 1, typ, OP_MIN),
+            op_arg_gbl(biggest, 1, typ, OP_MAX),
+        )
+    return smallest, biggest
+
+
+class TestIntegerMinMaxReductions:
+    """An integer MIN/MAX global starts each chunk's partial at the dtype's
+    extreme (an integer has no infinity) and equals ``serial`` on every
+    deferred engine."""
+
+    @pytest.mark.parametrize("typ", ["int", "long"])
+    @pytest.mark.parametrize("engine", ["threads", "processes", "sharded"])
+    def test_integer_min_and_max_equal_serial(self, engine, typ):
+        expected = _integer_extremes(serial_context(), typ)
+        with Session(name=f"extremes-{engine}") as session:
+            context = hpx_context(engine=engine, num_threads=2, session=session)
+            smallest, biggest = _integer_extremes(context, typ)
+        assert smallest.dtype == expected[0].dtype and biggest.dtype == expected[1].dtype
+        assert np.array_equal(smallest, expected[0]) and np.array_equal(biggest, expected[1])
 
 
 class TestExecutionContexts:

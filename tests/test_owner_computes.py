@@ -43,7 +43,6 @@ from repro.op2 import (
 from repro.op2.backends.hpx import hpx_context
 from repro.op2.backends.serial import serial_context
 from repro.op2.context import active_context
-from repro.op2.datapath import occurrence_ranks
 from repro.op2.par_loop import ParLoop
 from repro.op2.plan import clear_plan_cache
 from repro.session import Session
@@ -112,11 +111,6 @@ class TestRowListsAgainstBruteForce:
                 owned = plan.targets(table, part, j)
                 assert np.all((lo <= owned) & (owned < hi))
                 committed[slot].extend(committed_rows.tolist())
-                for start in range(0, positions.size, 5):
-                    ranks = plan.ranks(table, part, j, start, start + 5)
-                    expected = occurrence_ranks(owned[start : start + 5])
-                    assert (ranks is None) == (expected is None)
-                    assert ranks is None or np.array_equal(ranks, expected)
         # every row runs in exactly one home chunk; every (row, slot)
         # increment is committed by exactly one chunk
         assert sorted(r for p in range(parts) for r in plan.rows[p][: plan.homes[p]]) == list(
