@@ -22,7 +22,8 @@ greps ``src/`` for strays):
 
 * **Gathers** are ``np.take(data, index, axis=0)``, a row-copy loop, instead
   of ``data[index]``, which goes through NumPy's general fancy-indexing
-  iterator (2-6x slower at Airfoil sizes).  A sub-block's gathers, its
+  iterator (2-6x slower at Airfoil sizes); map values are column-major, so
+  a slot's index is contiguous.  A sub-block's gathers, its
   ``_idx`` and a generated block form's temporaries live in per-thread
   scratch (:func:`kernel_scratch`), grown on demand to the largest sub-block
   the thread has run, so a steady sub-block allocates nothing.  The gathers
@@ -39,8 +40,10 @@ greps ``src/`` for strays):
   column) element receives its increments in row order, which is what the
   2-D ``np.add.at`` does, so the result is bit-identical, not merely close.
   NumPy's 1-D ``add.at`` has a fast path (since 1.25) that the 2-D one
-  lacks: on the 2-core reference box (NumPy 2.4) a 120x80 ``res_calc``
-  commit (19 000 x 4 increments) takes 214 us against 1 862 us, and no
+  lacks, and INC staging is column-major, so the index and every buffer
+  column it walks are contiguous: on the 2-core reference box (NumPy 2.4)
+  a 400x300 ``res_calc`` commit (239 300 x 4 increments) takes ~3.2 ms
+  against ~4.4 ms with a strided index and a row-major buffer, and no
   schedule is built or stored for it.
 """
 
@@ -192,11 +195,12 @@ def _take_rows(
 ) -> np.ndarray:
     """``np.take(data, index, axis=0, out=out)`` without allocating.
 
-    NumPy copies a strided index (a map column) into a fresh array before
+    NumPy copies an index that is not a writeable C-contiguous array -- a
+    map column, contiguous but read-only -- into a fresh array before
     taking; here it is copied into scratch instead, the ``"index"`` buffer
     that a sub-block's ``_idx`` takes once its gathers are done.
     """
-    if not index.flags.c_contiguous:
+    if not index.flags.carray:
         contiguous = scratch.buffer("index", index.shape, index.dtype)
         np.copyto(contiguous, index)
         index = contiguous
@@ -209,16 +213,22 @@ class _StagingPool:
     A compute thread takes, the thread committing the chunk gives back --
     different threads in a ``processes`` worker -- hence the lock.  A buffer
     that would push the pool past :data:`STAGING_POOL_BYTES` empties it.
+    Layout is part of the key: a column-major INC buffer never comes back
+    as a row-major WRITE/RW one.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._free: dict[tuple[tuple[int, ...], np.dtype], list[np.ndarray]] = {}
+        self._free: dict[tuple[tuple[int, ...], np.dtype, bool], list[np.ndarray]] = {}
         self.nbytes = 0
 
-    def take(self, shape: tuple[int, ...], dtype: np.dtype) -> Optional[np.ndarray]:
+    def take(
+        self, shape: tuple[int, ...], dtype: np.dtype, order: str = "C"
+    ) -> Optional[np.ndarray]:
+        # keyed by C-contiguity, which a buffer of one column has in either order
+        key = (shape, np.dtype(dtype), order == "C" or shape[1] == 1)
         with self._lock:
-            stack = self._free.get((shape, np.dtype(dtype)))
+            stack = self._free.get(key)
             if not stack:
                 return None
             buffer = stack.pop()
@@ -233,7 +243,8 @@ class _StagingPool:
                     self.nbytes = 0
                     if buffer.nbytes > STAGING_POOL_BYTES:
                         continue
-                self._free.setdefault((buffer.shape, buffer.dtype), []).append(buffer)
+                key = (buffer.shape, buffer.dtype, buffer.flags.c_contiguous)
+                self._free.setdefault(key, []).append(buffer)
                 self.nbytes += buffer.nbytes
 
 
@@ -264,8 +275,8 @@ def occurrence_ranks(index: np.ndarray) -> Optional[np.ndarray]:
     Returns ``None`` when every value is distinct (all ranks zero), otherwise
     an unsigned array in the smallest dtype that holds the largest rank --
     ``uint8`` unless some value occurs more than 256 times.  Only
-    :meth:`~repro.op2.map.OpMap.scatter_ranks` builds them, to detect
-    duplicate indirect WRITE/RW targets; no commit needs them.
+    :meth:`~repro.op2.map.OpMap.repeats` builds them, to detect duplicate
+    indirect WRITE/RW targets; no commit needs them.
     """
     n = index.size
     if n < 2:
@@ -297,8 +308,8 @@ def stage_scatter_add(
 
     Bit-identical to ``np.add.at(data, index, buffer)`` at the time of the
     call: one 1-D ``np.add.at`` per column, in column order, each taking
-    the (strided) ``index`` as it is -- a contiguous copy of a map column
-    measured slower.
+    ``index`` and ``buffer[:, c]`` as they are (``np.add.at`` copies
+    neither) -- a map column and a column-major INC buffer, both contiguous.
     """
     if buffer.shape[1] == 1:
         return partial(np.add.at, data[:, 0], index, buffer[:, 0])
@@ -364,21 +375,18 @@ def _map_rows(
     column: tuple[np.ndarray, int], rows: np.ndarray, scratch: Optional[_Scratch]
 ) -> np.ndarray:
     """``values[rows, slot]`` for ``column = (values, slot)`` and ascending
-    ``rows``: a view of the column for consecutive rows, else a gather into
-    ``scratch``'s ``"index"`` buffer (when given).
-
-    Taken from the flat values: ``np.take`` copies a strided source -- a map
-    column -- whole before it gathers.
+    ``rows``: a view of the (contiguous) column for consecutive rows, else a
+    gather from it -- into ``scratch``'s ``"targets"`` buffer when given,
+    with ``rows`` cast to ``intp`` there so ``np.take`` copies nothing.
     """
     values, slot = column
     if rows[-1] - rows[0] == rows.size - 1:
         return values[rows[0] : rows[-1] + 1, slot]
     if scratch is None:
-        return values.reshape(-1).take(rows * values.shape[1] + slot)
-    offsets, index = scratch.carve("offsets", (rows.shape, np.intp), (rows.shape, np.intp))
-    np.multiply(rows, values.shape[1], out=offsets)
-    offsets += slot
-    return np.take(values.reshape(-1), offsets, out=index, mode="clip")
+        return values[:, slot].take(rows)
+    positions, index = scratch.carve("targets", (rows.shape, np.intp), (rows.shape, np.intp))
+    np.copyto(positions, rows)
+    return np.take(values[:, slot], positions, out=index, mode="clip")
 
 
 def _owned_scatter_add(
@@ -392,7 +400,9 @@ def _owned_scatter_add(
     """Owner chunk ``part``'s commit of the increments in ``buffer`` through
     ``slot``: the rows whose targets it owns, in row order, picked and
     scatter-added block by block.  A block of consecutive rows -- most of a
-    chunk on a well-numbered mesh -- is sliced, not picked."""
+    chunk on a well-numbered mesh -- is sliced, not picked.  Picks go column
+    by column into a column-major scratch block: ``np.take(..., axis=0)``
+    would copy the whole column-major ``buffer`` first."""
     j = plan.slots.index(slot)
     positions, rows, homes = plan.commits[part][j], plan.rows[part], plan.homes[part]
     scratch = _thread_scratch() if positions.size >= SCRATCH_MIN_ROWS else _Scratch()
@@ -403,13 +413,17 @@ def _owned_scatter_add(
         if last - first == chosen.size - 1 and (chosen.max() < homes or chosen.min() >= homes):
             picked, at = buffer[first : last + 1], rows[first : last + 1]
         else:
-            picked, at = scratch.carve(
+            columns, at, index = scratch.carve(
                 "picked",
-                ((chosen.size, *buffer.shape[1:]), buffer.dtype),
+                ((buffer.shape[1], chosen.size), buffer.dtype),
                 ((chosen.size,), rows.dtype),
+                ((chosen.size,), np.intp),
             )
-            np.take(buffer, chosen, axis=0, out=picked, mode="clip")
-            np.take(rows, chosen, out=at, mode="clip")
+            picked = columns.T
+            np.copyto(index, chosen)
+            for c in range(buffer.shape[1]):
+                np.take(buffer[:, c], index, out=columns[c], mode="clip")
+            np.take(rows, index, out=at, mode="clip")
         targets = _map_rows((values, slot), at, scratch)  # ``at`` ascends
         stage_scatter_add(data, targets, picked)()
 
@@ -510,21 +524,24 @@ class BlockStage:
     def private(self, arg: OpArg) -> np.ndarray:
         """Indirect INC/WRITE/RW: the whole-chunk buffer the kernel works on.
 
-        INC gets zeros, scatter-added at commit by :func:`stage_scatter_add`
-        (an owner chunk adds the rows whose targets it owns, slot by slot in
-        row order); no schedule is built for it.  WRITE/RW get the
-        gathered rows, assigned back at commit (callers only vectorise blocks
-        whose WRITE/RW targets are distinct).  From :data:`SCRATCH_MIN_ROWS`
-        rows up the buffer is a pooled one, zero-filled or gathered into.
+        INC gets zeros, column-major so that every column the kernel writes
+        and the commit reads is contiguous, scatter-added at commit by
+        :func:`stage_scatter_add` (an owner chunk adds the rows whose
+        targets it owns, slot by slot in row order); no schedule is built
+        for it.  WRITE/RW get the gathered rows, row-major, assigned back at
+        commit (callers only vectorise blocks whose WRITE/RW targets are
+        distinct).  From :data:`SCRATCH_MIN_ROWS` rows up the buffer is a
+        pooled one of the same layout, zero-filled or gathered into.
         """
         assert arg.dat is not None and arg.map is not None
         data = arg.dat.data
         shape = (self.stop - self.start, arg.dim)
         pooled = shape[0] >= SCRATCH_MIN_ROWS
-        buffer = _staging.take(shape, arg.dat.dtype) if pooled else None
+        order = "F" if arg.access is AccessMode.INC else "C"
+        buffer = _staging.take(shape, arg.dat.dtype, order) if pooled else None
         if arg.access is AccessMode.INC:
             if buffer is None:
-                buffer = np.zeros(shape, dtype=arg.dat.dtype)
+                buffer = np.zeros(shape, dtype=arg.dat.dtype, order="F")
             else:
                 buffer.fill(0)
             if self._owner is None:

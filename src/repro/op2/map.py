@@ -10,7 +10,6 @@ how OP2 catches malformed meshes early.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,16 +23,20 @@ __all__ = ["OpMap", "OwnerPlan", "op_decl_map"]
 
 _map_ids = itertools.count()
 
-#: cap on cached per-chunk entries (target summaries, occurrence ranks) per
+#: cap on cached per-chunk entries (target summaries, repeat answers) per
 #: map (chunk boundaries are stable across time-step iterations, so real
 #: workloads stay far below this)
 _SUMMARY_CACHE_LIMIT = 16384
 
-_MISSING = object()
-
 
 class OpMap:
-    """A mapping from ``from_set`` to ``to_set`` with ``dim`` targets per element."""
+    """A mapping from ``from_set`` to ``to_set`` with ``dim`` targets per element.
+
+    ``values`` is ``(n, dim)`` int64, read-only, range-checked and
+    column-major, so every slot ``values[:, s]`` -- what the data path
+    gathers through and scatter-adds by -- is contiguous; every array that
+    becomes ``values`` keeps that order.
+    """
 
     __slots__ = (
         "map_id",
@@ -44,9 +47,7 @@ class OpMap:
         "name",
         "_version",
         "_chunk_summaries",
-        "_scatter_ranks",
-        "_scatter_ranks_bytes",
-        "_scatter_ranks_lock",
+        "_repeats",
         "_owner_plans",
     )
 
@@ -79,10 +80,8 @@ class OpMap:
         """
         #: (version, slot, start, stop) -> targets touched by that chunk-slot
         self._chunk_summaries: dict[tuple[int, int, int, int], IntervalSet] = {}
-        #: (version, slot, start, stop) -> occurrence ranks, ``None`` = no duplicates
-        self._scatter_ranks: dict[tuple[int, int, int, int], Optional[np.ndarray]] = {}
-        self._scatter_ranks_bytes = 0
-        self._scatter_ranks_lock = threading.Lock()
+        #: (version, slot, start, stop) -> whether that chunk-slot repeats a target
+        self._repeats: dict[tuple[int, int, int, int], bool] = {}
         #: (version, slots, parts) -> owner-computes partition of the targets
         self._owner_plans: dict[tuple[int, tuple[int, ...], int], OwnerPlan] = {}
 
@@ -94,7 +93,7 @@ class OpMap:
                 f"map {self.name!r}: expected {expected} entries "
                 f"({self.from_set.size} elements x dim {self.dim}), got {array.size}"
             )
-        array = array.reshape(self.from_set.size, self.dim).copy()
+        array = np.array(array.reshape(self.from_set.size, self.dim), order="F")
         self.check_targets(array)
         array.setflags(write=False)
         return array
@@ -156,34 +155,22 @@ class OpMap:
             self._chunk_summaries[key] = summary
         return summary
 
-    def scatter_ranks(self, map_index: int, start: int, stop: int) -> Optional[np.ndarray]:
-        """The occurrence ranks of slot ``map_index`` over ``[start, stop)``:
+    def repeats(self, map_index: int, start: int, stop: int) -> bool:
+        """Whether slot ``map_index`` hits a target twice over ``[start, stop)``:
         the detector of duplicate indirect WRITE/RW targets, for its one
         caller, ``ParLoop._scatter_conflicts`` (increments commit without).
 
-        ``None`` when the chunk-slot hits no target twice; otherwise the
-        :func:`~repro.op2.datapath.occurrence_ranks` of its targets (at most
-        one byte per row unless a target is hit more than 256 times).  Built
-        once per (chunk, slot) per connectivity and dropped with it; the
-        stored arrays of one map stay within one byte per map entry -- an
-        entry that would exceed that evicts the others first.
+        Answered by :func:`~repro.op2.datapath.occurrence_ranks` once per
+        (chunk, slot) per connectivity; only the answer is kept.
         """
         key = (self._version, map_index, start, stop)
-        ranks = self._scatter_ranks.get(key, _MISSING)
-        if ranks is _MISSING:
-            ranks = occurrence_ranks(self.values[start:stop, map_index])
-            cost = 0 if ranks is None else ranks.nbytes
-            with self._scatter_ranks_lock:  # compute threads share the map
-                if key not in self._scatter_ranks:
-                    if (
-                        self._scatter_ranks_bytes + cost > self.values.size
-                        or len(self._scatter_ranks) >= _SUMMARY_CACHE_LIMIT
-                    ):
-                        self._scatter_ranks.clear()
-                        self._scatter_ranks_bytes = 0
-                    self._scatter_ranks[key] = ranks
-                    self._scatter_ranks_bytes += cost
-        return ranks  # type: ignore[return-value]
+        repeated = self._repeats.get(key)
+        if repeated is None:
+            repeated = occurrence_ranks(self.values[start:stop, map_index]) is not None
+            if len(self._repeats) >= _SUMMARY_CACHE_LIMIT:
+                self._repeats.clear()
+            self._repeats[key] = repeated
+        return repeated
 
     def owner_plan(self, slots: tuple[int, ...], parts: int) -> "OwnerPlan":
         """The owner-computes partition of the targets of ``slots`` into
@@ -203,7 +190,7 @@ class OpMap:
 
     def set_values(self, values: Sequence[int] | np.ndarray) -> None:
         """Replace the connectivity (validated); bumps the version so cached
-        execution plans, chunk summaries, occurrence ranks and owner plans
+        execution plans, chunk summaries, repeat answers and owner plans
         computed from the old connectivity are recomputed.
 
         Deferred engines gather through the *live* ``values`` array when a

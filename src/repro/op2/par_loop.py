@@ -270,12 +270,11 @@ class ParLoop:
         gathered values*, whereas the elemental path lets later iterations
         observe earlier writes.  Blocks with duplicate WRITE/RW targets
         therefore fall back to the elemental path so both paths stay
-        identical.  The answer is whether the chunk-slot has occurrence
-        ranks (:meth:`OpMap.scatter_ranks`, built once per connectivity) --
+        identical.  :meth:`OpMap.repeats` keeps the answer per connectivity:
         time-stepping loops re-ask for the same blocks every iteration.
         """
         for arg in self._assigned_scatters:
-            if arg.map.scatter_ranks(arg.map_index, start, stop) is not None:  # type: ignore[union-attr]
+            if arg.map.repeats(arg.map_index, start, stop):  # type: ignore[union-attr]
                 return True
         return False
 

@@ -83,12 +83,22 @@ class SharedMemoryArena:
         """Number of live segments the arena owns."""
         return len(self._segments)
 
-    def _adopt_array(self, array: np.ndarray, kind: str) -> tuple[str, np.ndarray]:
+    def _adopt_array(
+        self, array: np.ndarray, kind: str, object_id: int
+    ) -> tuple[dict[str, Any], np.ndarray]:
+        """Copy ``array`` into a fresh segment, in its order (a map's values
+        are column-major), and bump the object's adoption epoch; return the
+        segment's part of the declaration spec and the view."""
         segment = _new_segment(array.nbytes, f"{self._prefix}-{kind}")
-        view: np.ndarray = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
+        order = "C" if array.flags.c_contiguous else "F"  # one column is both
+        view: np.ndarray = np.ndarray(array.shape, array.dtype, segment.buf, order=order)
         view[...] = array
         self._segments.append(segment)
-        return segment.name, view
+        key = (kind, object_id)
+        self._epochs[key] = self._epochs.get(key, -1) + 1
+        spec = {"kind": kind, f"{kind}_id": object_id, "segment": segment.name}
+        spec.update(shape=array.shape, order=order, dtype=array.dtype.str)
+        return spec, view
 
     @staticmethod
     def _set_spec(opset: OpSet) -> dict[str, Any]:
@@ -107,21 +117,11 @@ class SharedMemoryArena:
         record = self._dats.get(dat.dat_id)
         if record is not None and dat.data is record[1]:
             return None
-        segment_name, view = self._adopt_array(dat.data, "dat")
+        spec, view = self._adopt_array(dat.data, "dat", dat.dat_id)
         dat.data = view
-        key = ("dat", dat.dat_id)
-        self._epochs[key] = self._epochs.get(key, -1) + 1
-        spec = {
-            "kind": "dat",
-            "dat_id": dat.dat_id,
-            "segment": segment_name,
-            "shape": dat.data.shape,
-            "dtype": dat.dtype.str,
-            "dim": dat.dim,
-            "name": dat.name,
-            "version": dat.version,
-            "set": self._set_spec(dat.dataset),
-        }
+        spec.update(
+            dim=dat.dim, name=dat.name, version=dat.version, set=self._set_spec(dat.dataset)
+        )
         self._dats[dat.dat_id] = (dat, view)
         return spec
 
@@ -138,23 +138,16 @@ class SharedMemoryArena:
         record = self._maps.get(opmap.map_id)
         if record is not None and opmap.values is record[1]:
             return None
-        segment_name, view = self._adopt_array(opmap.values, "map")
+        spec, view = self._adopt_array(opmap.values, "map", opmap.map_id)
         view.setflags(write=False)
         opmap.values = view
-        key = ("map", opmap.map_id)
-        self._epochs[key] = self._epochs.get(key, -1) + 1
-        spec = {
-            "kind": "map",
-            "map_id": opmap.map_id,
-            "segment": segment_name,
-            "shape": opmap.values.shape,
-            "dtype": opmap.values.dtype.str,
-            "dim": opmap.dim,
-            "name": opmap.name,
-            "version": opmap.version,
-            "from_set": self._set_spec(opmap.from_set),
-            "to_set": self._set_spec(opmap.to_set),
-        }
+        spec.update(
+            dim=opmap.dim,
+            name=opmap.name,
+            version=opmap.version,
+            from_set=self._set_spec(opmap.from_set),
+            to_set=self._set_spec(opmap.to_set),
+        )
         self._maps[opmap.map_id] = (opmap, view)
         return spec
 
@@ -181,7 +174,7 @@ class SharedMemoryArena:
         for dat, _view in self._dats.values():
             dat.data = np.array(dat.data)
         for opmap, _view in self._maps.values():
-            values = np.array(opmap.values)
+            values = np.array(opmap.values)  # keeps the column-major order
             values.setflags(write=False)
             opmap.values = values
         # Drop the recorded views (stale ones included) so close() succeeds.
@@ -205,7 +198,8 @@ class SharedMemoryArena:
 def attach_segment(
     spec: dict[str, Any],
 ) -> tuple[shared_memory.SharedMemory, np.ndarray]:
-    """Attach to a declared segment and view it as the declared array.
+    """Attach to a declared segment and view it as the declared array, in
+    the declared order.
 
     Attaching registers the segment name with the resource tracker a second
     time; that is deliberate and harmless: CPython hands every child (fork
@@ -216,7 +210,7 @@ def attach_segment(
     """
     segment = shared_memory.SharedMemory(name=spec["segment"])
     view: np.ndarray = np.ndarray(
-        tuple(spec["shape"]), dtype=np.dtype(spec["dtype"]), buffer=segment.buf
+        tuple(spec["shape"]), np.dtype(spec["dtype"]), segment.buf, order=spec["order"]
     )
     return segment, view
 

@@ -33,7 +33,8 @@ global there.
 :func:`host_stub` gives a loop the *host stub* OP2's translator emits per
 ``op_par_loop`` (Figs 8-9): per argument signature (``OpArg.code`` letters)
 one straight-line ``stub(stage, start, stop, *args)`` -- views of rows
-``[start, stop)``, the specialised block form, then commits and folds
+``[start, stop)`` (INC staging column-major, as on the generic path), the
+specialised block form, then commits and folds
 through :mod:`repro.op2.datapath` in the generic path's order, so no dat
 changes by a bit; with a ``stage`` it hands the effects over instead.
 :func:`render_stub` is its source, which the program translator prints.
@@ -747,7 +748,9 @@ def render_stub(key: str) -> str:
         elif code == "r":
             lines.append(f"    v{i} = _gather_rows({a}.dat.data, {rows})")
         elif code == "i":
-            lines.append(f"    v{i} = _np.zeros((_stop - _start, {a}.dim), {a}.dat.dtype)")
+            lines.append(
+                f"    v{i} = _np.zeros((_stop - _start, {a}.dim), {a}.dat.dtype, order='F')"
+            )
             staged.append((i, f"_stage_scatter_add({a}.dat.data, {rows}, v{i})"))
         elif code == "w":
             lines += [f"    t{i} = {rows}", f"    v{i} = _gather_rows({a}.dat.data, t{i})"]

@@ -123,7 +123,7 @@ def jacobi_res(_idx, a, u, du) -> None:
 
 def jacobi_update(_idx, r, du, u, u_sum, u_max) -> None:
     """Block form of Jacobi's ``jac_update``."""
-    u[:, 0] += du[:, 0] + 0.1 * r[:, 0]
+    u[:, 0] = du[:, 0] + 0.1 * r[:, 0]
     du[:, 0] = 0.0
     u_sum[0] += float(np.sum(u[:, 0] ** 2))
     u_max[0] = max(u_max[0], float(np.max(u[:, 0])))

@@ -1,16 +1,15 @@
 """The chunk data path (:mod:`repro.op2.datapath`): bit-identity and confinement.
 
-Five groups:
+Seven groups:
 
 * **Helpers** (Hypothesis) -- the scatter-add commit (one 1-D ``np.add.at``
   per column) is ``np.array_equal`` to the 2-D ``np.add.at`` on non-integer
   floats and on integers, with heavy duplicates, dims 1-4 and buffers above
   8192 entries; gathers equal fancy indexing; occurrence ranks equal a
   brute-force count and widen their dtype when they must.
-* **Duplicate detection** -- ``OpMap.scatter_ranks`` (the WRITE/RW duplicate
-  detector) stores nothing for a chunk-slot without duplicates, at most one
-  byte per row otherwise, stays within one byte per map entry overall and is
-  dropped by ``set_values``.
+* **Duplicate detection** -- ``OpMap.repeats`` (the WRITE/RW duplicate
+  detector) equals a brute-force check, keeps one bool per chunk-slot,
+  answers concurrent askers alike and is dropped by ``set_values``.
 * **End-to-end oracle** -- Airfoil steps, whose commits reach 8192 entries
   and more, are bit-identical to a run whose data path is patched back to
   fancy indexing + the 2-D ``np.add.at``.
@@ -25,6 +24,11 @@ Five groups:
   reused INC buffer is zero, the pool stays under its cap; and the map
   values the ``mode="clip"`` gathers trust are range-checked and read-only
   wherever they come from.
+* **Layout** -- every slot of a map's values is contiguous and read-only
+  after declaration, ``set_values``, adoption into shared memory and
+  ``attach_map`` in a forked or spawned worker; the stub and the stage
+  hand the kernel contiguous INC columns, fresh and pooled; an owner
+  chunk's commit on a shuffled mesh allocates nothing that scales with it.
 * **Guard** -- ``np.add.at``, ``np.take`` and fancy row gathers of dat data
   appear nowhere in ``src/`` outside the data-path module, and the sub-block
   loop with its row constant lives in one function of it, so ``ParLoop`` and
@@ -60,6 +64,7 @@ from repro.op2 import (
     OP_RW,
     OP_WRITE,
     datapath,
+    map as map_module,
     op_arg_dat,
     op_arg_gbl,
     op_decl_dat,
@@ -167,7 +172,7 @@ class TestGatherAndRanks:
 # ---------------------------------------------------------------------------
 # duplicate detection
 # ---------------------------------------------------------------------------
-class TestMapOwnedSchedules:
+class TestDuplicateDetection:
     @staticmethod
     def _map(rows=4000, targets=1000, seed=0):
         rng = np.random.default_rng(seed)
@@ -178,41 +183,51 @@ class TestMapOwnedSchedules:
         )
         return op_decl_map(source, target, 2, values, "e2n"), values
 
-    def test_nothing_is_stored_for_a_chunk_slot_without_duplicates(self):
+    @staticmethod
+    def _has_repeat(index: np.ndarray) -> bool:
+        return len(set(index.tolist())) < index.size
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        slot=st.integers(0, 1),
+        start=st.integers(0, 3999),
+        rows=st.integers(1, 200),
+    )
+    def test_repeats_equal_a_brute_force_check(self, slot, start, rows):
+        opmap, values = self._map()
+        stop = min(start + rows, 4000)
+        expected = self._has_repeat(values[start:stop, slot])
+        assert opmap.repeats(slot, start, stop) is expected
+        assert opmap.repeats(slot, start, stop) is expected  # the kept answer
+
+    def test_one_bool_is_kept_per_chunk_slot(self, monkeypatch):
         opmap, _ = self._map()
-        assert opmap.scatter_ranks(0, 0, 4000) is None
-        assert opmap.scatter_ranks(0, 100, 2100) is None
-        assert opmap._scatter_ranks_bytes == 0
-        assert all(ranks is None for ranks in opmap._scatter_ranks.values())
+        asked = []
 
-    def test_a_duplicated_chunk_slot_costs_at_most_one_byte_per_row(self):
-        opmap, values = self._map()
-        ranks = opmap.scatter_ranks(1, 500, 3500)
-        assert ranks is not None and ranks.nbytes <= 3000
-        assert np.array_equal(ranks, _brute_force_ranks(values[500:3500, 1]))
-        assert opmap.scatter_ranks(1, 500, 3500) is ranks  # built once
-        assert opmap._scatter_ranks_bytes == ranks.nbytes
+        def counting(index):
+            asked.append(index.size)
+            return occurrence_ranks(index)
 
-    def test_storage_stays_within_one_byte_per_map_entry(self):
-        opmap, values = self._map()
-        for start in range(0, 2000, 100):  # overlapping ranges: 20 x 2000 rows
-            opmap.scatter_ranks(1, start, start + 2000)
-            stored = sum(r.nbytes for r in opmap._scatter_ranks.values() if r is not None)
-            assert stored == opmap._scatter_ranks_bytes <= values.size
+        monkeypatch.setattr(map_module, "occurrence_ranks", counting)
+        assert not opmap.repeats(0, 0, 4000)  # a permutation
+        assert opmap.repeats(1, 500, 3500)
+        assert opmap.repeats(1, 500, 3500) and not opmap.repeats(0, 0, 4000)
+        assert asked == [4000, 3000]
+        assert set(opmap._repeats.values()) == {False, True}
 
-    def test_concurrent_builders_keep_the_byte_accounting_exact(self):
+    def test_concurrent_askers_agree(self):
         # compute threads of one engine share the map: more threads than
-        # cores, a short switch interval, overlapping ranges that overflow
-        # the budget (so the cache is cleared under contention)
+        # cores, a short switch interval, overlapping ranges
         opmap, values = self._map()
-        ranges = [(start, start + 2000) for start in range(0, 2000, 250)]
-        expected = {r: _brute_force_ranks(values[r[0] : r[1], 1]) for r in ranges}
+        ranges = [(start, start + rows) for start in range(0, 3000, 250) for rows in (3, 40, 900)]
+        expected = {r: self._has_repeat(values[r[0] : r[1], 1]) for r in ranges}
+        assert set(expected.values()) == {False, True}
         wrong = []
 
         def worker(offset):
-            for turn in range(40):
+            for turn in range(3 * len(ranges)):
                 r = ranges[(offset + turn) % len(ranges)]
-                if not np.array_equal(opmap.scatter_ranks(1, *r), expected[r]):
+                if opmap.repeats(1, *r) is not expected[r]:
                     wrong.append(r)
 
         interval = sys.getswitchinterval()
@@ -227,17 +242,15 @@ class TestMapOwnedSchedules:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong
-        stored = sum(r.nbytes for r in opmap._scatter_ranks.values() if r is not None)
-        assert stored == opmap._scatter_ranks_bytes <= values.size
 
-    def test_set_values_drops_the_schedules_of_the_old_connectivity(self):
+    def test_set_values_drops_the_answers_of_the_old_connectivity(self):
         opmap, values = self._map()
-        old = opmap.scatter_ranks(1, 0, 4000)
-        opmap.set_values(values[::-1].copy())
-        assert opmap._scatter_ranks == {} and opmap._scatter_ranks_bytes == 0
-        new = opmap.scatter_ranks(1, 0, 4000)
-        assert new is not old
-        assert np.array_equal(new, _brute_force_ranks(values[::-1, 1]))
+        assert opmap.repeats(1, 0, 4000)
+        distinct = values.copy()
+        distinct[:, 1] = np.arange(4000)
+        opmap.set_values(distinct)
+        assert opmap._repeats == {}
+        assert not opmap.repeats(1, 0, 4000)
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +705,146 @@ class TestMapValuesAreCheckedAndReadOnly:
         finally:
             shm.detach_all(segments)
             arena.release()
+
+
+def _slots_contiguous_and_read_only(values: np.ndarray) -> list[tuple[bool, bool]]:
+    return [
+        (values[:, s].flags.c_contiguous, values[:, s].flags.writeable)
+        for s in range(values.shape[1])
+    ]
+
+
+def _report_attached_layout(spec, conn) -> None:
+    """Worker side of the layout check: attach the map as a worker does."""
+    segments: list = []
+    try:
+        conn.send(_slots_contiguous_and_read_only(shm.attach_map(spec, {}, segments).values))
+    finally:
+        shm.detach_all(segments)
+        conn.close()
+
+
+class TestColumnMajorLayout:
+    """Map slots and INC staging columns are contiguous wherever they come
+    from: a slot is the index of every gather and scatter-add, an INC
+    column what the kernel writes and the commit reads."""
+
+    COLUMN_MAJOR = [(True, False)] * 2  # per slot: C-contiguous, read-only
+
+    def test_map_slots_after_declaration_and_set_values(self):
+        e2n, _ = _edge_map(64)
+        assert _slots_contiguous_and_read_only(e2n.values) == self.COLUMN_MAJOR
+        e2n.set_values(np.ascontiguousarray(e2n.values[::-1]))
+        assert _slots_contiguous_and_read_only(e2n.values) == self.COLUMN_MAJOR
+
+    def test_map_slots_after_adoption_and_release_in_the_parent(self):
+        e2n, _ = _edge_map(64)
+        expected = e2n.values.copy()
+        arena = shm.SharedMemoryArena(name_prefix="op2-test")
+        try:
+            spec = arena.adopt_map(e2n)
+            assert spec["order"] == "F"
+            assert _slots_contiguous_and_read_only(e2n.values) == self.COLUMN_MAJOR
+        finally:
+            arena.release()
+        assert _slots_contiguous_and_read_only(e2n.values) == self.COLUMN_MAJOR
+        assert np.array_equal(e2n.values, expected)
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_map_slots_after_attach_map_in_a_worker(self, method):
+        import multiprocessing
+
+        from repro.apps.jacobi import build_ring_problem, run_jacobi
+        from repro.runtime.process_pool import ProcessChunkEngine
+
+        # the order travels in the spec: attach in a child process
+        e2n, _ = _edge_map(64)
+        context = multiprocessing.get_context(method)
+        arena = shm.SharedMemoryArena(name_prefix="op2-test")
+        try:
+            spec = arena.adopt_map(e2n)
+            ours, theirs = context.Pipe()
+            child = context.Process(target=_report_attached_layout, args=(spec, theirs))
+            child.start()
+            theirs.close()
+            assert ours.poll(60)
+            assert ours.recv() == self.COLUMN_MAJOR
+            child.join(timeout=30)
+        finally:
+            arena.release()
+        # and a pool started that way computes through it
+        clear_plan_cache()
+        with active_context(serial_context()):
+            reference = run_jacobi(build_ring_problem(num_nodes=200), iterations=2)
+        clear_plan_cache()
+        hpx = hpx_context(num_threads=2, engine="processes")
+        hpx._executor = ProcessChunkEngine(2, name="layout", start_method=method)
+        with active_context(hpx):
+            result = run_jacobi(build_ring_problem(num_nodes=200), iterations=2)
+        assert np.array_equal(result.u, reference.u)
+
+    def test_the_stub_hands_the_kernel_contiguous_inc_columns(self):
+        rows = datapath.SCRATCH_MIN_ROWS // 4
+        e2n, x = _edge_map(rows)
+        seen = []
+
+        def record(_idx, x0, x1):
+            seen.append([x1[:, c].flags.c_contiguous for c in range(3)])
+
+        kernel = Kernel("record_inc_layout", elemental=lambda x0, x1: None, vectorized=record)
+        loop = ParLoop(
+            kernel,
+            "record_inc_layout",
+            e2n.from_set,
+            [
+                op_arg_dat(x, 0, e2n, 3, "double", OP_READ),
+                op_arg_dat(x, 1, e2n, 3, "double", OP_INC),
+            ],
+        )
+        assert datapath.BlockStage(0, rows).eager  # the chunk runs through the stub
+        loop.execute_block(0, rows)
+        assert seen == [[True] * 3]
+
+    def test_inc_staging_is_column_major_fresh_and_pooled(self, fresh_pool):
+        small, rows = datapath.SCRATCH_MIN_ROWS // 4, datapath.SCRATCH_MIN_ROWS
+        e2n, x = _edge_map(rows)
+        arg = op_arg_dat(x, 1, e2n, 3, "double", OP_INC)
+        fresh = datapath.BlockStage(0, small).private(arg)
+        assert [fresh[:, c].flags.c_contiguous for c in range(3)] == [True] * 3
+        # a row-major buffer of the same shape (WRITE/RW staging) is not handed out
+        fresh_pool.give([np.empty((rows, 3))])
+        first = datapath.BlockStage(0, rows)
+        used = first.private(arg)
+        assert [used[:, c].flags.c_contiguous for c in range(3)] == [True] * 3
+        first.committer()()
+        reused = datapath.BlockStage(0, rows).private(arg)
+        assert reused is used and not reused.any()
+
+    def test_an_owner_commit_on_a_shuffled_mesh_allocates_nothing_that_scales(self):
+        import tracemalloc
+
+        clear_plan_cache()
+        mesh = renumber_mesh(generate_mesh(260, 200), method="shuffle", seed=5).declare()
+        loop = _res_calc_loop(mesh)
+        owner = (2, 0)
+        rows = loop.owner_plan(2).rows[0].size
+        assert rows > 4 * datapath.SCRATCH_MIN_ROWS
+        loop._prepare_vectorized(0, 0, owner).committer()()  # warm-up: scratch, pool
+        stage = loop._prepare_vectorized(0, 0, owner)
+        assert len(stage._pooled) == 2
+        for buffer in stage._pooled:  # the kernel's INC columns: contiguous
+            assert buffer.flags.f_contiguous and not buffer.flags.c_contiguous
+        commit = stage.committer()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            commit()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one chunk's staging is rows x 4 doubles (> 1 MB) per INC argument
+        assert peak - before <= 64 << 10, peak - before
+        assert np.isfinite(mesh.p_res.data).all()
 
 
 # ---------------------------------------------------------------------------

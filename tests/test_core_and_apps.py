@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,25 @@ class TestJacobiRing:
         problem = build_ring_problem(num_nodes)
         assert problem.ppedge.values.dtype == expected.dtype
         assert np.array_equal(problem.ppedge.values, expected)
+
+    def test_a_reused_problem_relaxes_without_overflow(self):
+        """400 five-iteration requests on one problem, as a service tenant
+        sends them: the iteration contracts, so no warning and equal dats."""
+        results = {}
+        for name, factory in (
+            ("serial", serial_context),
+            ("threads", lambda: hpx_context(num_threads=2, engine="threads")),
+        ):
+            clear_plan_cache()
+            problem = build_ring_problem(num_nodes=300, seed=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with active_context(factory()):
+                    for _request in range(400):
+                        results[name] = run_jacobi(problem, iterations=5)
+        u = results["serial"].u
+        assert np.isfinite(u).all() and np.abs(u).max() < 0.01
+        assert np.array_equal(results["threads"].u, u)
 
 
 class TestAirfoilKernels:
